@@ -19,7 +19,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .errors import BudgetError, ValidationError
-from .freqspace import torus_reduce
+from .freqspace import _integer_rows, torus_reduce
 
 #: Monte Carlo phases are built from signed base-2^27 limbs of the integer
 #: exponents against a multi-double representation of each torus coordinate,
@@ -92,20 +92,6 @@ class IntegralEstimate:
 # Torus coordinates
 
 
-def _coeff_int_matrix(polys: Sequence[APPoly]):
-    """Common-denominator integer coefficient rows for every poly term."""
-    denom = 1
-    for p in polys:
-        for f in p.terms:
-            for c in f.coeffs:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    rows_per_poly = []
-    for p in polys:
-        rows = [[int(c * denom) for c in f.coeffs] for f in p.terms]
-        rows_per_poly.append(rows)
-    return rows_per_poly, denom
-
-
 def _phase_space(polys: Sequence[APPoly]):
     """Per-poly integer exponent matrices over one shared phase space.
 
@@ -119,31 +105,23 @@ def _phase_space(polys: Sequence[APPoly]):
     for p in polys[1:]:
         if p.basis != basis:
             raise ValidationError("polynomials over different bases")
-    rows_per_poly, _ = _coeff_int_matrix(polys)
-    active = sorted(
-        {c for rows in rows_per_poly for r in rows if r for c, v in enumerate(r) if v}
-    )
+    all_freqs = [f for p in polys for f in p.terms]
+    active = sorted({c for f in all_freqs for c, v in enumerate(f.num) if v})
     if not active:
         return 0, [np.zeros((len(p.terms), 0), dtype=object) for p in polys]
     if len(active) <= _EXACT_REDUCE_DIM:
-        all_freqs = [f for p in polys for f in p.terms]
         red = torus_reduce(all_freqs)
-        exps = np.array(red.exponents, dtype=object)
-        mats = []
-        k = 0
-        for p in polys:
-            n = len(p.terms)
-            mats.append(exps[k:k + n])
-            k += n
-        return red.dim, mats
+        dim, rows = red.dim, red.exponents
+    else:
+        scaled, _ = _integer_rows(all_freqs, common_scale=True)
+        dim, rows = len(active), [[r[c] for c in active] for r in scaled]
     mats = []
-    for rows in rows_per_poly:
-        if rows:
-            m = np.array([[r[c] for c in active] for r in rows], dtype=object)
-        else:
-            m = np.zeros((0, len(active)), dtype=object)
-        mats.append(m)
-    return len(active), mats
+    k = 0
+    for p in polys:
+        n = len(p.terms)
+        mats.append(np.array(rows[k:k + n], dtype=object).reshape(n, dim))
+        k += n
+    return dim, mats
 
 
 def _coeff_array(p: APPoly) -> np.ndarray:

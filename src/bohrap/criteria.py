@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .appoly import APPoly, ExactComplex
 from .bohrint import Budget, IntegralEstimate, bohr_integral_multi
@@ -112,6 +111,7 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
 
     chosen: list[int] = []
     chosen_polys: list[APPoly] = []
+    stage_polys: dict[int, APPoly] = {}  # each stage is built once per scan
     estimates: list[IntegralEstimate] = [_unit_estimate()]
     all_candidates: list[tuple[tuple[int, float, float], ...]] = []
 
@@ -128,7 +128,9 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
             )
         results = []
         for m in cands:
-            polys = chosen_polys + [build_polynomial(params, m)]
+            if m not in stage_polys:
+                stage_polys[m] = build_polynomial(params, m)
+            polys = chosen_polys + [stage_polys[m]]
             est = bohr_integral_multi(
                 [_prod_abs(len(polys))], polys, _derived_budget(budget, step, m)
             )[0]
@@ -138,7 +140,7 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
         )
         best_m, best_est = min(results, key=lambda r: r[1].value)
         chosen.append(best_m)
-        chosen_polys.append(build_polynomial(params, best_m))
+        chosen_polys.append(stage_polys[best_m])
         estimates.append(best_est)
 
     ratios = []
@@ -498,9 +500,16 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     """
     if q < 1 or n_samples < 2:
         raise ValidationError("need q >= 1 and at least two samples")
+    # Imported here: scipy.stats dominates the start-up time of the CLI.
+    from scipy import stats
+
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    theta = rng.random((q, n_samples))
-    z = np.exp((2j * np.pi) * theta).sum(axis=0) / math.sqrt(q)
+    # One phase row at a time: the same draws and the same row-by-row sums
+    # as summing a (q, n_samples) array over axis 0, in O(n_samples) memory.
+    z = np.zeros(n_samples, dtype=complex)
+    for _ in range(q):
+        z += np.exp((2j * np.pi) * rng.random(n_samples))
+    z /= math.sqrt(q)
     sigma = math.sqrt(0.5)
     ks_re = float(stats.kstest(z.real, "norm", args=(0.0, sigma)).statistic)
     ks_im = float(stats.kstest(z.imag, "norm", args=(0.0, sigma)).statistic)

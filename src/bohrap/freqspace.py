@@ -9,6 +9,7 @@ to detect relations between the floating symbol values themselves.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,13 +63,13 @@ class SymbolBasis:
         raise ValidationError(f"symbol {name!r} is not declared in the basis")
 
     def zero(self) -> "Frequency":
-        return Frequency(self, (Fraction(0),) * self.size)
+        return Frequency._make(self, (0,) * self.size, 1)
 
     def symbol(self, name: str) -> "Frequency":
         """The frequency equal to one declared symbol."""
-        coeffs = [Fraction(0)] * self.size
-        coeffs[self.index(name)] = Fraction(1)
-        return Frequency(self, tuple(coeffs))
+        num = [0] * self.size
+        num[self.index(name)] = 1
+        return Frequency._make(self, tuple(num), 1)
 
     def frequency(self, coeffs: Mapping[str, Fraction | int | str]) -> "Frequency":
         vec = [Fraction(0)] * self.size
@@ -77,61 +78,140 @@ class SymbolBasis:
         return Frequency(self, tuple(vec))
 
 
-@dataclass(frozen=True)
+def _lcm(a: int, b: int) -> int:
+    return a * b // math.gcd(a, b)
+
+
+_setattr = object.__setattr__
+
+
+def _init(f: "Frequency", basis: SymbolBasis, num: tuple[int, ...], den: int) -> None:
+    _setattr(f, "basis", basis)
+    _setattr(f, "num", num)
+    _setattr(f, "den", den)
+    _setattr(f, "_hash", hash((num, den)))
+
+
 class Frequency:
-    """Element of the frequency group: exact rational coefficients per symbol."""
+    """Element of the frequency group: exact rational coefficients per symbol.
 
-    basis: SymbolBasis
-    coeffs: tuple[Fraction, ...]
+    Stored as an integer vector ``num`` over one positive denominator ``den``
+    with gcd(den, *num) == 1, so equal rationals have one representation and
+    the group law, hashing and comparison run on Python ints.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.basis.size:
+    __slots__ = ("basis", "num", "den", "_hash")
+
+    def __init__(self, basis: SymbolBasis, coeffs: Sequence[Fraction | int | str]):
+        if len(coeffs) != basis.size:
             raise ValidationError(
-                f"coefficient vector has length {len(self.coeffs)}, "
-                f"basis has {self.basis.size} symbols"
+                f"coefficient vector has length {len(coeffs)}, "
+                f"basis has {basis.size} symbols"
             )
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            object.__setattr__(
-                self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-            )
+        qs = [Fraction(c) for c in coeffs]
+        den = 1
+        for q in qs:
+            den = _lcm(den, q.denominator)
+        num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        _init(self, basis, num, den)
+
+    @classmethod
+    def _make(cls, basis: SymbolBasis, num: tuple[int, ...], den: int) -> "Frequency":
+        """Trusted constructor: ``num`` and ``den`` are already reduced."""
+        f = object.__new__(cls)
+        _init(f, basis, num, den)
+        return f
+
+    @classmethod
+    def _reduced(cls, basis: SymbolBasis, num: tuple[int, ...], den: int) -> "Frequency":
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+        return cls._make(basis, num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Frequency is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Frequency is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Frequency):
+            return NotImplemented
+        return (self._hash == other._hash and self.den == other.den
+                and self.num == other.num
+                and (self.basis is other.basis or self.basis == other.basis))
+
+    def __repr__(self) -> str:
+        return f"Frequency({str(self)!r})"
+
+    def __reduce__(self):
+        return (Frequency, (self.basis, self.coeffs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact rational coefficient of each symbol."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
 
     def _check(self, other: "Frequency") -> None:
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("frequencies live over different bases")
 
     def __add__(self, other: "Frequency") -> "Frequency":
         self._check(other)
-        return Frequency(self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == 1 and db == 1:
+            return Frequency._make(self.basis, tuple(map(operator.add, self.num, other.num)), 1)
+        L = _lcm(da, db)
+        ma, mb = L // da, L // db
+        num = tuple(a * ma + b * mb for a, b in zip(self.num, other.num))
+        return Frequency._reduced(self.basis, num, L)
 
     def __sub__(self, other: "Frequency") -> "Frequency":
-        self._check(other)
-        return Frequency(self.basis, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self) -> "Frequency":
-        return Frequency(self.basis, tuple(-a for a in self.coeffs))
+        return Frequency._make(self.basis, tuple(map(operator.neg, self.num)), self.den)
 
     def scale(self, q: Fraction | int) -> "Frequency":
+        if isinstance(q, int) and self.den == 1:
+            return Frequency._make(self.basis, tuple(q * a for a in self.num), 1)
         q = Fraction(q)
-        return Frequency(self.basis, tuple(q * a for a in self.coeffs))
+        n = q.numerator
+        return Frequency._reduced(
+            self.basis, tuple(n * a for a in self.num), self.den * q.denominator
+        )
 
     __rmul__ = scale
     __mul__ = scale
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def real_value(self) -> float:
         """Floating evaluation against the declared symbol values."""
-        return float(sum(float(c) * v for c, v in zip(self.coeffs, self.basis.values)))
+        # Each term is the correctly rounded value of its rational
+        # coefficient times the symbol value, exactly as float(Fraction).
+        den = self.den
+        if den == 1:
+            return float(sum(float(a) * v for a, v in zip(self.num, self.basis.values)))
+        return float(sum((a / den) * v for a, v in zip(self.num, self.basis.values)))
 
     def sort_key(self):
-        return self.coeffs
+        """Key ordering frequencies lexicographically by exact coefficients."""
+        return self.num if self.den == 1 else self.coeffs
 
     def __str__(self) -> str:
         parts = []
-        for c, name in zip(self.coeffs, self.basis.names):
-            if c != 0:
-                parts.append(f"{c}*{name}")
+        den = self.den
+        for a, name in zip(self.num, self.basis.names):
+            if a != 0:
+                parts.append(f"{a if den == 1 else Fraction(a, den)}*{name}")
         return " + ".join(parts) if parts else "0"
 
     @classmethod
@@ -199,17 +279,11 @@ def _integer_rows(freqs: Sequence[Frequency], common_scale: bool = False):
     if common_scale:
         L = 1
         for f in freqs:
-            for c in f.coeffs:
-                L = L * c.denominator // math.gcd(L, c.denominator)
-        rows = [[int(c * L) for c in f.coeffs] for f in freqs]
-        return rows, L
-    rows = []
-    for f in freqs:
-        d = 1
-        for c in f.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        rows.append([int(c * d) for c in f.coeffs])
-    return rows, 1
+            L = _lcm(L, f.den)
+        if L == 1:
+            return [list(f.num) for f in freqs], 1
+        return [[a * (L // f.den) for a in f.num] for f in freqs], L
+    return [list(f.num) for f in freqs], 1
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -353,7 +427,5 @@ def torus_reduce(freqs: Sequence[Frequency]) -> TorusReduction:
     echelon = _lattice_echelon(rows)
     pivots = [_pivot_col(r) for r in echelon]
     exps = tuple(tuple(_express_in_basis(v, echelon, pivots)) for v in rows)
-    reduced = tuple(
-        Frequency(basis, tuple(Fraction(a, L) for a in row)) for row in echelon
-    )
+    reduced = tuple(Frequency._reduced(basis, tuple(row), L) for row in echelon)
     return TorusReduction(dim=len(echelon), reduced_basis=reduced, exponents=exps)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -71,6 +72,17 @@ class RankOneParams:
     def n_stages(self) -> int:
         return len(self.stages)
 
+    @cached_property
+    def heights(self) -> tuple[Frequency, ...]:
+        """h_0..h_{n_stages}, computed once per parameter set."""
+        out = [self.unit]
+        for st in self.stages:
+            h = out[-1].scale(st.p)
+            for s in st.spacers:
+                h = h + s
+            out.append(h)
+        return tuple(out)
+
     def stage(self, k: int) -> Stage:
         if not 0 <= k < len(self.stages):
             raise ValidationError(f"stage index {k} out of range")
@@ -105,24 +117,7 @@ def heights(params: RankOneParams, k: int) -> Frequency:
     """h_k: h_0 = 1 and h_{k+1} = p_k h_k + sum of all stage-k spacers."""
     if not 0 <= k <= params.n_stages:
         raise ValidationError(f"height index {k} out of range")
-    h = params.unit
-    for m in range(k):
-        st = params.stages[m]
-        h = h.scale(st.p)
-        for s in st.spacers:
-            h = h + s
-    return h
-
-
-def heights_list(params: RankOneParams) -> list[Frequency]:
-    out = [params.unit]
-    for m in range(params.n_stages):
-        st = params.stages[m]
-        h = out[-1].scale(st.p)
-        for s in st.spacers:
-            h = h + s
-        out.append(h)
-    return out
+    return params.heights[k]
 
 
 def spacer_sum(params: RankOneParams, n: int, p: int, q: int) -> Frequency:
@@ -188,13 +183,12 @@ class SigmaHatValue:
 class RieszState:
     """Partial Riesz product after folding stages 0..n.
 
-    R = P_0 ... P_n (floating coefficients), Q = |R|^2 (exact rational
-    coefficients, computed as the product of the exact stage |P_k|^2).
+    Q = |P_0 ... P_n|^2 with exact rational coefficients, computed as the
+    product of the exact stage |P_k|^2.
     """
 
     params: RankOneParams
     n: int  # index of the last folded stage; -1 for the empty product
-    R: APPoly
     Q: APPoly
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
@@ -219,7 +213,6 @@ def initial_state(params: RankOneParams) -> RieszState:
     return RieszState(
         params=params,
         n=-1,
-        R=APPoly.one(params.basis),
         Q=APPoly.one(params.basis, exact=True),
     )
 
@@ -232,14 +225,13 @@ def extend(state: RieszState, k: int,
             f"extend expects stage {state.n + 1}, got {k}"
         )
     st = state.params.stage(k)
-    if len(state.R) * st.p > support_cap or len(state.Q) * st.p * st.p > support_cap:
+    if len(state.Q) * st.p * st.p > support_cap:
         raise SupportCapError(
             f"extending to stage {k} would exceed the support cap {support_cap}"
         )
     return RieszState(
         params=state.params,
         n=k,
-        R=state.R * build_polynomial(state.params, k),
         Q=state.Q * abs2_polynomial(state.params, k),
     )
 
@@ -288,7 +280,7 @@ def degree_report(params: RankOneParams, indices: Sequence[int],
     indices = sorted(set(indices))
     if not indices:
         raise ValidationError("need at least one stage index")
-    hs = [h.real_value() for h in heights_list(params)]
+    hs = [h.real_value() for h in params.heights]
     degs = []
     checks = []
 

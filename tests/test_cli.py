@@ -1,7 +1,11 @@
 """End-to-end CLI runs: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import bohrap
 from bohrap.cli import main
 
 
@@ -112,6 +116,16 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         doc = json.loads((out / "degree-report.json").read_text())
         assert doc["all_hold"] is True
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(bohrap.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, bohrap.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

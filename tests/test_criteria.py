@@ -1,9 +1,12 @@
 """Singularity and flatness criteria: scans, inequalities, CLT diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+
+import bohrap.criteria
 
 from bohrap.bohrint import Budget
 from bohrap.criteria import (GAUSS_MEAN_ABS, bourgain_scan,
@@ -49,6 +52,20 @@ class TestBourgainScan:
         params = make_independent_params([4, 4], seed=4)
         with pytest.raises(ValidationError):
             bourgain_scan(params, k_max=5, budget=FAST)
+
+    def test_each_stage_built_once(self, monkeypatch):
+        built = []
+        build = bohrap.criteria.build_polynomial
+
+        def counting_build(params, k):
+            built.append(k)
+            return build(params, k)
+
+        monkeypatch.setattr(bohrap.criteria, "build_polynomial", counting_build)
+        params = make_independent_params([4] * 9, seed=3)
+        rep = bourgain_scan(params, k_max=3, budget=FAST, window=3)
+        assert len(built) == len(set(built))
+        assert set(built) == {s for step in rep.candidates for s, _, _ in step}
 
     def test_fixed_stride(self):
         params = make_independent_params([4] * 4, seed=5)
@@ -153,6 +170,17 @@ class TestKacClt:
     def test_mean_abs2_is_one(self):
         rec = kac_clt_diagnostics(32, 50000, seed=2)
         assert abs(rec.mean_abs2 - 1.0) <= 3 * rec.mean_abs2_std_error
+
+    def test_memory_does_not_grow_with_q(self):
+        kac_clt_diagnostics(2, 100, seed=0)  # lazy imports happen untraced
+        tracemalloc.start()
+        try:
+            kac_clt_diagnostics(128, 100_000, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # All q x n phases at once would take over 300 MB.
+        assert peak < 32 * 2**20
 
 
 class TestKacMoments:

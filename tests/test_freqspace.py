@@ -76,6 +76,78 @@ class TestFrequencyArithmetic:
         assert (f + f).real_value() == pytest.approx(2 * f.real_value())
 
 
+class TestIntegerRepresentation:
+    """The integer-vector form agrees with componentwise Fraction arithmetic."""
+
+    @given(freqs3, st.integers(1, 9))
+    def test_equal_rationals_in_other_forms(self, f, k):
+        # Each coefficient as an unreduced numerator over k * its denominator.
+        other = Frequency(B3, tuple(
+            f"{c.numerator * k}/{c.denominator * k}" for c in f.coeffs
+        ))
+        assert other == f
+        assert hash(other) == hash(f)
+
+    def test_half_written_twice(self):
+        f = Frequency(B3, ("2/4", 0, Fraction(-6, 4)))
+        g = Frequency(B3, (Fraction(1, 2), Fraction(0), "-3/2"))
+        assert f == g and hash(f) == hash(g)
+        assert f.den == 2 and f.num == (1, 0, -3)
+
+    @given(freqs3, freqs3)
+    def test_add_sub_neg_match_fractions(self, f, g):
+        assert (f + g).coeffs == tuple(a + b for a, b in zip(f.coeffs, g.coeffs))
+        assert (f - g).coeffs == tuple(a - b for a, b in zip(f.coeffs, g.coeffs))
+        assert (-f).coeffs == tuple(-a for a in f.coeffs)
+
+    @given(freqs3, st.one_of(st.integers(-7, 7), rationals))
+    def test_scale_matches_fractions(self, f, q):
+        assert f.scale(q).coeffs == tuple(Fraction(q) * a for a in f.coeffs)
+
+    @given(freqs3, freqs3)
+    def test_results_stay_reduced(self, f, g):
+        for h in (f + g, f - g, -f, f.scale(Fraction(2, 3))):
+            assert h.den >= 1
+            assert math.gcd(h.den, *h.num) == 1
+
+    @given(st.lists(freqs3, min_size=2, max_size=8))
+    def test_sort_key_matches_fraction_tuples(self, fs):
+        by_key = sorted(fs, key=lambda f: f.sort_key())
+        by_fractions = sorted(fs, key=lambda f: f.coeffs)
+        assert [f.coeffs for f in by_key] == [f.coeffs for f in by_fractions]
+
+    def test_sort_key_mixed_denominators(self):
+        fs = [Frequency(B3, t) for t in [(1, 0, 0), ("1/2", 5, 0), ("1/2", "9/2", 0),
+                                         (0, 0, 1), ("-1/3", 0, 0), (1, "-1/7", 0)]]
+        by_key = [f.coeffs for f in sorted(fs, key=lambda f: f.sort_key())]
+        assert by_key == sorted(f.coeffs for f in fs)
+
+    @given(freqs3)
+    def test_real_value_matches_fractions(self, f):
+        want = float(sum(float(c) * v for c, v in zip(f.coeffs, B3.values)))
+        assert f.real_value() == want
+
+    def test_immutable(self):
+        f = B3.symbol("a")
+        for name, value in (("num", (0, 0, 0)), ("den", 2), ("basis", B3),
+                            ("coeffs", ()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            del f.num
+        assert f == B3.symbol("a")
+
+    @given(freqs3)
+    def test_basis_mismatch_everywhere(self, f):
+        other = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("d", math.e))
+        g = Frequency(other, f.coeffs)
+        assert g != f
+        with pytest.raises(BasisMismatchError):
+            f + g
+        with pytest.raises(BasisMismatchError):
+            f - g
+
+
 class TestParsing:
     def test_canonical_form(self):
         f = B3.frequency({"a": Fraction(3, 2), "b": Fraction(-1, 4)})
