@@ -44,6 +44,8 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        if not self.im and not other.im:
+            return ExactComplex(self.re * other.re)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

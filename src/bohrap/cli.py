@@ -93,7 +93,6 @@ def _emit(args, name: str, result: dict, seed: int, doc: dict,
         "command": name,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "seed": seed,
-        "threads": args.threads,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -253,9 +252,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override the config seed")
     p.add_argument("--samples", type=int, default=1 << 16,
                    help="Monte Carlo sample budget")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("BOHRAP_THREADS", "1")),
-                   help="thread budget (recorded; results are independent of it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

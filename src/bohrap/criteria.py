@@ -19,7 +19,10 @@ from .appoly import APPoly, ExactComplex
 from .bohrint import Budget, IntegralEstimate, bohr_integral_multi
 from .errors import InternalInconsistencyError, ValidationError
 from .freqspace import SymbolBasis, rational_rank
-from .riesz import RankOneParams, abs2_polynomial, build_polynomial
+# abs2_polynomial is unused here but stays importable from this module:
+# perfbench/tracing.py wraps it through this name.
+from .riesz import (RankOneParams, _product_mean,  # noqa: F401
+                    abs2_polynomial, build_polynomial)
 
 #: Geometric contraction factor of the inductive singularity construction:
 #: the limit L1 norm sqrt(pi)/2 plus a fixed slack of sqrt(pi)/100.
@@ -448,11 +451,8 @@ def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
     gap = abs(e_joint.value - product)
     combined = math.hypot(e_joint.std_error, prod_err)
 
-    q_exact = APPoly.one(params.basis, exact=True)
-    for j in q_indices:
-        q_exact = q_exact * abs2_polynomial(params, j)
-    pm2 = abs2_polynomial(params, m)
-    symbolic = (q_exact * pm2).mean() == q_exact.mean() * pm2.mean()
+    symbolic = (_product_mean(params, [*q_indices, m])
+                == _product_mean(params, q_indices) * _product_mean(params, [m]))
 
     return FejerRecord(
         joint=e_joint.value, product=product,

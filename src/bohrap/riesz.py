@@ -8,21 +8,22 @@ and stage polynomials
 
 Everything height- and frequency-shaped is exact; |P_k|^2 and the partial
 products Q_n carry exact rational coefficients, so sigma-hat values and the
-probability normalization are checked with exact equality.
+probability normalization are checked with exact equality.  The products
+themselves run on integer numerators over the product of the cut numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .appoly import APPoly, EXACT_ONE, ExactComplex
-from .errors import InternalInconsistencyError, SupportCapError, ValidationError
+from .appoly import APPoly, EXACT_ONE, ExactComplex, _canonical
+from .errors import BasisMismatchError, SupportCapError, ValidationError
 from .freqspace import Frequency, SymbolBasis, is_rationally_independent
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -173,6 +174,45 @@ def delta(params: RankOneParams, k: int) -> APPoly:
     return abs2_polynomial(params, k) - APPoly.one(params.basis, exact=True)
 
 
+def _abs2_counts(params: RankOneParams, k: int) -> dict[Frequency, int]:
+    """p_k |P_k|^2: frequency -> number of exponent pairs (i, j) with
+    e_i - e_j at that frequency."""
+    exps = stage_exponents(params, k)
+    counts: dict[Frequency, int] = {}
+    for ei in exps:
+        for ej in exps:
+            d = ei - ej
+            counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def _mul(a: dict[Frequency, int], b: dict[Frequency, int]) -> dict[Frequency, int]:
+    """Product of two polynomials with integer coefficients."""
+    out: dict[Frequency, int] = {}
+    get = out.get
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            f = fa + fb
+            out[f] = get(f, 0) + ca * cb
+    return out
+
+
+def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
+    """Exact mean of the product of |P_k|^2 over ``indices``: all factors
+    but the last are multiplied out, and the last is paired with them as
+    sum_f A[f] B[-f], so the full product is never formed."""
+    if not indices:
+        return Fraction(1)
+    *head, last = indices
+    a, den = {params.basis.zero(): 1}, params.stage(last).p
+    for k in head:
+        a = _mul(a, _abs2_counts(params, k))
+        den *= params.stage(k).p
+    get = a.get
+    b = _abs2_counts(params, last)
+    return Fraction(sum(c * get(-f, 0) for f, c in b.items()), den)
+
+
 @dataclass(frozen=True)
 class SigmaHatValue:
     value: Fraction
@@ -183,38 +223,37 @@ class SigmaHatValue:
 class RieszState:
     """Partial Riesz product after folding stages 0..n.
 
-    Q = |P_0 ... P_n|^2 with exact rational coefficients, computed as the
-    product of the exact stage |P_k|^2.
+    Q = |P_0 ... P_n|^2, the product of the exact stage |P_k|^2, held as
+    positive integer numerators ``counts`` over one denominator ``den`` =
+    p_0 ... p_n.
     """
 
     params: RankOneParams
     n: int  # index of the last folded stage; -1 for the empty product
-    Q: APPoly
+    counts: dict[Frequency, int] = field(repr=False)
+    den: int
+
+    @cached_property
+    def Q(self) -> APPoly:
+        """Q as an exact ``APPoly``, built on first read."""
+        den = self.den
+        terms = {f: ExactComplex(Fraction(c, den)) for f, c in self.counts.items()}
+        return APPoly(self.params.basis, _canonical(terms, exact=True), exact=True)
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
-        c = self.Q.fourier_coeff(lam)
-        if isinstance(c, ExactComplex):
-            if c.im != 0:
-                raise InternalInconsistencyError("sigma-hat value is not real")
-            on = not c.is_zero() or lam in self.Q.terms
-            return SigmaHatValue(value=c.re, on_support=on)
-        return SigmaHatValue(value=Fraction(0), on_support=False)
+        if lam.basis != self.params.basis:
+            raise BasisMismatchError("frequency over a different basis")
+        c = self.counts.get(lam)
+        if c is None:
+            return SigmaHatValue(value=Fraction(0), on_support=False)
+        return SigmaHatValue(value=Fraction(c, self.den), on_support=True)
 
     def sigma_hat_table(self) -> dict[Frequency, Fraction]:
-        out = {}
-        for f, c in self.Q.terms.items():
-            if c.im != 0:
-                raise InternalInconsistencyError("sigma-hat value is not real")
-            out[f] = c.re
-        return out
+        return {f: c.re for f, c in self.Q.terms.items()}
 
 
 def initial_state(params: RankOneParams) -> RieszState:
-    return RieszState(
-        params=params,
-        n=-1,
-        Q=APPoly.one(params.basis, exact=True),
-    )
+    return RieszState(params=params, n=-1, counts={params.basis.zero(): 1}, den=1)
 
 
 def extend(state: RieszState, k: int,
@@ -225,14 +264,15 @@ def extend(state: RieszState, k: int,
             f"extend expects stage {state.n + 1}, got {k}"
         )
     st = state.params.stage(k)
-    if len(state.Q) * st.p * st.p > support_cap:
+    if len(state.counts) * st.p * st.p > support_cap:
         raise SupportCapError(
             f"extending to stage {k} would exceed the support cap {support_cap}"
         )
     return RieszState(
         params=state.params,
         n=k,
-        Q=state.Q * abs2_polynomial(state.params, k),
+        counts=_mul(state.counts, _abs2_counts(state.params, k)),
+        den=state.den * st.p,
     )
 
 
@@ -242,13 +282,7 @@ def riesz_property_check(params: RankOneParams,
     indices = list(indices)
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValidationError("indices must be strictly increasing")
-    prod = APPoly.one(params.basis, exact=True)
-    for i in indices:
-        prod = prod * abs2_polynomial(params, i)
-    m = prod.mean()
-    if m.im != 0:
-        raise InternalInconsistencyError("mean of |R|^2 is not real")
-    return m.re
+    return _product_mean(params, indices)
 
 
 @dataclass(frozen=True)

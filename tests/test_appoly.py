@@ -35,6 +35,10 @@ class TestExactComplex:
         assert z.conj().im == Fraction(1, 3)
         assert (z * z.conj()).re == z.abs2()
         assert z.abs2() == Fraction(1, 4) + Fraction(1, 9)
+        r = ExactComplex.of(Fraction(2, 3))
+        assert r * ExactComplex.of(Fraction(3, 4)) == ExactComplex.of(Fraction(1, 2))
+        assert r * w == ExactComplex.of(Fraction(4, 3), Fraction(2, 3))
+        assert w * r == r * w
 
     def test_to_complex(self):
         assert ExactComplex.of(Fraction(3, 4), 2).to_complex() == 0.75 + 2j

@@ -1,11 +1,16 @@
 """End-to-end CLI runs: outputs, determinism, exit codes."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import bohrap
+from bohrap.appoly import APPoly
 from bohrap.cli import main
 
 
@@ -40,6 +45,7 @@ class TestRieszCheck:
         assert man["seed"] == 3
         assert man["command"] == "riesz-check"
         assert "config_sha256" in man and "timestamp" in man
+        assert "threads" not in man
 
 
 class TestDeterminism:
@@ -156,3 +162,25 @@ class TestExitCodes:
         assert _run(["bourgain-scan", "--config", str(cfg), "--k-max", "1",
                      "--window", "1", "--samples", "1024", "--seed", "1",
                      "--out", str(tmp_path / "r")]) == 3
+
+
+class TestTracingTargets:
+    """perfbench/tracing.py wraps the program through these attributes."""
+
+    @staticmethod
+    def _targets():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod.TARGETS
+
+    def test_each_target_is_one_function(self):
+        for name, places in self._targets().items():
+            objs = [getattr(importlib.import_module(m), a) for m, a in places]
+            assert inspect.isfunction(objs[0]), name
+            assert all(o is objs[0] for o in objs), name
+
+    def test_appoly_product_and_constructor_wrappable(self):
+        assert "__mul__" in APPoly.__dict__
+        assert isinstance(APPoly.__dict__["from_terms"], classmethod)

@@ -1,15 +1,20 @@
 """Rank-one flow parameters, heights, stage polynomials, partial products."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
+from bohrap.appoly import APPoly
 from bohrap.errors import SupportCapError, ValidationError
-from bohrap.freqspace import SymbolBasis
-from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
-                          build_polynomial, degree_report, delta, extend,
-                          heights, initial_state, make_independent_params,
-                          riesz_property_check, spacer_sum, stage_exponents,
+from bohrap.freqspace import Frequency, SymbolBasis
+from bohrap.riesz import (RankOneParams, SigmaHatValue, Stage,
+                          abs2_polynomial, build_polynomial, degree_report,
+                          delta, extend, heights, initial_state,
+                          make_independent_params, riesz_property_check,
+                          spacer_sum, stage_exponents,
                           validate_main_hypothesis)
 
 
@@ -163,6 +168,94 @@ class TestPartialProducts:
         lam = params.basis.symbol("one").scale(997)
         got = st.sigma_hat(lam)
         assert got.value == 0 and not got.on_support
+
+
+#: Products of more terms than this make the reference fold slow.
+_MAX_REFERENCE_TERMS = 3000
+
+
+def _small(cuts) -> bool:
+    return math.prod(p * p - p + 1 for p in cuts) <= _MAX_REFERENCE_TERMS
+
+
+@hs.composite
+def _fresh_symbol_params(draw):
+    cuts = draw(hs.lists(hs.integers(2, 5), min_size=1, max_size=4).filter(_small))
+    return make_independent_params(cuts, seed=draw(hs.integers(0, 1000)))
+
+
+_RATIONAL_BASIS = SymbolBasis.make(
+    ("one", 1.0), ("u", math.sqrt(2)), ("v", math.sqrt(3)))
+_RATIONALS = hs.builds(Fraction, hs.integers(-3, 3), hs.sampled_from([1, 2, 3, 5]))
+
+
+def _rational_params(stage_spacers):
+    """Stages over 1, sqrt 2, sqrt 3 from rational coefficient triples; a
+    spacer with a negative real value is negated (its coefficients keep
+    mixed signs)."""
+    b = _RATIONAL_BASIS
+    stages = []
+    for triples in stage_spacers:
+        spacers = [b.zero()]
+        for t in triples:
+            f = Frequency(b, t)
+            spacers.append(-f if f.real_value() < 0 else f)
+        stages.append(Stage(p=len(triples), spacers=tuple(spacers)))
+    return RankOneParams(basis=b, unit=b.symbol("one"), stages=tuple(stages))
+
+
+@hs.composite
+def _rational_spacer_params(draw):
+    cuts = draw(hs.lists(hs.integers(2, 4), min_size=1, max_size=3).filter(_small))
+    return _rational_params(
+        [[draw(hs.tuples(_RATIONALS, _RATIONALS, _RATIONALS)) for _ in range(p + 1)]
+         for p in cuts])
+
+
+#: Denominators 2, 3 and 5 with negative coefficients (L = 30).
+_MIXED_DENOMINATORS = _rational_params([
+    [(Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)), (0, 1, 0),
+     (Fraction(-2, 5), Fraction(1, 2), 0)],
+    [(0, Fraction(2, 3), Fraction(-1, 2)), (1, 0, Fraction(-3, 5)),
+     (Fraction(1, 3), 0, 0), (0, 0, Fraction(1, 5))],
+])
+
+
+def _fraction_fold(params: RankOneParams) -> APPoly:
+    q = APPoly.one(params.basis, exact=True)
+    for k in range(params.n_stages):
+        q = q * abs2_polynomial(params, k)
+    return q
+
+
+class TestIntegerProducts:
+    """The integer-numerator fold against a fold by exact ``APPoly`` products."""
+
+    @settings(max_examples=40)
+    @example(params=_MIXED_DENOMINATORS)
+    @given(params=hs.one_of(_fresh_symbol_params(), _rational_spacer_params()))
+    def test_matches_fraction_fold(self, params):
+        st = initial_state(params)
+        for k in range(params.n_stages):
+            st = extend(st, k)
+        want = _fraction_fold(params)
+        assert list(st.Q.terms) == list(want.terms)
+        assert st.Q.terms == want.terms
+        assert riesz_property_check(params, range(params.n_stages)) == 1
+
+        for lam, c in want.terms.items():
+            assert st.sigma_hat(lam) == SigmaHatValue(c.re, True)
+
+        L = math.lcm(*(f.den for f in want.terms))
+        last = params.basis.symbol(params.basis.names[-1])
+        some = next(iter(want.terms))
+        off = next(f for f in (g + last.scale(Fraction(1, L)) for g in want.terms)
+                   if f not in want.terms)
+        bad_den = some + params.unit.scale(Fraction(1, 7 * L))
+        far = some + last.scale(2 ** 64)
+        for lam in (off, bad_den, far):
+            assert want.fourier_coeff(lam).is_zero()
+            assert st.sigma_hat(lam) == SigmaHatValue(Fraction(0), False)
 
 
 class TestDegreeBookkeeping:
