@@ -236,12 +236,8 @@ class APPoly:
 
     def eval_real(self, t) -> np.ndarray:
         """Evaluate on real points t (floating frequency values)."""
-        t = np.asarray(t, dtype=float)
-        vals = np.zeros(t.shape, dtype=complex)
-        for f, c in self.terms.items():
-            coeff = c.to_complex() if self.exact else c
-            vals += coeff * np.exp(1j * f.real_value() * t)
-        return vals
+        return trig_sum(t, ((f.real_value(), c.to_complex() if self.exact else c)
+                            for f, c in self.terms.items()))
 
     def to_float(self) -> "APPoly":
         if not self.exact:
@@ -288,6 +284,15 @@ class APPoly:
         return cls.from_terms(basis, items)
 
 
+def trig_sum(t, terms: Iterable[tuple[float, complex]]) -> np.ndarray:
+    """sum of c e^{i w t} over (w, c) in ``terms``, one term at a time."""
+    t = np.asarray(t, dtype=float)
+    vals = np.zeros(t.shape, dtype=complex)
+    for w, c in terms:
+        vals += c * np.exp(1j * w * t)
+    return vals
+
+
 def _canonical(acc: dict, exact: bool) -> dict:
     if exact:
         kept = {f: c for f, c in acc.items() if not c.is_zero()}
@@ -301,7 +306,7 @@ def _canonical(acc: dict, exact: bool) -> dict:
     return dict(sorted(kept.items(), key=lambda kv: kv[0].sort_key()))
 
 
-# Module-level operation aliases used throughout the toolkit and its CLI.
+# Module-level operation aliases, exported by the package.
 
 def poly_add(p: APPoly, q: APPoly) -> APPoly:
     return p + q

@@ -21,7 +21,7 @@ from .appoly import APPoly
 from .errors import BudgetError, ValidationError
 from .freqspace import _integer_rows, torus_reduce
 
-#: Monte Carlo phases are built from signed base-2^27 limbs of the integer
+#: Torus phases are built from signed base-2^27 limbs of the integer
 #: exponents against a multi-double representation of each torus coordinate,
 #: so every limb product stays exact in float64 and huge exponents keep both
 #: their distribution and their exact integer relations.
@@ -167,14 +167,45 @@ def _frac_pow2(x: np.ndarray, k: int):
     return v - np.floor(v)
 
 
-def _monte_carlo(gs, polys, dim, emats, budget: Budget):
-    coeff_list = [_coeff_array(p) for p in polys]
-    limb_list = [_signed_limbs(E) for E in emats]
-    limb_use = [[bool(np.any(l)) for l in limbs] for limbs in limb_list]
-    n_limbs = max(len(ls) for ls in limb_list)
-    # Coordinates carry 53 bits per level; enough levels are drawn that the
-    # phase grid keeps _GUARD_BITS of headroom past the largest exponent.
-    n_levels = -(-(_LIMB * n_limbs + _GUARD_BITS) // 53)
+class TorusEvaluator:
+    """Values of polynomials at points of their shared reduced torus.
+
+    A point is theta = sum_j x_j * 2^(-53 j), given as level arrays x_j of
+    shape (dim, n) in [0, 1).  ``levels`` levels keep _GUARD_BITS of phase
+    headroom past the largest exponent; a grid of 53-bit points needs one.
+    """
+
+    def __init__(self, polys: Sequence[APPoly], dim: int, emats):
+        self.dim = dim
+        self._coeffs = [_coeff_array(p) for p in polys]
+        # All-zero limbs are None, so they cost no product.
+        self._limbs = [[l if np.any(l) else None for l in _signed_limbs(E)]
+                       for E in emats]
+        self._n_limbs = max(len(ls) for ls in self._limbs)
+        self.levels = -(-(_LIMB * self._n_limbs + _GUARD_BITS) // 53)
+
+    @classmethod
+    def of(cls, polys: Sequence[APPoly]) -> "TorusEvaluator":
+        """Reduce the phase space of ``polys`` and build their evaluator."""
+        return cls(polys, *_phase_space(polys))
+
+    def __call__(self, n: int, levels) -> list[np.ndarray]:
+        """Values of each polynomial at the n points; ``levels`` may be lazy."""
+        phases = [np.zeros((len(c), n)) for c in self._coeffs]
+        # Each (limb, level) pair contributes limb @ frac(x_j * 2^(27 i - 53 j)).
+        for j, xj in enumerate(levels):
+            for i in range(self._n_limbs):
+                g = _frac_pow2(xj, _LIMB * i - 53 * j)
+                if g is None:
+                    continue
+                for t, limbs in zip(phases, self._limbs):
+                    if i < len(limbs) and limbs[i] is not None:
+                        t += limbs[i] @ g
+        return [c @ np.exp((2j * np.pi) * np.mod(t, 1.0))
+                for c, t in zip(self._coeffs, phases)]
+
+
+def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
     n_batches = -(-budget.samples // budget.batch)
     total = n_batches * budget.batch
     children = np.random.SeedSequence(budget.seed).spawn(n_batches)
@@ -184,26 +215,8 @@ def _monte_carlo(gs, polys, dim, emats, budget: Budget):
     # bit-identical regardless of any outer parallel schedule.
     for child in children:
         rng = np.random.default_rng(child)
-        phases = [
-            np.zeros((len(c), budget.batch)) if len(c) else None
-            for c in coeff_list
-        ]
-        # Conceptually theta_d = sum_j x_j[d] * 2^(-53 j); each (limb, level)
-        # pair contributes limb @ frac(x_j * 2^(27 i - 53 j)) to the phase.
-        for j in range(n_levels):
-            xj = rng.random((dim, budget.batch))
-            for i in range(n_limbs):
-                g = _frac_pow2(xj, _LIMB * i - 53 * j)
-                if g is None:
-                    continue
-                for t, limbs, use in zip(phases, limb_list, limb_use):
-                    if t is not None and i < len(limbs) and use[i]:
-                        t += limbs[i] @ g
-        vals = [
-            c @ np.exp((2j * np.pi) * np.mod(t, 1.0))
-            if t is not None else np.zeros(budget.batch, dtype=complex)
-            for c, t in zip(coeff_list, phases)
-        ]
+        vals = ev(budget.batch, (rng.random((ev.dim, budget.batch))
+                                 for _ in range(ev.levels)))
         for i, g in enumerate(gs):
             y = np.asarray(g(*vals))
             if not np.all(np.isfinite(y)):
@@ -220,7 +233,7 @@ def _monte_carlo(gs, polys, dim, emats, budget: Budget):
             method="monte-carlo",
             nodes_or_samples=total,
             seed=budget.seed,
-            torus_dim=dim,
+            torus_dim=ev.dim,
         ))
     return out
 
@@ -260,7 +273,7 @@ def _tensor_values(coeffs, E, ns):
             shape[i] = ns[i]
             f = f.reshape(shape)
             term = f if term is None else term * f
-        grid = grid + a * term
+        grid = grid + (a if term is None else a * term)  # d = 0: a constant
     return grid
 
 
@@ -309,21 +322,6 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     if not polys:
         raise ValidationError("need at least one polynomial")
     dim, emats = _phase_space(polys)
-    if dim == 0:
-        # All inputs are constants; evaluate the functionals directly.
-        out = []
-        vals = [np.asarray([p.mean().to_complex() if p.exact else p.mean()])
-                for p in polys]
-        for g in gs:
-            y = np.asarray(g(*vals))
-            if not np.all(np.isfinite(y)):
-                raise ValidationError("integrand returned non-finite values")
-            out.append(IntegralEstimate(
-                value=float(np.mean(y).real), std_error=0.0,
-                method="tensor-quadrature", nodes_or_samples=1,
-                seed=None, torus_dim=0,
-            ))
-        return out
     method = budget.method
     if method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(
@@ -338,7 +336,7 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
             method = "monte-carlo"
     if method == "tensor":
         return _tensor(gs, polys, dim, emats, budget)
-    return _monte_carlo(gs, polys, dim, emats, budget)
+    return _monte_carlo(gs, TorusEvaluator(polys, dim, emats), budget)
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],
@@ -350,6 +348,18 @@ def bohr_integral(g: Callable, polys: Sequence[APPoly],
 def mean_abs(p: APPoly, budget: Budget = Budget()) -> IntegralEstimate:
     """The L1 norm of p over the Bohr group."""
     return bohr_integral(np.abs, [p], budget)
+
+
+def unit_phase_sum(rng: np.random.Generator, q: int, n: int) -> np.ndarray:
+    """n draws of the sum of q independent uniform unit phases.
+
+    Drawn and summed one row of n phases at a time: the same draws and the
+    same sums as a (q, n) array summed over axis 0, in O(n) memory.
+    """
+    z = np.zeros(n, dtype=complex)
+    for _ in range(q):
+        z += np.exp((2j * np.pi) * rng.random(n))
+    return z
 
 
 def independent_phase_mean_abs(q: int, budget: Budget = Budget()) -> IntegralEstimate:
@@ -367,9 +377,7 @@ def independent_phase_mean_abs(q: int, budget: Budget = Budget()) -> IntegralEst
     s2 = 0.0
     norm = 1.0 / math.sqrt(q)
     for child in children:
-        rng = np.random.default_rng(child)
-        theta = rng.random((q, budget.batch))
-        z = np.abs(np.exp((2j * np.pi) * theta).sum(axis=0) * norm)
+        z = np.abs(unit_phase_sum(np.random.default_rng(child), q, budget.batch) * norm)
         s += float(z.sum())
         s2 += float((z * z).sum())
     m = s / total
@@ -389,12 +397,12 @@ def real_line_mean(p, T: float, resolution: int = 12) -> float:
 
     Composite Gauss-Legendre panels sized against the largest frequency, so
     the quadrature error is negligible next to the O(1/T) distance from the
-    asymptotic mean.  Accepts anything with ``eval_real`` and ``support``.
+    asymptotic mean.  Accepts anything with ``eval_real``, ``degree`` and
+    ``len``: an ``APPoly`` or a ``RealFreqPoly``.
     """
     if T <= 0:
         raise ValidationError("T must be positive")
-    freqs = [abs(f.real_value()) for f in p.support()] if hasattr(p, "support") else []
-    max_w = max(freqs) if freqs else 0.0
+    max_w = p.degree() if len(p) else 0.0
     h = 1.0 if max_w <= 3.0 else 3.0 / max_w
     n_panels = max(1, int(math.ceil(2.0 * T / h)))
     if n_panels * resolution > 5_000_000:
@@ -435,13 +443,7 @@ def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
         raise ValidationError("need a < b")
 
     def f(x):
-        # Chunked so the evaluation matrix (points x terms) stays small.
-        out = np.empty(x.shape)
-        step = 1 << 16
-        for i in range(0, len(x), step):
-            v = p.eval_real(x[i:i + step])
-            out[i:i + step] = np.abs(np.abs(v) ** 2 - 1.0)
-        return out
+        return np.abs(np.abs(p.eval_real(x)) ** 2 - 1.0)
 
     n = 1024
     x = np.linspace(a, b, n + 1)

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .appoly import APPoly, ExactComplex
-from .bohrint import Budget, IntegralEstimate, bohr_integral_multi
+from .bohrint import (Budget, IntegralEstimate, bohr_integral_multi,
+                      unit_phase_sum)
 from .errors import InternalInconsistencyError, ValidationError
 from .freqspace import SymbolBasis, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
@@ -52,7 +53,10 @@ def _prod_abs(n: int):
 
 
 def _prod_abs2(n: int):
+    """prod of |vals[i]|^2 over i < n; the empty product is 1."""
     def g(*vals):
+        if not n:
+            return np.ones(vals[0].shape)
         acc = np.abs(vals[0]) ** 2
         for v in vals[1:n]:
             acc = acc * np.abs(v) ** 2
@@ -238,13 +242,10 @@ def klemes_inequality_check(params: RankOneParams, indices: Sequence[int],
     pm = build_polynomial(params, m)
     polys = q_polys + [pm]
     nq = len(q_polys)
-    q_of = _prod_abs2(nq) if nq else (lambda *vals: np.ones(vals[0].shape))
+    q_of = _prod_abs2(nq)
 
     def g1(*vals):
         return q_of(*vals) * np.abs(vals[nq])
-
-    def g2(*vals):
-        return q_of(*vals)
 
     def g3(*vals):
         return q_of(*vals) * np.abs(vals[nq]) ** 2
@@ -252,7 +253,7 @@ def klemes_inequality_check(params: RankOneParams, indices: Sequence[int],
     def g4(*vals):
         return q_of(*vals) * np.abs(np.abs(vals[nq]) ** 2 - 1.0)
 
-    e1, e2, e3, e4 = bohr_integral_multi([g1, g2, g3, g4], polys, budget)
+    e1, e2, e3, e4 = bohr_integral_multi([g1, q_of, g3, g4], polys, budget)
     rhs = 0.5 * (e2.value + e3.value) - e4.value ** 2 / 8.0
     rhs_err = math.sqrt(
         0.25 * e2.std_error ** 2
@@ -310,20 +311,17 @@ def haar_weak_limit_check(params: RankOneParams, q_indices: Sequence[int],
     q_indices = sorted(set(q_indices))
     q_polys = [build_polynomial(params, j) for j in q_indices]
     nq = len(q_polys)
-    q_of = _prod_abs2(nq) if nq else (lambda *vals: np.ones(vals[0].shape))
+    q_of = _prod_abs2(nq)
     out = []
     for i, m in enumerate(m_list):
         pm = build_polynomial(params, m)
         polys = q_polys + [pm]
 
-        def g_q(*vals):
-            return q_of(*vals)
-
         def g_qm(*vals):
             return q_of(*vals) * np.abs(vals[nq]) ** 2
 
         e_q, e_qm = bohr_integral_multi(
-            [g_q, g_qm], polys, _derived_budget(budget, i, m)
+            [q_of, g_qm], polys, _derived_budget(budget, i, m)
         )
         out.append(HaarLimitRecord(
             m=m, q_mean=e_q.value, q_pm2_mean=e_qm.value,
@@ -433,19 +431,16 @@ def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
             "partial product; the factorization hypothesis fails"
         )
     nq = len(q_polys)
-    q_of = _prod_abs2(nq) if nq else (lambda *vals: np.ones(vals[0].shape))
+    q_of = _prod_abs2(nq)
     polys = q_polys + [pm]
 
     def g_joint(*vals):
         return q_of(*vals) * np.abs(vals[nq])
 
-    def g_q(*vals):
-        return q_of(*vals)
-
     def g_m(*vals):
         return np.abs(vals[nq])
 
-    e_joint, e_q, e_m = bohr_integral_multi([g_joint, g_q, g_m], polys, budget)
+    e_joint, e_q, e_m = bohr_integral_multi([g_joint, q_of, g_m], polys, budget)
     product = e_q.value * e_m.value
     prod_err = math.hypot(e_m.value * e_q.std_error, e_q.value * e_m.std_error)
     gap = abs(e_joint.value - product)
@@ -504,11 +499,7 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     from scipy import stats
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # One phase row at a time: the same draws and the same row-by-row sums
-    # as summing a (q, n_samples) array over axis 0, in O(n_samples) memory.
-    z = np.zeros(n_samples, dtype=complex)
-    for _ in range(q):
-        z += np.exp((2j * np.pi) * rng.random(n_samples))
+    z = unit_phase_sum(rng, q, n_samples)
     z /= math.sqrt(q)
     sigma = math.sqrt(0.5)
     ks_re = float(stats.kstest(z.real, "norm", args=(0.0, sigma)).statistic)

@@ -16,10 +16,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .appoly import APPoly
+from .appoly import APPoly, trig_sum
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
-                      independent_phase_mean_abs, interval_l1_distortion,
-                      mean_abs, _phase_space)
+                      TorusEvaluator, independent_phase_mean_abs,
+                      interval_l1_distortion, mean_abs)
 from .errors import ValidationError
 from .freqspace import Frequency, SymbolBasis
 
@@ -56,8 +56,7 @@ class RealFreqPoly:
         return int(self.freqs.size)
 
     def eval_real(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(1j * np.outer(t, self.freqs)) @ self.coeffs
+        return trig_sum(t, zip(self.freqs, self.coeffs))
 
     def l2_norm_sq(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -215,9 +214,10 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
                         max_points: int = 1 << 22, seed: int = 0) -> float:
     """max over t of | |P(t)| / |P|_2 - 1 |, by grid refinement.
 
-    Exact-frequency polynomials are scanned on their reduced torus (dense
-    grid in one dimension, seeded uniform points above); float-frequency
-    ones on a long real interval.  The grid doubles until the maximum is
+    Exact-frequency polynomials are scanned on their reduced torus by the
+    shared ``TorusEvaluator`` (midpoint grid in one dimension, seeded
+    uniform points in full phase precision otherwise); float-frequency ones
+    on a long real interval.  The point count doubles until the maximum is
     stable to ``tol``.
     """
     l2 = p.l2_norm()
@@ -235,21 +235,15 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
 
         return _stable_max(sample, n0, tol, max_points)
 
-    dim, (E,) = _phase_space([p])
-    coeffs = np.array(
-        [c.to_complex() for c in p.terms.values()] if p.exact
-        else list(p.terms.values()), dtype=complex)
-    if dim == 0:
-        return abs(abs(complex(coeffs.sum())) / l2 - 1.0)
-    Ef = E.astype(float)
+    ev = TorusEvaluator.of([p])
 
     def sample(n):
-        if dim == 1:
-            theta = ((np.arange(n) + 0.5) / n)[None, :]
+        if ev.dim == 1:
+            levels = [((np.arange(n) + 0.5) / n)[None, :]]
         else:
-            theta = np.random.default_rng(
-                np.random.SeedSequence([seed, n])).random((dim, n))
-        vals = coeffs @ np.exp((2j * np.pi) * np.mod(Ef @ theta, 1.0))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+            levels = (rng.random((ev.dim, n)) for _ in range(ev.levels))
+        (vals,) = ev(n, levels)
         return float(np.abs(np.abs(vals) / l2 - 1.0).max())
 
     return _stable_max(sample, n0, tol, max_points)

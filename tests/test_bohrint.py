@@ -1,15 +1,19 @@
 """Integration engine: tensor exactness, Monte Carlo accuracy, real-line means."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bohrap.appoly import APPoly
-from bohrap.bohrint import (Budget, bohr_integral, bohr_integral_multi,
-                            independent_phase_mean_abs,
-                            interval_l1_distortion, mean_abs, real_line_mean)
+from bohrap.bohrint import (Budget, TorusEvaluator, bohr_integral,
+                            bohr_integral_multi, independent_phase_mean_abs,
+                            interval_l1_distortion, mean_abs, real_line_mean,
+                            unit_phase_sum)
 from bohrap.errors import BudgetError, ValidationError
+from bohrap.flatness import PolyFamilySpec, RealFreqPoly, build_family
 from bohrap.freqspace import SymbolBasis
 
 B = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
@@ -55,6 +59,16 @@ class TestTensorQuadrature:
         p = APPoly.constant(B, 3.0)
         est = mean_abs(p)
         assert est.value == 3.0 and est.torus_dim == 0
+        # Several constants and the zero polynomial: each functional is
+        # evaluated once, exactly, on the one-point grid of the 0-torus.
+        ps = [p, APPoly.constant(B, -0.5j), APPoly.zero(B)]
+        e1, e2 = bohr_integral_multi(
+            [lambda x, y, z: np.abs(x * y) + np.abs(z),
+             lambda x, y, z: np.ones(np.shape(x))], ps)
+        assert (e1.value, e2.value) == (1.5, 1.0)
+        for e in (e1, e2):
+            assert e.method == "tensor-quadrature"
+            assert (e.nodes_or_samples, e.torus_dim, e.refinement_delta) == (1, 0, 0.0)
 
     def test_dim_cap(self):
         polys = [APPoly.character(B.symbol(n)) for n in ("a", "b", "c")]
@@ -130,6 +144,25 @@ class TestMonteCarlo:
         est = independent_phase_mean_abs(1, Budget(samples=1 << 10, seed=0))
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_unit_phase_sum_matches_array_draw(self):
+        # Row-at-a-time draws and sums equal one (q, n) draw summed over
+        # axis 0, bit for bit.
+        z = unit_phase_sum(np.random.default_rng(7), 16, 1000)
+        theta = np.random.default_rng(7).random((16, 1000))
+        assert np.array_equal(z, np.exp((2j * np.pi) * theta).sum(axis=0))
+
+    def test_evaluator_grid_matches_direct_sum(self):
+        # One level of midpoint coordinates reproduces the polynomial's
+        # values at theta, for a one-dimensional torus.
+        p = APPoly.from_terms(B, [(B.zero(), 0.5), (B.symbol("a"), 1.0),
+                                  (B.symbol("a").scale(-3), 2j)])
+        ev = TorusEvaluator.of([p])
+        assert (ev.dim, ev.levels) == (1, 2)
+        theta = (np.arange(64) + 0.5) / 64
+        (vals,) = ev(64, [theta[None, :]])
+        want = 0.5 + np.exp(2j * np.pi * theta) + 2j * np.exp(-6j * np.pi * theta)
+        assert np.allclose(vals, want, atol=1e-13)
+
 
 class TestRealLine:
     def test_cesaro_mean_obeys_envelope(self):
@@ -140,6 +173,15 @@ class TestRealLine:
         for T in (100.0, 1000.0):
             err = abs(real_line_mean(p, T) - 0.75)
             assert err <= 1.0 / (w * T) + 1e-9
+
+    def test_float_frequency_poly_matches_appoly(self):
+        # Panels are sized from the degree for both polynomial types; the
+        # exact value is sin(1000)/1000.
+        b = SymbolBasis.make(("w", 100.0))
+        exact = real_line_mean(APPoly.character(b.symbol("w")), 10.0)
+        floating = real_line_mean(RealFreqPoly([100.0], [1.0]), 10.0)
+        assert floating == pytest.approx(exact, abs=1e-12)
+        assert floating == pytest.approx(math.sin(1000.0) / 1000.0, abs=1e-12)
 
     def test_bad_T(self):
         with pytest.raises(ValidationError):
@@ -157,6 +199,18 @@ class TestRealLine:
         r = interval_l1_distortion(p, 0.0, 2 * math.pi, rel_tol=1e-9)
         want = (math.pi + 6 * math.sqrt(3)) / (3 * math.pi)
         assert r.value == pytest.approx(want, rel=1e-6)
+
+    def test_interval_distortion_memory(self):
+        # Real-line evaluation holds O(points) memory, not points x terms.
+        p = build_family(PolyFamilySpec(kind="prikhodko", n=256, m_n=4,
+                                        eps_n=Fraction(1, 4)))
+        tracemalloc.start()
+        try:
+            interval_l1_distortion(p, 1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_bad_interval(self):
         with pytest.raises(ValidationError):

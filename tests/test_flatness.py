@@ -125,6 +125,22 @@ class TestUltraflat:
         p = build_family(PolyFamilySpec(kind="littlewood", n=4))
         assert ultraflat_deviation(p) > 0.0
 
+    def test_huge_exponents_keep_phase_precision(self):
+        # P = e^{ia} + e^{iNa} + e^{i(Na+b)} reaches 0 on the torus, so the
+        # deviation is 1.  For N = 2^60 + 1, phases rounded to float64
+        # freeze e^{iNa} and e^{i(Na+b)} at 1, so |P| stays in [1, 3] and
+        # the deviation reads sqrt(3) - 1 = 0.732.
+        b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
+        a, s = b.symbol("a"), b.symbol("b")
+        N = (1 << 60) + 1
+        p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0),
+                                  (a.scale(N) + s, 1.0)])
+        assert ultraflat_deviation(p) >= 0.95
+
+    def test_constant_deviation(self):
+        b = SymbolBasis.make(("w", 1.0))
+        assert ultraflat_deviation(APPoly.constant(b, -2.0)) == 0.0
+
 
 class TestLocalVsGlobal:
     def test_requires_prikhodko(self):
