@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,32 +97,58 @@ def _phase_space(polys: Sequence[APPoly]):
     """Per-poly integer exponent matrices over one shared phase space.
 
     Returns (dim, [E_i]) where E_i has one row per term of poly i.  For small
-    ranks the exact lattice reduction is used; otherwise the active basis
-    columns themselves serve as phase coordinates (valid because declared
-    symbols are independent by assumption, after a global denominator
-    clearing), which avoids the exact elimination cost entirely.
+    ranks the exact lattice reduction is used.  Otherwise, when the nonzero
+    frequencies are certified independent (``_identity_columns``), each is
+    its own coordinate and every row is zero or a unit vector; failing that,
+    the active basis columns themselves serve as phase coordinates (valid
+    because declared symbols are independent by assumption, after a global
+    denominator clearing).  Both avoid the exact elimination cost.
     """
     basis = polys[0].basis
     for p in polys[1:]:
         if p.basis != basis:
             raise ValidationError("polynomials over different bases")
     all_freqs = [f for p in polys for f in p.terms]
-    active = sorted({c for f in all_freqs for c, v in enumerate(f.num) if v})
+    support = {}  # nonzero symbol indices of each distinct frequency
+    for f in all_freqs:
+        if f not in support:
+            support[f] = list(compress(range(len(f.num)), f.num))
+    active = sorted({c for cs in support.values() for c in cs})
     if not active:
         return 0, [np.zeros((len(p.terms), 0), dtype=object) for p in polys]
     if len(active) <= _EXACT_REDUCE_DIM:
         red = torus_reduce(all_freqs)
-        dim, rows = red.dim, red.exponents
+        dim, E = red.dim, np.array(red.exponents, dtype=object)
+    elif (cols := _identity_columns(all_freqs, support)) is not None:
+        dim, cols = max(cols) + 1, np.array(cols)
+        E = np.zeros((len(all_freqs), dim), dtype=np.int64)
+        rows = np.flatnonzero(cols >= 0)
+        E[rows, cols[rows]] = 1
     else:
         scaled, _ = _integer_rows(all_freqs, common_scale=True)
-        dim, rows = len(active), [[r[c] for c in active] for r in scaled]
-    mats = []
-    k = 0
-    for p in polys:
-        n = len(p.terms)
-        mats.append(np.array(rows[k:k + n], dtype=object).reshape(n, dim))
-        k += n
-    return dim, mats
+        dim = len(active)
+        E = np.array([[r[c] for c in active] for r in scaled], dtype=object)
+    E = E.reshape(len(all_freqs), dim)
+    return dim, np.split(E, np.cumsum([len(p.terms) for p in polys])[:-1])
+
+
+def _identity_columns(freqs, support) -> list[int] | None:
+    """Torus coordinate of each frequency (-1 for zero), or None.
+
+    An O(nnz) certificate of rational independence: when the distinct
+    nonzero frequencies end in distinct symbols, their rows sorted by that
+    last index are in echelon form, so they are independent and each is
+    its own uniform phase under Haar measure.  It holds under the main
+    hypothesis: exponent j h_k + s_{k,1} + ... + s_{k,j-1} ends in
+    s_{k,j-1} for j >= 2, and h_k in s_{k-1,p_{k-1}}, which no stage-(k-1)
+    exponent contains.  ``support`` maps each frequency to its nonzero
+    symbol indices.
+    """
+    ends = [cs[-1] for cs in support.values() if cs]
+    if len(set(ends)) != len(ends):
+        return None
+    col = {i: j for j, i in enumerate(sorted(ends))}
+    return [col[support[f][-1]] if support[f] else -1 for f in freqs]
 
 
 def _coeff_array(p: APPoly) -> np.ndarray:
@@ -138,21 +165,14 @@ def _signed_limbs(E: np.ndarray) -> list[np.ndarray]:
     """Signed base-2^27 limb matrices: E = sum_i limbs[i] * 2^(27 i).
 
     Each limb entry lies in [-2^26, 2^26), so a limb times a coordinate in
-    [0, 1) is exact in float64.
+    [0, 1) is exact in float64.  ``E`` holds Python or numpy ints.
     """
-    if E.size and max(abs(int(v)) for row in E for v in row) >= _MAX_EXPONENT:
-        raise BudgetError("torus exponents exceed the supported magnitude")
-    rem = [[int(v) for v in row] for row in E]
+    rem = E
     limbs = []
-    while any(v for row in rem for v in row):
-        cur = np.zeros(E.shape, dtype=np.float64)
-        for r, row in enumerate(rem):
-            for c, v in enumerate(row):
-                if v:
-                    l = ((v + _LIMB_HALF) % _LIMB_BASE) - _LIMB_HALF
-                    cur[r, c] = l
-                    row[c] = (v - l) >> _LIMB
-        limbs.append(cur)
+    while rem.any():
+        l = (rem + _LIMB_HALF) % _LIMB_BASE - _LIMB_HALF
+        limbs.append(l.astype(np.float64))
+        rem = (rem - l) >> _LIMB
     return limbs or [np.zeros(E.shape, dtype=np.float64)]
 
 
@@ -167,20 +187,42 @@ def _frac_pow2(x: np.ndarray, k: int):
     return v - np.floor(v)
 
 
+def _unit_rows(L: np.ndarray) -> bool:
+    """Whether every row of the limb matrix L is zero or a 0/1 unit vector."""
+    return bool(np.all((L == 0) | (L == 1)) and np.all(L.sum(axis=1) <= 1))
+
+
 class TorusEvaluator:
     """Values of polynomials at points of their shared reduced torus.
 
     A point is theta = sum_j x_j * 2^(-53 j), given as level arrays x_j of
     shape (dim, n) in [0, 1).  ``levels`` levels keep _GUARD_BITS of phase
-    headroom past the largest exponent; a grid of 53-bit points needs one.
+    headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
+    points needs one.  When every exponent row is zero or a unit vector,
+    as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
+    and one level is exact: a batch costs one ``exp`` and one matmul.
     """
 
     def __init__(self, polys: Sequence[APPoly], dim: int, emats):
         self.dim = dim
-        self._coeffs = [_coeff_array(p) for p in polys]
+        self.max_exponent = int(max((np.abs(E).max() for E in emats if E.size),
+                                    default=0))
+        if self.max_exponent >= _MAX_EXPONENT:
+            raise BudgetError("torus exponents exceed the supported magnitude")
+        coeffs = [_coeff_array(p) for p in polys]
+        limbs = [_signed_limbs(E) for E in emats]
+        if all(len(ls) == 1 and _unit_rows(ls[0]) for ls in limbs):
+            units = [ls[0] for ls in limbs]
+            self._unit = (
+                np.array([c @ L for c, L in zip(coeffs, units)]).reshape(len(polys), dim),
+                np.array([c @ (1.0 - L.sum(axis=1)) for c, L in zip(coeffs, units)]),
+            )
+            self.levels = 1
+            return
+        self._unit = None
+        self._coeffs = coeffs
         # All-zero limbs are None, so they cost no product.
-        self._limbs = [[l if np.any(l) else None for l in _signed_limbs(E)]
-                       for E in emats]
+        self._limbs = [[l if np.any(l) else None for l in ls] for ls in limbs]
         self._n_limbs = max(len(ls) for ls in self._limbs)
         self.levels = -(-(_LIMB * self._n_limbs + _GUARD_BITS) // 53)
 
@@ -191,6 +233,11 @@ class TorusEvaluator:
 
     def __call__(self, n: int, levels) -> list[np.ndarray]:
         """Values of each polynomial at the n points; ``levels`` may be lazy."""
+        if self._unit is not None:
+            A, a0 = self._unit
+            z = (2j * np.pi) * next(iter(levels))
+            np.exp(z, out=z)
+            return list(A @ z + a0[:, None])
         phases = [np.zeros((len(c), n)) for c in self._coeffs]
         # Each (limb, level) pair contributes limb @ frac(x_j * 2^(27 i - 53 j)).
         for j, xj in enumerate(levels):
@@ -437,7 +484,8 @@ def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
 
     Composite trapezoid with doubling until the refinement delta stabilizes;
     the integrand has kinks, so doubling rather than high order is the right
-    tool.
+    tool.  Each doubling evaluates only the new midpoints and adds them to
+    the running node sum.
     """
     if not a < b:
         raise ValidationError("need a < b")
@@ -446,12 +494,14 @@ def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
         return np.abs(np.abs(p.eval_real(x)) ** 2 - 1.0)
 
     n = 1024
-    x = np.linspace(a, b, n + 1)
-    prev = float(np.trapezoid(f(x), x)) / (b - a)
+    y = f(np.linspace(a, b, n + 1))
+    # Trapezoid sum over n intervals, in units of the node spacing.
+    s = float(0.5 * (y[0] + y[-1]) + y[1:-1].sum())
+    prev = s / n
     while True:
+        s += float(f(np.linspace(a, b, 2 * n + 1)[1::2]).sum())
         n *= 2
-        x = np.linspace(a, b, n + 1)
-        cur = float(np.trapezoid(f(x), x)) / (b - a)
+        cur = s / n
         delta = abs(cur - prev)
         if delta <= rel_tol * max(1.0, abs(cur)) or n >= max_nodes:
             return QuadratureResult(value=cur, refinement_delta=delta, nodes=n + 1)

@@ -215,10 +215,11 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
     """max over t of | |P(t)| / |P|_2 - 1 |, by grid refinement.
 
     Exact-frequency polynomials are scanned on their reduced torus by the
-    shared ``TorusEvaluator`` (midpoint grid in one dimension, seeded
-    uniform points in full phase precision otherwise); float-frequency ones
-    on a long real interval.  The point count doubles until the maximum is
-    stable to ``tol``.
+    shared ``TorusEvaluator`` (a midpoint grid in one dimension once it has
+    more points than twice the largest exponent, seeded uniform points in
+    full phase precision otherwise); float-frequency ones on a long real
+    interval.  The point count doubles until the maximum is stable to
+    ``tol``.
     """
     l2 = p.l2_norm()
     if l2 == 0.0:
@@ -238,7 +239,8 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
     ev = TorusEvaluator.of([p])
 
     def sample(n):
-        if ev.dim == 1:
+        # The midpoint grid aliases exponents of size n/2 or more.
+        if ev.dim == 1 and n > 2 * ev.max_exponent:
             levels = [((np.arange(n) + 0.5) / n)[None, :]]
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))

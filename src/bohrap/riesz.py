@@ -249,7 +249,11 @@ class RieszState:
         return SigmaHatValue(value=Fraction(c, self.den), on_support=True)
 
     def sigma_hat_table(self) -> dict[Frequency, Fraction]:
-        return {f: c.re for f, c in self.Q.terms.items()}
+        """Every sigma-hat value on the support, in ``Q``'s term order,
+        without building ``Q``."""
+        den = self.den
+        return {f: Fraction(self.counts[f], den)
+                for f in sorted(self.counts, key=Frequency.sort_key)}
 
 
 def initial_state(params: RankOneParams) -> RieszState:

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from bohrap.appoly import APPoly
-from bohrap.bohrint import (Budget, TorusEvaluator, bohr_integral,
-                            bohr_integral_multi, independent_phase_mean_abs,
+from bohrap.bohrint import (Budget, TorusEvaluator, _phase_space,
+                            _signed_limbs, bohr_integral, bohr_integral_multi,
+                            independent_phase_mean_abs,
                             interval_l1_distortion, mean_abs, real_line_mean,
                             unit_phase_sum)
 from bohrap.errors import BudgetError, ValidationError
 from bohrap.flatness import PolyFamilySpec, RealFreqPoly, build_family
 from bohrap.freqspace import SymbolBasis
+from bohrap.riesz import (abs2_polynomial, build_polynomial,
+                          make_independent_params)
 
 B = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
 
@@ -131,6 +134,16 @@ class TestMonteCarlo:
             bohr_integral(np.abs, [p], Budget(method="monte-carlo",
                                               samples=1 << 10))
 
+    def test_signed_limbs_reconstruct_exponents(self):
+        E = np.array([[0, 1, -1], [(1 << 100) + 12345, -(1 << 77) - 3, 1 << 26],
+                      [-(1 << 26), (1 << 54) - 1, -(1 << 120)]], dtype=object)
+        limbs = _signed_limbs(E)
+        for L in limbs:
+            assert np.all((L >= -(1 << 26)) & (L < 1 << 26))
+        back = sum(L.astype(np.int64).astype(object) * (1 << (27 * i))
+                   for i, L in enumerate(limbs))
+        assert (back == E).all()
+
     def test_shared_samples_correlate(self):
         # With shared nodes, the estimate of g - g is exactly zero.
         p = _two_char_poly()
@@ -162,6 +175,69 @@ class TestMonteCarlo:
         (vals,) = ev(64, [theta[None, :]])
         want = 0.5 + np.exp(2j * np.pi * theta) + 2j * np.exp(-6j * np.pi * theta)
         assert np.allclose(vals, want, atol=1e-13)
+
+
+class TestIdentityCoordinates:
+    """Independent frequencies over more than eight symbols: each distinct
+    nonzero frequency is its own torus coordinate."""
+
+    def test_one_frequency_one_coordinate(self):
+        # The same P passed twice shares its coordinates, so the functional
+        # is |P|^2 with mean 1; separate coordinates would give 1/16.
+        p = build_polynomial(make_independent_params([16], seed=3), 0)
+        (est,) = bohr_integral_multi(
+            [lambda a, b: (a * b.conj()).real], [p, p],
+            Budget(samples=1 << 14, seed=1))
+        assert (est.method, est.torus_dim) == ("monte-carlo", 15)
+        assert abs(est.value - 1.0) <= 5 * est.std_error
+
+    def test_unit_rows(self):
+        params = make_independent_params([16, 16], seed=2)
+        polys = [build_polynomial(params, k) for k in (0, 1)]
+        dim, (E0, E1) = _phase_space(polys)
+        E = np.vstack([E0, E1])
+        assert dim == 30
+        # One zero row per stage, then one column per nonzero frequency.
+        assert sorted(E.sum(axis=1).tolist()) == [0, 0] + [1] * 30
+        assert E.sum(axis=0).tolist() == [1] * 30
+
+    def test_colliding_frequencies_use_columns(self):
+        # |P|^2 holds e_i - e_j, whose last symbol is e_i's: the certificate
+        # fails and the active columns are the coordinates (limb path).
+        params = make_independent_params([12], seed=4)
+        p = build_polynomial(params, 0)
+        q = abs2_polynomial(params, 0)
+        ev = TorusEvaluator.of([p, q])
+        assert (ev.dim, ev.levels) == (11, 2)
+        (est,) = bohr_integral_multi([lambda a, b: (a * a.conj() * b).real],
+                                     [p, q], Budget(samples=1 << 14, seed=6))
+        assert est.torus_dim == 11
+        want = float((q * q).mean().re)  # mean |P|^4 = 2 - 1/12
+        assert want == pytest.approx(2 - 1 / 12, abs=1e-12)
+        assert abs(est.value - want) <= 5 * est.std_error
+
+    def test_unit_form_matches_direct_sum(self):
+        params = make_independent_params([16, 8], seed=5)
+        polys = [build_polynomial(params, 1), build_polynomial(params, 0),
+                 APPoly.constant(params.basis, 0.5j)]
+        dim, emats = _phase_space(polys)
+        ev = TorusEvaluator(polys, dim, emats)
+        assert (ev.dim, ev.levels) == (22, 1)
+        x = np.random.default_rng(8).random((dim, 500))
+        for p, E, vals in zip(polys, emats, ev(500, [x])):
+            c = np.array(list(p.terms.values()), dtype=complex)
+            want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
+            assert np.allclose(vals, want, rtol=0, atol=1e-12)
+
+    def test_long_two_cut_stage_uses_grid(self):
+        # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with
+        # h over 281 symbols and coefficients near 2^139: one coordinate,
+        # so a 64-point grid, with mean 2 sqrt(2) / pi.
+        p = build_polynomial(make_independent_params([2] * 140), 139)
+        est = mean_abs(p)
+        assert (est.method, est.torus_dim) == ("tensor-quadrature", 1)
+        want = 2 * math.sqrt(2) / math.pi
+        assert abs(est.value - want) <= 3 * est.std_error + est.refinement_delta
 
 
 class TestRealLine:
@@ -211,6 +287,20 @@ class TestRealLine:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_interval_distortion_evaluates_each_node_once(self):
+        # Doubling adds only the new midpoints to the node sum.
+        p = _two_char_poly()
+        counts = []
+
+        class Counting:
+            def eval_real(self, x):
+                counts.append(len(x))
+                return p.eval_real(x)
+
+        r = interval_l1_distortion(Counting(), 0.0, 2 * math.pi, rel_tol=1e-9)
+        assert sum(counts) == r.nodes
+        assert counts[1:] == [1024 << j for j in range(len(counts) - 1)]
 
     def test_bad_interval(self):
         with pytest.raises(ValidationError):

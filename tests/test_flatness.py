@@ -137,6 +137,20 @@ class TestUltraflat:
                                   (a.scale(N) + s, 1.0)])
         assert ultraflat_deviation(p) >= 0.95
 
+    def test_huge_exponent_on_one_symbol(self):
+        # e^{ia} + e^{iNa} reaches 0, so the deviation is 1.  A midpoint
+        # grid of n points with 2n dividing 2^60 sees N theta = theta and
+        # reads sqrt(2) - 1; such n are replaced by seeded points.
+        b = SymbolBasis.make(("a", 1.0))
+        a = b.symbol("a")
+        for N, want in (((1 << 60) + 1, None), (3, 0.99946)):
+            p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0)])
+            dev = ultraflat_deviation(p)
+            if want is None:
+                assert dev >= 0.95
+            else:
+                assert dev == pytest.approx(want, abs=1e-5)
+
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
         assert ultraflat_deviation(APPoly.constant(b, -2.0)) == 0.0

@@ -239,6 +239,10 @@ class TestIntegerProducts:
         for k in range(params.n_stages):
             st = extend(st, k)
         want = _fraction_fold(params)
+        # The table is read from the counts in Q's term order; Q stays unbuilt.
+        table = st.sigma_hat_table()
+        assert "Q" not in vars(st)
+        assert list(table.items()) == [(f, c.re) for f, c in want.terms.items()]
         assert list(st.Q.terms) == list(want.terms)
         assert st.Q.terms == want.terms
         assert riesz_property_check(params, range(params.n_stages)) == 1
