@@ -4,7 +4,9 @@ A polynomial is a finite map from exact frequencies to coefficients.
 Coefficients come in two flavours: complex doubles (the default) and
 exact Gaussian rationals (``ExactComplex``) for the paths where exact
 cancellation matters (probability normalization, sigma-hat monotonicity,
-moment identities).
+moment identities).  Both kinds speak Python's numeric protocol
+(``complex(c)``, ``c.conjugate()``), so only validation, the mixing check,
+exact sums and equality, and pruning depend on the kind.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ExactComplex:
             self.re * other.im + self.im * other.re,
         )
 
-    def conj(self) -> "ExactComplex":
+    def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
 
     def abs2(self) -> Fraction:
@@ -60,29 +62,25 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def scale(self, q: Fraction) -> "ExactComplex":
-        return ExactComplex(self.re * q, self.im * q)
-
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
 
-EXACT_ZERO = ExactComplex(Fraction(0))
 EXACT_ONE = ExactComplex(Fraction(1))
 
 Coeff = Union[complex, ExactComplex]
 
 
 def _as_coeff(c, exact: bool) -> Coeff:
-    if exact:
-        if isinstance(c, ExactComplex):
-            return c
-        if isinstance(c, (int, Fraction)):
-            return ExactComplex(Fraction(c))
-        raise ValidationError("exact polynomial needs rational coefficients")
+    """``c`` as a coefficient of the given kind; ``_as_coeff(0, exact)`` is
+    the typed zero."""
+    if not exact:
+        return complex(c)
     if isinstance(c, ExactComplex):
-        return c.to_complex()
-    return complex(c)
+        return c
+    if isinstance(c, (int, Fraction)):
+        return ExactComplex(Fraction(c))
+    raise ValidationError("exact polynomial needs rational coefficients")
 
 
 class APPoly:
@@ -122,7 +120,7 @@ class APPoly:
 
     @classmethod
     def one(cls, basis: SymbolBasis, exact: bool = False) -> "APPoly":
-        return cls.constant(basis, EXACT_ONE if exact else 1.0, exact)
+        return cls.constant(basis, 1, exact)
 
     @classmethod
     def character(cls, freq: Frequency, coeff=1.0, exact: bool = False) -> "APPoly":
@@ -169,9 +167,7 @@ class APPoly:
         return APPoly(self.basis, _canonical(acc, self.exact), self.exact)
 
     def conj(self) -> "APPoly":
-        items = {}
-        for f, c in self.terms.items():
-            items[-f] = c.conj() if self.exact else c.conjugate()
+        items = {-f: c.conjugate() for f, c in self.terms.items()}
         return APPoly(self.basis, _canonical(items, self.exact), self.exact)
 
     def abs2(self) -> "APPoly":
@@ -187,17 +183,14 @@ class APPoly:
 
     def mean(self) -> Coeff:
         """Haar/asymptotic mean value: the coefficient at the zero frequency."""
-        zero = self.basis.zero()
-        if zero in self.terms:
-            return self.terms[zero]
-        return EXACT_ZERO if self.exact else 0j
+        return self.fourier_coeff(self.basis.zero())
 
     def fourier_coeff(self, lam: Frequency) -> Coeff:
         if lam.basis != self.basis:
             raise BasisMismatchError("frequency over a different basis")
         if lam in self.terms:
             return self.terms[lam]
-        return EXACT_ZERO if self.exact else 0j
+        return _as_coeff(0, self.exact)
 
     def l2_norm_sq(self):
         """Parseval: sum of squared coefficient magnitudes (exact when exact)."""
@@ -223,27 +216,20 @@ class APPoly:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         for f, c in self.terms.items():
             cc = self.fourier_coeff(-f)
-            want = c.conj() if self.exact else c.conjugate()
+            want = c.conjugate()
             if self.exact:
                 if cc != want:
                     return False
-            else:
-                if abs(complex(cc) - want) > tol * max(1.0, abs(c)):
-                    return False
+            elif abs(cc - want) > tol * max(1.0, abs(c)):
+                return False
         return True
 
     # -- evaluation and conversion ------------------------------------------
 
     def eval_real(self, t) -> np.ndarray:
         """Evaluate on real points t (floating frequency values)."""
-        return trig_sum(t, ((f.real_value(), c.to_complex() if self.exact else c)
+        return trig_sum(t, ((f.real_value(), complex(c))
                             for f, c in self.terms.items()))
-
-    def to_float(self) -> "APPoly":
-        if not self.exact:
-            return self
-        items = {f: c.to_complex() for f, c in self.terms.items()}
-        return APPoly(self.basis, _canonical(items, False), False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, APPoly):
@@ -257,17 +243,14 @@ class APPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for f, c in self.terms.items():
-            coeff = c.to_complex() if self.exact else c
-            parts.append(f"{coeff} * exp(i*({f})*t)")
-        return " + ".join(parts)
+        return " + ".join(f"{complex(c)} * exp(i*({f})*t)"
+                          for f, c in self.terms.items())
 
     def to_json(self) -> dict:
         out = []
         for f, c in self.terms.items():
-            cc = c.to_complex() if self.exact else c
-            out.append({"frequency": str(f), "coeff": [cc.real, cc.imag]})
+            c = complex(c)
+            out.append({"frequency": str(f), "coeff": [c.real, c.imag]})
         return {
             "basis": [[name, value] for name, value in self.basis.symbols],
             "terms": out,
@@ -325,13 +308,11 @@ def abs2(p: APPoly) -> APPoly:
 
 
 def mean(p: APPoly) -> complex:
-    m = p.mean()
-    return m.to_complex() if p.exact else m
+    return complex(p.mean())
 
 
 def fourier_coeff(p: APPoly, lam: Frequency) -> complex:
-    c = p.fourier_coeff(lam)
-    return c.to_complex() if p.exact else c
+    return complex(p.fourier_coeff(lam))
 
 
 def l2_norm(p: APPoly) -> float:

@@ -59,6 +59,8 @@ class Budget:
             raise ValidationError(f"unknown integration method {self.method!r}")
         if self.samples < 1 or self.batch < 1:
             raise ValidationError("samples and batch must be positive")
+        if self.nodes is not None and self.nodes < 1:
+            raise ValidationError("tensor nodes must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _phase_space(polys: Sequence[APPoly]):
         rows = np.flatnonzero(cols >= 0)
         E[rows, cols[rows]] = 1
     else:
-        scaled, _ = _integer_rows(all_freqs, common_scale=True)
+        scaled, _ = _integer_rows(all_freqs)
         dim = len(active)
         E = np.array([[r[c] for c in active] for r in scaled], dtype=object)
     E = E.reshape(len(all_freqs), dim)
@@ -149,12 +151,6 @@ def _identity_columns(freqs, support) -> list[int] | None:
         return None
     col = {i: j for j, i in enumerate(sorted(ends))}
     return [col[support[f][-1]] if support[f] else -1 for f in freqs]
-
-
-def _coeff_array(p: APPoly) -> np.ndarray:
-    if p.exact:
-        return np.array([c.to_complex() for c in p.terms.values()], dtype=complex)
-    return np.array(list(p.terms.values()), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ class TorusEvaluator:
                                     default=0))
         if self.max_exponent >= _MAX_EXPONENT:
             raise BudgetError("torus exponents exceed the supported magnitude")
-        coeffs = [_coeff_array(p) for p in polys]
+        coeffs = [np.array(list(p.terms.values()), dtype=complex) for p in polys]
         limbs = [_signed_limbs(E) for E in emats]
         if all(len(ls) == 1 and _unit_rows(ls[0]) for ls in limbs):
             units = [ls[0] for ls in limbs]
@@ -332,7 +328,7 @@ def _tensor(gs, polys, dim, emats, budget: Budget):
             f"tensor grid of {points} points exceeds the cap "
             f"{budget.max_tensor_points}"
         )
-    coeff_list = [_coeff_array(p) for p in polys]
+    coeff_list = [np.array(list(p.terms.values()), dtype=complex) for p in polys]
     grids = [_tensor_values(c, E, ns) for c, E in zip(coeff_list, emats)]
     half = tuple(slice(None, None, 2) for _ in ns)
     out = []

@@ -59,6 +59,18 @@ def _load_config(args) -> dict:
         raise ValidationError(f"cannot read config: {exc}") from exc
 
 
+def _parse(text: str, convert, flag: str):
+    """``convert(text)``, with malformed input raised as a ValidationError."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {flag} value {text!r}: {exc}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x]
+
+
 def _resolve_seed(args, doc: dict) -> int:
     if args.seed is not None:
         return args.seed
@@ -69,7 +81,7 @@ def _resolve_seed(args, doc: dict) -> int:
 
 def _params(args, doc: dict, seed: int) -> RankOneParams:
     if getattr(args, "cuts", None):
-        cuts = [int(c) for c in args.cuts.split(",") if c]
+        cuts = _parse(args.cuts, _int_list, "--cuts")
         if not cuts:
             raise ValidationError("empty cut list")
         return make_independent_params(cuts, seed=seed)
@@ -159,7 +171,7 @@ def _cmd_fejer(args) -> int:
     doc = _load_config(args)
     seed = _resolve_seed(args, doc)
     params = _params(args, doc, seed)
-    q_indices = [int(i) for i in args.q_indices.split(",") if i]
+    q_indices = _parse(args.q_indices, _int_list, "--q-indices")
     rec = fejer_factorization_check(params, q_indices, args.m, _budget(args, seed))
     _emit(args, "fejer", rec.to_json(), seed, doc)
     return 0
@@ -176,7 +188,7 @@ def _cmd_kac_clt(args) -> int:
 def _cmd_kac_moments(args) -> int:
     doc = _load_config(args)
     seed = _resolve_seed(args, doc)
-    exps = [int(x) for x in args.exponents.split(",") if x]
+    exps = _parse(args.exponents, _int_list, "--exponents")
     value = kac_moment_identity(exps)
     result = {"exponents": exps, "value": str(value), "value_float": float(value)}
     _emit(args, "kac-moments", result, seed, doc)
@@ -208,8 +220,8 @@ def _cmd_flatness(args) -> int:
 def _cmd_prikhodko(args) -> int:
     doc = _load_config(args)
     seed = _resolve_seed(args, doc)
-    sizes = [int(x) for x in args.sizes.split(",") if x]
-    eps = Fraction(args.eps_n)
+    sizes = _parse(args.sizes, _int_list, "--sizes")
+    eps = _parse(args.eps_n, Fraction, "--eps-n")
     rows = []
     records = []
     for n in sizes:
@@ -230,10 +242,8 @@ def _cmd_degree_report(args) -> int:
     doc = _load_config(args)
     seed = _resolve_seed(args, doc)
     params = _params(args, doc, seed)
-    indices = (
-        [int(i) for i in args.indices.split(",") if i]
-        if args.indices else list(range(params.n_stages))
-    )
+    indices = (_parse(args.indices, _int_list, "--indices")
+               if args.indices else list(range(params.n_stages)))
     rep = degree_report(params, indices)
     rows = [(m, "degree", d, 0.0) for m, d in zip(indices, rep.degrees)]
     rows += [(k, "height", h, 0.0) for k, h in enumerate(rep.heights)]

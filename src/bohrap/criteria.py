@@ -43,24 +43,18 @@ def _derived_budget(budget: Budget, *tags: int) -> Budget:
     return replace(budget, seed=seed)
 
 
-def _prod_abs(n: int):
-    def g(*vals):
-        acc = np.abs(vals[0])
-        for v in vals[1:n]:
-            acc = acc * np.abs(v)
-        return acc
-    return g
+def _abs_product(exps: Sequence[int]):
+    """The integrand prod of |vals[i]|^exps[i], multiplied in index order.
 
-
-def _prod_abs2(n: int):
-    """prod of |vals[i]|^2 over i < n; the empty product is 1."""
+    Zero exponents are skipped, and the empty product is ones.
+    """
     def g(*vals):
-        if not n:
-            return np.ones(vals[0].shape)
-        acc = np.abs(vals[0]) ** 2
-        for v in vals[1:n]:
-            acc = acc * np.abs(v) ** 2
-        return acc
+        acc = None
+        for v, e in zip(vals, exps):
+            if e:
+                f = np.abs(v) if e == 1 else np.abs(v) ** e
+                acc = f if acc is None else acc * f
+        return np.ones(vals[0].shape) if acc is None else acc
     return g
 
 
@@ -139,7 +133,8 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
                 stage_polys[m] = build_polynomial(params, m)
             polys = chosen_polys + [stage_polys[m]]
             est = bohr_integral_multi(
-                [_prod_abs(len(polys))], polys, _derived_budget(budget, step, m)
+                [_abs_product([1] * len(polys))], polys,
+                _derived_budget(budget, step, m)
             )[0]
             results.append((m, est))
         all_candidates.append(
@@ -200,18 +195,9 @@ def cs_subsequence_bound(params: RankOneParams, full_n: int,
     if any(i < 0 or i > full_n for i in indices):
         raise ValidationError("subsequence indices must lie in 0..full_n")
     polys = [build_polynomial(params, k) for k in range(full_n + 1)]
-    sel = list(indices)
-
-    def g_inner(*vals):
-        if not sel:
-            return np.ones_like(np.abs(vals[0]))
-        acc = np.abs(vals[sel[0]])
-        for i in sel[1:]:
-            acc = acc * np.abs(vals[i])
-        return acc
-
+    inner_exps = [int(k in indices) for k in range(full_n + 1)]
     e_lhs, e_inner = bohr_integral_multi(
-        [_prod_abs(len(polys)), g_inner], polys, budget
+        [_abs_product([1] * len(polys)), _abs_product(inner_exps)], polys, budget
     )
     inner = max(e_inner.value, 0.0)
     rhs = math.sqrt(inner)
@@ -242,18 +228,14 @@ def klemes_inequality_check(params: RankOneParams, indices: Sequence[int],
     pm = build_polynomial(params, m)
     polys = q_polys + [pm]
     nq = len(q_polys)
-    q_of = _prod_abs2(nq)
-
-    def g1(*vals):
-        return q_of(*vals) * np.abs(vals[nq])
-
-    def g3(*vals):
-        return q_of(*vals) * np.abs(vals[nq]) ** 2
+    q_of = _abs_product([2] * nq)
 
     def g4(*vals):
         return q_of(*vals) * np.abs(np.abs(vals[nq]) ** 2 - 1.0)
 
-    e1, e2, e3, e4 = bohr_integral_multi([g1, q_of, g3, g4], polys, budget)
+    e1, e2, e3, e4 = bohr_integral_multi(
+        [_abs_product([2] * nq + [1]), q_of, _abs_product([2] * nq + [2]), g4],
+        polys, budget)
     rhs = 0.5 * (e2.value + e3.value) - e4.value ** 2 / 8.0
     rhs_err = math.sqrt(
         0.25 * e2.std_error ** 2
@@ -311,17 +293,12 @@ def haar_weak_limit_check(params: RankOneParams, q_indices: Sequence[int],
     q_indices = sorted(set(q_indices))
     q_polys = [build_polynomial(params, j) for j in q_indices]
     nq = len(q_polys)
-    q_of = _prod_abs2(nq)
+    gs = [_abs_product([2] * nq), _abs_product([2] * nq + [2])]
     out = []
     for i, m in enumerate(m_list):
         pm = build_polynomial(params, m)
-        polys = q_polys + [pm]
-
-        def g_qm(*vals):
-            return q_of(*vals) * np.abs(vals[nq]) ** 2
-
         e_q, e_qm = bohr_integral_multi(
-            [q_of, g_qm], polys, _derived_budget(budget, i, m)
+            gs, q_polys + [pm], _derived_budget(budget, i, m)
         )
         out.append(HaarLimitRecord(
             m=m, q_mean=e_q.value, q_pm2_mean=e_qm.value,
@@ -431,16 +408,10 @@ def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
             "partial product; the factorization hypothesis fails"
         )
     nq = len(q_polys)
-    q_of = _prod_abs2(nq)
-    polys = q_polys + [pm]
-
-    def g_joint(*vals):
-        return q_of(*vals) * np.abs(vals[nq])
-
-    def g_m(*vals):
-        return np.abs(vals[nq])
-
-    e_joint, e_q, e_m = bohr_integral_multi([g_joint, q_of, g_m], polys, budget)
+    e_joint, e_q, e_m = bohr_integral_multi(
+        [_abs_product([2] * nq + [1]), _abs_product([2] * nq),
+         _abs_product([0] * nq + [1])],
+        q_polys + [pm], budget)
     product = e_q.value * e_m.value
     prod_err = math.hypot(e_m.value * e_q.std_error, e_q.value * e_m.std_error)
     gap = abs(e_joint.value - product)

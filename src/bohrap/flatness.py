@@ -28,6 +28,9 @@ _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
 #: Default generator value for the arithmetic-progression frequency rule.
 _DEFAULT_ALPHA = math.sqrt(2.0)
 
+#: Most torus points that ``ultraflat_deviation`` evaluates at once.
+_EVAL_SLICE = 1 << 16
+
 
 class RealFreqPoly:
     """Trigonometric polynomial with floating-point real frequencies.
@@ -106,17 +109,18 @@ class PolyFamilySpec:
         kind = doc.get("kind")
         if kind not in _KINDS:
             raise ValidationError(f"unknown family kind {kind!r}")
-        n = int(doc.get("n", 0))
-        if kind == "prikhodko":
-            return cls(kind=kind, n=n,
-                       m_n=int(doc.get("m_n", 1)),
-                       eps_n=Fraction(str(doc.get("eps_n", "1/2"))))
-        basis = None
+        try:
+            n = int(doc.get("n", 0))
+            if kind == "prikhodko":
+                return cls(kind=kind, n=n,
+                           m_n=int(doc.get("m_n", 1)),
+                           eps_n=Fraction(str(doc.get("eps_n", "1/2"))))
+            symbols = tuple((e["name"], float(e["value"]))
+                            for e in doc.get("basis", ()))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad family: {exc}") from exc
+        basis = SymbolBasis(symbols) if "basis" in doc else None
         freqs = None
-        if "basis" in doc:
-            basis = SymbolBasis(tuple(
-                (e["name"], float(e["value"])) for e in doc["basis"]
-            ))
         if "frequencies" in doc:
             if basis is None:
                 raise ValidationError("frequency overrides need a basis")
@@ -244,9 +248,14 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
             levels = [((np.arange(n) + 0.5) / n)[None, :]]
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-            levels = (rng.random((ev.dim, n)) for _ in range(ev.levels))
-        (vals,) = ev(n, levels)
-        return float(np.abs(np.abs(vals) / l2 - 1.0).max())
+            levels = [rng.random((ev.dim, n)) for _ in range(ev.levels)]
+        # Column slices bound the terms x points phase arrays.
+        top = 0.0
+        for lo in range(0, n, _EVAL_SLICE):
+            cols = [x[:, lo:lo + _EVAL_SLICE] for x in levels]
+            (vals,) = ev(cols[0].shape[1], cols)
+            top = max(top, float(np.abs(np.abs(vals) / l2 - 1.0).max()))
+        return top
 
     return _stable_max(sample, n0, tol, max_points)
 

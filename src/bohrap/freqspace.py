@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BasisMismatchError, InternalInconsistencyError, ValidationError
@@ -24,21 +25,32 @@ _BARE_RE = re.compile(r"([+-]?)([A-Za-z_][A-Za-z0-9_]*)\Z")
 
 @dataclass(frozen=True)
 class SymbolBasis:
-    """Ordered, immutable list of (name, real value) generator symbols."""
+    """Ordered, immutable list of (name, real value) generator symbols.
+
+    ``names``, ``values`` and the name-to-index map are computed once, and
+    take no part in equality, hashing or the repr.
+    """
 
     symbols: tuple[tuple[str, float], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [name for name, _ in self.symbols]
+        names = tuple(name for name, _ in self.symbols)
         if not names:
             raise ValidationError("basis must declare at least one symbol")
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise ValidationError("basis symbol names must be unique")
         for name, value in self.symbols:
             if not _NAME_RE.match(name):
                 raise ValidationError(f"bad symbol name {name!r}")
             if not math.isfinite(value) or value == 0.0:
                 raise ValidationError(f"symbol {name!r} must have a finite nonzero value")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", tuple(value for _, value in self.symbols))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def make(cls, *symbols: tuple[str, float]) -> "SymbolBasis":
@@ -48,19 +60,12 @@ class SymbolBasis:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.symbols)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(value for _, value in self.symbols)
-
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.symbols):
-            if n == name:
-                return i
-        raise ValidationError(f"symbol {name!r} is not declared in the basis")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValidationError(
+                f"symbol {name!r} is not declared in the basis") from None
 
     def zero(self) -> "Frequency":
         return Frequency._make(self, (0,) * self.size, 1)
@@ -197,10 +202,12 @@ class Frequency:
         """Floating evaluation against the declared symbol values."""
         # Each term is the correctly rounded value of its rational
         # coefficient times the symbol value, exactly as float(Fraction).
-        den = self.den
+        # Zero coefficients are skipped: adding 0.0 changes no partial sum.
+        den, num = self.den, self.num
+        terms = compress(zip(num, self.basis.values), num)
         if den == 1:
-            return float(sum(float(a) * v for a, v in zip(self.num, self.basis.values)))
-        return float(sum((a / den) * v for a, v in zip(self.num, self.basis.values)))
+            return float(sum(float(a) * v for a, v in terms))
+        return float(sum((a / den) * v for a, v in terms))
 
     def sort_key(self):
         """Key ordering frequencies lexicographically by exact coefficients."""
@@ -232,7 +239,11 @@ class Frequency:
                 raise ValidationError(f"malformed frequency text {text!r}")
             m = _TERM_RE.match(token)
             if m:
-                coeff = Fraction(m.group(1))
+                try:
+                    coeff = Fraction(m.group(1))
+                except ZeroDivisionError:
+                    raise ValidationError(
+                        f"zero denominator in frequency term {token!r}") from None
                 name = m.group(2)
                 if name is None:
                     if coeff != 0:
@@ -269,21 +280,18 @@ def _shared_basis(freqs: Sequence[Frequency]) -> SymbolBasis:
     return basis
 
 
-def _integer_rows(freqs: Sequence[Frequency], common_scale: bool = False):
-    """Rows as integer vectors.
+def _integer_rows(freqs: Sequence[Frequency]):
+    """Rows as integer vectors over one common denominator L.
 
-    Per-row denominator clearing preserves rank; a common scale preserves
-    the generated lattice (needed by torus_reduce).  Returns (rows, L)
-    where L is the common denominator (1 when per-row scaling is used).
+    A common scale preserves the generated lattice (needed by
+    torus_reduce).  Returns (rows, L).
     """
-    if common_scale:
-        L = 1
-        for f in freqs:
-            L = _lcm(L, f.den)
-        if L == 1:
-            return [list(f.num) for f in freqs], 1
-        return [[a * (L // f.den) for a in f.num] for f in freqs], L
-    return [list(f.num) for f in freqs], 1
+    L = 1
+    for f in freqs:
+        L = _lcm(L, f.den)
+    if L == 1:
+        return [list(f.num) for f in freqs], 1
+    return [[a * (L // f.den) for a in f.num] for f in freqs], L
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -322,8 +330,8 @@ def rational_rank(freqs: Iterable[Frequency]) -> int:
     """Rank over the rationals of the coefficient matrix of the given frequencies."""
     freqs = list(freqs)
     _shared_basis(freqs)
-    rows, _ = _integer_rows(freqs)
-    return _bareiss_rank(rows)
+    # Each row's own numerators: clearing a row's denominator keeps the rank.
+    return _bareiss_rank([list(f.num) for f in freqs])
 
 
 def is_rationally_independent(freqs: Iterable[Frequency]) -> bool:
@@ -423,7 +431,7 @@ def torus_reduce(freqs: Sequence[Frequency]) -> TorusReduction:
     """
     freqs = list(freqs)
     basis = _shared_basis(freqs)
-    rows, L = _integer_rows(freqs, common_scale=True)
+    rows, L = _integer_rows(freqs)
     echelon = _lattice_echelon(rows)
     pivots = [_pivot_col(r) for r in echelon]
     exps = tuple(tuple(_express_in_basis(v, echelon, pivots)) for v in rows)

@@ -96,7 +96,7 @@ class RankOneParams:
             symbols = tuple(
                 (entry["name"], float(entry["value"])) for entry in doc["basis"]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad basis declaration: {exc}") from exc
         basis = SymbolBasis(symbols)
         unit_name = doc.get("unit", symbols[0][0])
@@ -108,7 +108,7 @@ class RankOneParams:
                 spacers = tuple(
                     Frequency.parse(text, basis) for text in st["spacers"]
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"bad stage {k}: {exc}") from exc
             stages.append(Stage(p=p, spacers=spacers))
         return cls(basis=basis, unit=unit, stages=tuple(stages))

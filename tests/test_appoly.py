@@ -1,5 +1,6 @@
 """Sparse polynomial algebra: ring laws, functionals, exact coefficients."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bohrap.appoly import (APPoly, EXACT_ONE, ExactComplex, abs2, degree,
                            fourier_coeff, l2_norm, mean, poly_add, poly_conj,
                            poly_mul)
+from bohrap.bohrint import Budget, mean_abs
 from bohrap.errors import BasisMismatchError, ValidationError
 from bohrap.freqspace import Frequency, SymbolBasis
 
@@ -24,6 +26,14 @@ coeffs = st.complex_numbers(
 polys = st.lists(st.tuples(freqs, coeffs), min_size=0, max_size=5).map(
     lambda items: APPoly.from_terms(B, items)
 )
+exact_coeffs = st.tuples(small_fracs, small_fracs).map(lambda t: ExactComplex(*t))
+exact_polys = st.lists(st.tuples(freqs, exact_coeffs), min_size=0, max_size=5).map(
+    lambda items: APPoly.from_terms(B, items, exact=True)
+)
+
+
+def _float_image(p: APPoly) -> APPoly:
+    return APPoly.from_terms(B, [(f, complex(c)) for f, c in p.terms.items()])
 
 
 class TestExactComplex:
@@ -32,8 +42,8 @@ class TestExactComplex:
         w = ExactComplex.of(2, 1)
         assert (z * w).re == Fraction(1, 2) * 2 + Fraction(1, 3)
         assert (z + w - w) == z
-        assert z.conj().im == Fraction(1, 3)
-        assert (z * z.conj()).re == z.abs2()
+        assert z.conjugate().im == Fraction(1, 3)
+        assert (z * z.conjugate()).re == z.abs2()
         assert z.abs2() == Fraction(1, 4) + Fraction(1, 9)
         r = ExactComplex.of(Fraction(2, 3))
         assert r * ExactComplex.of(Fraction(3, 4)) == ExactComplex.of(Fraction(1, 2))
@@ -41,7 +51,7 @@ class TestExactComplex:
         assert w * r == r * w
 
     def test_to_complex(self):
-        assert ExactComplex.of(Fraction(3, 4), 2).to_complex() == 0.75 + 2j
+        assert complex(ExactComplex.of(Fraction(3, 4), 2)) == 0.75 + 2j
 
 
 class TestConstruction:
@@ -159,6 +169,26 @@ class TestExactAlgebra:
             exact=True,
         )
         assert p.abs2().mean().re == Fraction(10, 9)
+
+
+class TestFloatImage:
+    """An exact polynomial and its float image agree bit for bit."""
+
+    @given(exact_polys)
+    @settings(max_examples=40)
+    def test_exact_matches_float_image(self, p):
+        q = _float_image(p)
+        t = np.linspace(-3.0, 3.0, 7)
+        assert p.eval_real(t).tobytes() == q.eval_real(t).tobytes()
+        assert json.dumps(p.to_json()) == json.dumps(q.to_json())
+        assert str(p) == str(q)
+        assert _float_image(p.conj()) == q.conj()
+        assert repr(mean(p)) == repr(mean(q))
+        for f in (*p.support(), B.symbol("a") + B.symbol("b").scale(7)):
+            assert repr(fourier_coeff(p, f)) == repr(fourier_coeff(q, f))
+        for method in ("auto", "monte-carlo"):
+            budget = Budget(method=method, samples=512, batch=256, seed=3)
+            assert mean_abs(p, budget) == mean_abs(q, budget)
 
 
 class TestSerialization:

@@ -37,6 +37,11 @@ class TestBudgetValidation:
         with pytest.raises(ValidationError):
             Budget(samples=0)
 
+    def test_bad_nodes(self):
+        for nodes in (0, -4):
+            with pytest.raises(ValidationError):
+                Budget(method="tensor", nodes=nodes)
+
 
 class TestTensorQuadrature:
     def test_character_mean_is_zero(self):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bohrap
 from bohrap.appoly import APPoly
 from bohrap.cli import main
@@ -16,6 +18,29 @@ from bohrap.cli import main
 
 def _run(argv):
     return main(argv)
+
+
+#: A unimodular family over two symbols, so flatness runs on seeded points.
+_FAMILY = {"kind": "unimodular", "n": 4,
+           "basis": [{"name": "a", "value": 1.0}, {"name": "b", "value": 2 ** 0.5}],
+           "frequencies": ["0", "a", "b", "a + b"],
+           "coefficients": [0.0, 0.3, 1.1, 2.0]}
+
+
+def _stage_config(tmp_path, stage):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "basis": [{"name": "one", "value": 1.0}, {"name": "s", "value": 0.4}],
+        "unit": "one",
+        "stages": [stage],
+    }))
+    return ["--config", str(cfg)]
+
+
+def _family_config(tmp_path, family):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"family": family}))
+    return ["--config", str(cfg)]
 
 
 class TestRieszCheck:
@@ -49,14 +74,35 @@ class TestRieszCheck:
 
 
 class TestDeterminism:
-    def test_replay_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["bourgain-scan", "--cuts", "4,4,4,4", "--k-max", "2",
+         "--samples", "4096"],
+        ["riesz-check", "--cuts", "3,4,2"],
+        ["kac-clt", "--q", "16", "--samples", "2000"],
+        ["kac-moments", "--exponents", "2,4,6"],
+        ["guenais", "--cuts", "4,4", "--k", "2", "--samples", "2048"],
+        ["fejer", "--cuts", "4,4", "--q-indices", "0", "--m", "1",
+         "--samples", "2048"],
+        ["prikhodko", "--sizes", "8,16", "--m-n", "4", "--eps-n", "1/4",
+         "--samples", "2048"],
+        ["degree-report", "--cuts", "3,3"],
+        ["flatness", "--samples", "2048"],
+    ], ids=lambda argv: argv[0])
+    def test_replay_byte_identical(self, tmp_path, argv):
+        if argv[0] == "flatness":
+            argv = argv + _family_config(tmp_path, _FAMILY)
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["bourgain-scan", "--cuts", "4,4,4,4", "--k-max", "2",
-                "--samples", "4096", "--seed", "5"]
-        assert _run(args + ["--out", str(a)]) == 0
-        assert _run(args + ["--out", str(b)]) == 0
-        assert ((a / "bourgain-scan.json").read_text()
-                == (b / "bourgain-scan.json").read_text())
+        assert _run(argv + ["--seed", "5", "--out", str(a)]) == 0
+        assert _run(argv + ["--seed", "5", "--out", str(b)]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        for name in names:
+            if name == "manifest.json":
+                ma, mb = (json.loads((d / name).read_text()) for d in (a, b))
+                ma.pop("timestamp"), mb.pop("timestamp")
+                assert ma == mb
+            else:
+                assert (a / name).read_text() == (b / name).read_text(), name
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -148,6 +194,27 @@ class TestExitCodes:
 
     def test_missing_stages_is_2(self, tmp_path):
         assert _run(["riesz-check", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("case", [
+        lambda t: ["riesz-check", "--cuts", "3,x"],
+        lambda t: ["prikhodko", "--sizes", "8,x"],
+        lambda t: ["fejer", "--cuts", "4,4", "--q-indices", "a"],
+        lambda t: ["prikhodko", "--sizes", "8", "--eps-n", "abc"],
+        lambda t: ["prikhodko", "--sizes", "8", "--eps-n", "1/0"],
+        lambda t: ["kac-moments", "--exponents", "2,y"],
+        lambda t: ["degree-report", "--cuts", "3,3", "--indices", "0,z"],
+        lambda t: ["riesz-check", *_stage_config(
+            t, {"p": "two", "spacers": ["0", "s", "0"]})],
+        lambda t: ["riesz-check", *_stage_config(
+            t, {"p": 2, "spacers": ["0", "1/0*s", "0"]})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "littlewood", "n": "eight"})],
+    ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
+            "exponents", "indices", "stage-p", "spacer-zero-den", "family-n"])
+    def test_malformed_input_is_2(self, tmp_path, case, capsys):
+        argv = case(tmp_path) + ["--seed", "1", "--out", str(tmp_path / "r")]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_budget_error_is_3(self, tmp_path):
         # one spacer pushes a lattice exponent past the Monte Carlo limb

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bohrap.criteria
@@ -19,6 +20,18 @@ from bohrap.freqspace import SymbolBasis
 from bohrap.riesz import RankOneParams, Stage, make_independent_params
 
 FAST = Budget(samples=1 << 13, seed=17)
+
+
+class TestAbsProduct:
+    def test_matches_explicit_products(self):
+        rng = np.random.default_rng(0)
+        v = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
+        g = bohrap.criteria._abs_product
+        assert np.array_equal(g([2, 0, 1])(*v), np.abs(v[0]) ** 2 * np.abs(v[2]))
+        assert np.array_equal(g([1, 1, 1])(*v),
+                              np.abs(v[0]) * np.abs(v[1]) * np.abs(v[2]))
+        for exps in ([], [0, 0]):
+            assert np.array_equal(g(exps)(*v), np.ones(5))
 
 
 class TestBourgainScan:

@@ -1,6 +1,8 @@
 """Family constructors, flatness ratios and local/global contrasts."""
 
+import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +156,24 @@ class TestUltraflat:
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
         assert ultraflat_deviation(APPoly.constant(b, -2.0)) == 0.0
+
+    def test_memory_bounded_by_slices(self):
+        # 16 terms over two symbols on up to 2^18 seeded points: whole
+        # samples held 168 MB of phases; column slices keep the same points
+        # and the same maximum.
+        b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
+        a, s = b.symbol("a"), b.symbol("b")
+        p = APPoly.from_terms(b, [(a.scale(i) + s.scale(j),
+                                   cmath.exp(1j * (i * j + 0.3 * i)))
+                                  for i in range(4) for j in range(4)])
+        tracemalloc.start()
+        try:
+            dev = ultraflat_deviation(p, tol=1e-12, seed=0, max_points=1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert dev == 0.9994289039355171
 
 
 class TestLocalVsGlobal:

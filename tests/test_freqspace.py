@@ -38,6 +38,17 @@ class TestBasisValidation:
         with pytest.raises(ValidationError):
             SymbolBasis.make(("2x", 1.0))
 
+    def test_tables_built_once(self):
+        b = SymbolBasis.make(*[(f"s{i}", i + 1.0) for i in range(50)])
+        assert b.values is b.values and b.names is b.names
+        assert [b.index(name) for name in b.names] == list(range(50))
+        with pytest.raises(ValidationError):
+            b.index("t")
+        # The tables take no part in equality, hashing or the repr.
+        twin = SymbolBasis(b.symbols)
+        assert twin == b and hash(twin) == hash(b)
+        assert repr(b) == f"SymbolBasis(symbols={b.symbols!r})"
+
 
 class TestFrequencyArithmetic:
     def test_symbol_and_index(self):
@@ -167,6 +178,11 @@ class TestParsing:
 
     def test_malformed(self):
         for text in ("", "++a", "1.5*a", "a b"):
+            with pytest.raises(ValidationError):
+                Frequency.parse(text, B3)
+
+    def test_zero_denominator(self):
+        for text in ("1/0*a", "a + 3/0*b", "0/0"):
             with pytest.raises(ValidationError):
                 Frequency.parse(text, B3)
 
