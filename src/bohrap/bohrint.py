@@ -33,9 +33,9 @@ _MAX_LIMBS = 5
 _MAX_EXPONENT = 1 << (_LIMB * _MAX_LIMBS)
 _GUARD_BITS = 60
 
-#: Dimension cap for the tensor method and the point cap used by "auto".
+#: Dimension and point caps of the tensor method.
 TENSOR_DIM_CAP = 4
-_DEFAULT_TENSOR_POINT_CAP = 1 << 22
+TENSOR_POINT_CAP = 1 << 22
 
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
@@ -52,7 +52,6 @@ class Budget:
     nodes: int | None = None  # per-dimension override for the tensor grid
     seed: int = 0
     batch: int = 1 << 14
-    max_tensor_points: int = _DEFAULT_TENSOR_POINT_CAP
 
     def __post_init__(self):
         if self.method not in ("auto", "tensor", "monte-carlo"):
@@ -248,22 +247,26 @@ class TorusEvaluator:
                 for c, t in zip(self._coeffs, phases)]
 
 
-def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
+def _finite(y) -> np.ndarray:
+    y = np.asarray(y)
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("integrand returned non-finite values")
+    return y
+
+
+def _monte_carlo(gs, dim: int, draw, budget: Budget):
+    """Seeded batch Monte Carlo; ``draw(rng, n)`` gives the integrands'
+    arguments at n random points."""
     n_batches = -(-budget.samples // budget.batch)
     total = n_batches * budget.batch
-    children = np.random.SeedSequence(budget.seed).spawn(n_batches)
     sums = np.zeros(len(gs), dtype=complex)
     sumsq = np.zeros(len(gs))
     # Fixed batch order and per-batch child streams keep the estimate
     # bit-identical regardless of any outer parallel schedule.
-    for child in children:
-        rng = np.random.default_rng(child)
-        vals = ev(budget.batch, (rng.random((ev.dim, budget.batch))
-                                 for _ in range(ev.levels)))
+    for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
+        vals = draw(np.random.default_rng(child), budget.batch)
         for i, g in enumerate(gs):
-            y = np.asarray(g(*vals))
-            if not np.all(np.isfinite(y)):
-                raise ValidationError("integrand returned non-finite values")
+            y = _finite(g(*vals))
             sums[i] += y.sum()
             sumsq[i] += float((y.real * y.real).sum())
     out = []
@@ -276,7 +279,7 @@ def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
             method="monte-carlo",
             nodes_or_samples=total,
             seed=budget.seed,
-            torus_dim=ev.dim,
+            torus_dim=dim,
         ))
     return out
 
@@ -285,21 +288,13 @@ def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
 # Tensor quadrature
 
 
-def _grid_sizes(emats, dim, budget: Budget):
-    ns = []
-    for i in range(dim):
-        m = 0
-        for E in emats:
-            if E.size:
-                m = max(m, int(np.abs(E[:, i]).max()))
-        if budget.nodes is not None:
-            n = budget.nodes
-        else:
-            n = 64
-            while n <= 2 * m:
-                n *= 2
-        ns.append(n)
-    return ns
+def _grid_sizes(emats, dim: int, nodes: int | None) -> list[int]:
+    """Nodes per torus coordinate: ``nodes``, or else the smallest power of
+    two of at least 64 above twice the largest exponent magnitude."""
+    if nodes is not None:
+        return [nodes] * dim
+    top = np.abs(np.concatenate(emats)).max(axis=0) if dim else ()
+    return [max(64, 1 << (2 * int(m)).bit_length()) for m in top]
 
 
 def _tensor_values(coeffs, E, ns):
@@ -320,33 +315,28 @@ def _tensor_values(coeffs, E, ns):
     return grid
 
 
-def _tensor(gs, polys, dim, emats, budget: Budget):
-    ns = _grid_sizes(emats, dim, budget)
+def _tensor(gs, polys, emats, ns):
+    """Means on the uniform grid of ``ns`` nodes; each integrand is called
+    once, and its every-other-node subgrid gives the refinement delta."""
+    grids = [_tensor_values(np.array(list(p.terms.values()), dtype=complex), E, ns)
+             for p, E in zip(polys, emats)]
     points = math.prod(ns)
-    if points > budget.max_tensor_points:
-        raise BudgetError(
-            f"tensor grid of {points} points exceeds the cap "
-            f"{budget.max_tensor_points}"
-        )
-    coeff_list = [np.array(list(p.terms.values()), dtype=complex) for p in polys]
-    grids = [_tensor_values(c, E, ns) for c, E in zip(coeff_list, emats)]
     half = tuple(slice(None, None, 2) for _ in ns)
     out = []
     for g in gs:
-        y = np.asarray(g(*grids))
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("integrand returned non-finite values")
+        y = _finite(g(*grids))
         value = float(np.mean(y).real)
-        y_half = np.asarray(g(*[gr[half] for gr in grids]))
-        delta = abs(value - float(np.mean(y_half).real))
+        # The copy keeps the subgrid mean bit-identical to that of the
+        # integrand evaluated on the subgrid itself.
+        y_half = np.ascontiguousarray(y[half])
         out.append(IntegralEstimate(
             value=value,
             std_error=0.0,
             method="tensor-quadrature",
             nodes_or_samples=points,
             seed=None,
-            torus_dim=dim,
-            refinement_delta=delta,
+            torus_dim=len(ns),
+            refinement_delta=abs(value - float(np.mean(y_half).real)),
         ))
     return out
 
@@ -360,26 +350,32 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     """Estimate several functionals of the same polynomials on shared nodes.
 
     Sharing the sample set makes the errors of the returned estimates
-    correlate, which is exactly what inequality checks want.
+    correlate, which is exactly what inequality checks want.  "auto" takes
+    the tensor grid when the torus dimension and grid size are within
+    ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """
     if not polys:
         raise ValidationError("need at least one polynomial")
     dim, emats = _phase_space(polys)
-    method = budget.method
-    if method == "tensor" and dim > TENSOR_DIM_CAP:
+    if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(
             f"tensor quadrature supports at most {TENSOR_DIM_CAP} torus "
             f"dimensions, got {dim}; use monte-carlo"
         )
-    if method == "auto":
-        if dim <= TENSOR_DIM_CAP:
-            ns = _grid_sizes(emats, dim, budget)
-            method = "tensor" if math.prod(ns) <= budget.max_tensor_points else "monte-carlo"
-        else:
-            method = "monte-carlo"
-    if method == "tensor":
-        return _tensor(gs, polys, dim, emats, budget)
-    return _monte_carlo(gs, TorusEvaluator(polys, dim, emats), budget)
+    if budget.method != "monte-carlo" and dim <= TENSOR_DIM_CAP:
+        ns = _grid_sizes(emats, dim, budget.nodes)
+        points = math.prod(ns)
+        if points <= TENSOR_POINT_CAP:
+            return _tensor(gs, polys, emats, ns)
+        if budget.method == "tensor":
+            raise BudgetError(
+                f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
+            )
+    ev = TorusEvaluator(polys, dim, emats)
+    return _monte_carlo(
+        gs, dim,
+        lambda rng, n: ev(n, (rng.random((dim, n)) for _ in range(ev.levels))),
+        budget)
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],
@@ -413,22 +409,10 @@ def independent_phase_mean_abs(q: int, budget: Budget = Budget()) -> IntegralEst
     """
     if q < 1:
         raise ValidationError("q must be positive")
-    n_batches = -(-budget.samples // budget.batch)
-    total = n_batches * budget.batch
-    children = np.random.SeedSequence(budget.seed).spawn(n_batches)
-    s = 0.0
-    s2 = 0.0
     norm = 1.0 / math.sqrt(q)
-    for child in children:
-        z = np.abs(unit_phase_sum(np.random.default_rng(child), q, budget.batch) * norm)
-        s += float(z.sum())
-        s2 += float((z * z).sum())
-    m = s / total
-    var = max(0.0, s2 / total - m * m)
-    return IntegralEstimate(
-        value=m, std_error=math.sqrt(var / total), method="monte-carlo",
-        nodes_or_samples=total, seed=budget.seed, torus_dim=q,
-    )
+    (est,) = _monte_carlo([lambda z: np.abs(z * norm)], q,
+                          lambda rng, n: [unit_phase_sum(rng, q, n)], budget)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +450,6 @@ class QuadratureResult:
     refinement_delta: float
     nodes: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "refinement_delta": self.refinement_delta,
-            "nodes": self.nodes,
-        }
 
 
 def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,

@@ -17,6 +17,7 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,16 +55,19 @@ def _load_config(args) -> dict:
     if args.config is None:
         return {}
     try:
-        return json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("config must be a JSON object")
+    return doc
 
 
 def _parse(text: str, convert, flag: str):
     """``convert(text)``, with malformed input raised as a ValidationError."""
     try:
         return convert(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad {flag} value {text!r}: {exc}") from None
 
 
@@ -73,10 +77,14 @@ def _int_list(text: str) -> list[int]:
 
 def _resolve_seed(args, doc: dict) -> int:
     if args.seed is not None:
-        return args.seed
-    if "seed" in doc:
-        return int(doc["seed"])
-    return secrets.randbits(32)
+        seed = args.seed
+    elif "seed" in doc:
+        seed = _parse(doc["seed"], int, "seed")
+    else:
+        return secrets.randbits(32)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _params(args, doc: dict, seed: int) -> RankOneParams:
@@ -119,9 +127,7 @@ def _emit(args, name: str, result: dict, seed: int, doc: dict,
 # Subcommands
 
 
-def _cmd_riesz_check(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_riesz_check(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     rows = []
     means = []
@@ -140,9 +146,7 @@ def _cmd_riesz_check(args) -> int:
     return 0
 
 
-def _cmd_bourgain_scan(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_bourgain_scan(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     report = bourgain_scan(
         params, strategy=args.strategy, k_max=args.k_max,
@@ -156,38 +160,30 @@ def _cmd_bourgain_scan(args) -> int:
     return 0
 
 
-def _cmd_guenais(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_guenais(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     rec = guenais_sum(params, args.k, _budget(args, seed))
     rows = [(k, "partial_sum", s, 0.0) for k, s in enumerate(rec.partial_sums)]
     rows += [(k, "increment", v, 0.0) for k, v in enumerate(rec.increments)]
-    _emit(args, "guenais", rec.to_json(), seed, doc, rows)
+    _emit(args, "guenais", asdict(rec), seed, doc, rows)
     return 0
 
 
-def _cmd_fejer(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_fejer(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     q_indices = _parse(args.q_indices, _int_list, "--q-indices")
     rec = fejer_factorization_check(params, q_indices, args.m, _budget(args, seed))
-    _emit(args, "fejer", rec.to_json(), seed, doc)
+    _emit(args, "fejer", asdict(rec), seed, doc)
     return 0
 
 
-def _cmd_kac_clt(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_kac_clt(args, doc: dict, seed: int) -> int:
     rec = kac_clt_diagnostics(args.q, args.samples, seed)
-    _emit(args, "kac-clt", rec.to_json(), seed, doc)
+    _emit(args, "kac-clt", asdict(rec), seed, doc)
     return 0
 
 
-def _cmd_kac_moments(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_kac_moments(args, doc: dict, seed: int) -> int:
     exps = _parse(args.exponents, _int_list, "--exponents")
     value = kac_moment_identity(exps)
     result = {"exponents": exps, "value": str(value), "value_float": float(value)}
@@ -195,9 +191,7 @@ def _cmd_kac_moments(args) -> int:
     return 0
 
 
-def _cmd_flatness(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_flatness(args, doc: dict, seed: int) -> int:
     if "family" not in doc:
         raise ValidationError("config must declare a family for this analysis")
     spec = PolyFamilySpec.from_config(doc["family"])
@@ -217,9 +211,7 @@ def _cmd_flatness(args) -> int:
     return 0
 
 
-def _cmd_prikhodko(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_prikhodko(args, doc: dict, seed: int) -> int:
     sizes = _parse(args.sizes, _int_list, "--sizes")
     eps = _parse(args.eps_n, Fraction, "--eps-n")
     rows = []
@@ -238,16 +230,14 @@ def _cmd_prikhodko(args) -> int:
     return 0
 
 
-def _cmd_degree_report(args) -> int:
-    doc = _load_config(args)
-    seed = _resolve_seed(args, doc)
+def _cmd_degree_report(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     indices = (_parse(args.indices, _int_list, "--indices")
                if args.indices else list(range(params.n_stages)))
     rep = degree_report(params, indices)
     rows = [(m, "degree", d, 0.0) for m, d in zip(indices, rep.degrees)]
     rows += [(k, "height", h, 0.0) for k, h in enumerate(rep.heights)]
-    _emit(args, "degree-report", rep.to_json(), seed, doc, rows)
+    _emit(args, "degree-report", asdict(rep), seed, doc, rows)
     return 0
 
 
@@ -333,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc = _load_config(args)
+        return args.fn(args, doc, _resolve_seed(args, doc))
     except BohrapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -176,13 +176,6 @@ class InequalityRecord:
     rhs_error: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs, "rhs": self.rhs,
-            "lhs_error": self.lhs_error, "rhs_error": self.rhs_error,
-            "holds": self.holds,
-        }
-
 
 def cs_subsequence_bound(params: RankOneParams, full_n: int,
                          indices: Sequence[int],
@@ -263,14 +256,6 @@ class HaarLimitRecord:
     combined_error: float
     rank_additive: bool  # frequencies of stage m independent from Q's
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m, "q_mean": self.q_mean,
-            "q_pm2_mean": self.q_pm2_mean, "deviation": self.deviation,
-            "combined_error": self.combined_error,
-            "rank_additive": self.rank_additive,
-        }
-
 
 def _rank_additive(q_polys: Sequence[APPoly], pm: APPoly) -> bool:
     q_freqs = [f for p in q_polys for f in p.support() if not f.is_zero()]
@@ -319,14 +304,6 @@ class GuenaisRecord:
     increments: tuple[float, ...]  # sqrt(max(0, 1 - norm^2))
     partial_sums: tuple[float, ...]
     tail_slope: float  # least-squares slope of log-increments vs stage
-
-    def to_json(self) -> dict:
-        return {
-            "norms": list(self.norms),
-            "increments": list(self.increments),
-            "partial_sums": list(self.partial_sums),
-            "tail_slope": self.tail_slope,
-        }
 
 
 def guenais_sum(params: RankOneParams, K: int,
@@ -382,14 +359,6 @@ class FejerRecord:
     holds: bool
     symbolic_exact: bool  # exact mean factorization for |P_m|^2 against Q
 
-    def to_json(self) -> dict:
-        return {
-            "joint": self.joint, "product": self.product,
-            "relative_gap": self.relative_gap,
-            "combined_error": self.combined_error,
-            "holds": self.holds, "symbolic_exact": self.symbolic_exact,
-        }
-
 
 def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
                               m: int, budget: Budget = Budget()) -> FejerRecord:
@@ -444,17 +413,6 @@ class KacCltRecord:
     mean_abs_std_error: float
     mean_abs2: float
     mean_abs2_std_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q, "n_samples": self.n_samples, "seed": self.seed,
-            "ks_distance_re": self.ks_distance_re,
-            "ks_distance_im": self.ks_distance_im,
-            "mean_abs": self.mean_abs,
-            "mean_abs_std_error": self.mean_abs_std_error,
-            "mean_abs2": self.mean_abs2,
-            "mean_abs2_std_error": self.mean_abs2_std_error,
-        }
 
 
 def kac_clt_diagnostics(q: int, n_samples: int = 100_000,

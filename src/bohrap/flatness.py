@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -117,6 +117,7 @@ class PolyFamilySpec:
                            eps_n=Fraction(str(doc.get("eps_n", "1/2"))))
             symbols = tuple((e["name"], float(e["value"]))
                             for e in doc.get("basis", ()))
+            coeffs = tuple(doc["coefficients"]) if "coefficients" in doc else None
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad family: {exc}") from exc
         basis = SymbolBasis(symbols) if "basis" in doc else None
@@ -125,7 +126,6 @@ class PolyFamilySpec:
             if basis is None:
                 raise ValidationError("frequency overrides need a basis")
             freqs = tuple(Frequency.parse(s, basis) for s in doc["frequencies"])
-        coeffs = tuple(doc["coefficients"]) if "coefficients" in doc else None
         return cls(kind=kind, n=n, coefficients=coeffs,
                    frequencies=freqs, basis=basis)
 
@@ -179,7 +179,10 @@ def build_family(spec: PolyFamilySpec) -> Poly:
         phases = spec.coefficients or (0.0,) * spec.n
         if len(phases) != spec.n:
             raise ValidationError("need one phase per term")
-        items = [(f, cmath.exp(1j * float(ph))) for f, ph in zip(freqs, phases)]
+        try:
+            items = [(f, cmath.exp(1j * float(ph))) for f, ph in zip(freqs, phases)]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad phase: {exc}") from None
     return APPoly.from_terms(basis, items)
 
 
@@ -267,7 +270,7 @@ class LocalGlobalRecord:
 
     def to_json(self) -> dict:
         return {
-            "local": self.local.to_json(),
+            "local": asdict(self.local),
             "global_mean_abs": self.global_mean_abs.to_json(),
             "model": "independent-phases",
         }

@@ -40,14 +40,14 @@ class SymbolBasis:
         names = tuple(name for name, _ in self.symbols)
         if not names:
             raise ValidationError("basis must declare at least one symbol")
-        index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise ValidationError("basis symbol names must be unique")
         for name, value in self.symbols:
-            if not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValidationError(f"bad symbol name {name!r}")
             if not math.isfinite(value) or value == 0.0:
                 raise ValidationError(f"symbol {name!r} must have a finite nonzero value")
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValidationError("basis symbol names must be unique")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "values", tuple(value for _, value in self.symbols))
         object.__setattr__(self, "_index", index)

@@ -297,15 +297,6 @@ class DegreeReport:
     checks: tuple[tuple[str, float, float, bool], ...]  # (name, lhs, rhs, holds)
     all_hold: bool
 
-    def to_json(self) -> dict:
-        return {
-            "degrees": list(self.degrees),
-            "heights": list(self.heights),
-            "q_k": self.q_k,
-            "checks": [list(c) for c in self.checks],
-            "all_hold": self.all_hold,
-        }
-
 
 def degree_report(params: RankOneParams, indices: Sequence[int],
                   rel_tol: float = 1e-9) -> DegreeReport:

@@ -80,11 +80,25 @@ class TestTensorQuadrature:
 
     def test_dim_cap(self):
         polys = [APPoly.character(B.symbol(n)) for n in ("a", "b", "c")]
-        # 3 independent symbols -> dim 3; the node cap makes the grid too big
+        # 3 independent symbols -> dim 3; 512^3 nodes exceed the point cap
         with pytest.raises(BudgetError):
             bohr_integral(lambda x, y, z: np.abs(x * y * z), polys,
-                          Budget(method="tensor", nodes=512,
-                                 max_tensor_points=1000))
+                          Budget(method="tensor", nodes=512))
+
+    def test_each_integrand_called_once(self):
+        # The refinement delta comes from the subgrid of the one evaluation.
+        calls = []
+
+        def g(v):
+            calls.append(v.shape)
+            return np.abs(v)
+
+        est = mean_abs(_two_char_poly(), Budget(method="tensor", nodes=256))
+        (got,) = bohr_integral_multi([g], [_two_char_poly()],
+                                     Budget(method="tensor", nodes=256))
+        assert calls == [(256,)]
+        assert (got.value, got.refinement_delta) == (est.value, est.refinement_delta)
+        assert got.refinement_delta > 0
 
 
 class TestMonteCarlo:
@@ -161,6 +175,24 @@ class TestMonteCarlo:
     def test_independence_model_mean(self):
         est = independent_phase_mean_abs(1, Budget(samples=1 << 10, seed=0))
         assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_independence_model_matches_batch_loop(self):
+        # The shared Monte Carlo driver reproduces the dedicated batch loop
+        # it replaced, bit for bit, over several batches.
+        q, budget = 7, Budget(samples=5000, batch=1024, seed=13)
+        n_batches = -(-budget.samples // budget.batch)
+        total = n_batches * budget.batch
+        s = s2 = 0.0
+        for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
+            z = np.abs(unit_phase_sum(np.random.default_rng(child), q,
+                                      budget.batch) * (1.0 / math.sqrt(q)))
+            s += float(z.sum())
+            s2 += float((z * z).sum())
+        m = s / total
+        est = independent_phase_mean_abs(q, budget)
+        assert est.value == m
+        assert est.std_error == math.sqrt(max(0.0, s2 / total - m * m) / total)
+        assert (est.nodes_or_samples, est.torus_dim, est.seed) == (total, q, 13)
 
     def test_unit_phase_sum_matches_array_draw(self):
         # Row-at-a-time draws and sums equal one (q, n) draw summed over

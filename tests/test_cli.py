@@ -27,20 +27,22 @@ _FAMILY = {"kind": "unimodular", "n": 4,
            "coefficients": [0.0, 0.3, 1.1, 2.0]}
 
 
-def _stage_config(tmp_path, stage):
+def _config(tmp_path, doc):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
+    cfg.write_text(json.dumps(doc))
+    return ["--config", str(cfg)]
+
+
+def _stage_config(tmp_path, stage):
+    return _config(tmp_path, {
         "basis": [{"name": "one", "value": 1.0}, {"name": "s", "value": 0.4}],
         "unit": "one",
         "stages": [stage],
-    }))
-    return ["--config", str(cfg)]
+    })
 
 
 def _family_config(tmp_path, family):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"family": family}))
-    return ["--config", str(cfg)]
+    return _config(tmp_path, {"family": family})
 
 
 class TestRieszCheck:
@@ -209,10 +211,30 @@ class TestExitCodes:
             t, {"p": 2, "spacers": ["0", "1/0*s", "0"]})],
         lambda t: ["flatness", *_family_config(
             t, {"kind": "littlewood", "n": "eight"})],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100",
+                   *_config(t, [1, 2])],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100",
+                   *_config(t, {"seed": "abc"})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "n": 2, "frequencies": ["0", "a"],
+                "coefficients": ["x", 0.0]})],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100", "--seed", "-1"],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": 7, "value": 1.0}],
+                "stages": [{"p": 2, "spacers": ["0", "0", "0"]}]})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": ["a"], "value": 1.0}],
+                "stages": [{"p": 2, "spacers": ["0", "0", "0"]}]})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "littlewood", "n": 3, "coefficients": 5})],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
-            "exponents", "indices", "stage-p", "spacer-zero-den", "family-n"])
+            "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
+            "config-not-object", "config-seed", "unimodular-phase",
+            "negative-seed", "basis-name", "basis-name-list",
+            "littlewood-coefficients"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
-        argv = case(tmp_path) + ["--seed", "1", "--out", str(tmp_path / "r")]
+        # No --seed: it would hide a malformed config seed.
+        argv = case(tmp_path) + ["--out", str(tmp_path / "r")]
         assert _run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
