@@ -6,7 +6,7 @@ from rank-one flow parameters, and numerical singularity and flatness
 criteria.
 """
 
-from .appoly import APPoly, ExactComplex, abs2, degree, fourier_coeff, l2_norm, mean, poly_add, poly_conj, poly_mul
+from .appoly import APPoly, ExactComplex
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
                       bohr_integral, bohr_integral_multi,
                       independent_phase_mean_abs, interval_l1_distortion,
@@ -22,9 +22,8 @@ from .errors import (BasisMismatchError, BohrapError, BudgetError,
 from .flatness import (PolyFamilySpec, RealFreqPoly, build_family,
                        flatness_ratio, local_vs_global_flatness,
                        prikhodko_frequencies, ultraflat_deviation)
-from .freqspace import (Frequency, SymbolBasis, TorusReduction, freq_add,
-                        is_rationally_independent, rational_rank, real_value,
-                        torus_reduce)
+from .freqspace import (Frequency, SymbolBasis, TorusReduction,
+                        is_rationally_independent, rational_rank, torus_reduce)
 from .riesz import (RankOneParams, RieszState, Stage, abs2_polynomial,
                     build_polynomial, degree_report, delta, extend, heights,
                     initial_state, make_independent_params,

@@ -287,37 +287,3 @@ def _canonical(acc: dict, exact: bool) -> dict:
         else:
             kept = {}
     return dict(sorted(kept.items(), key=lambda kv: kv[0].sort_key()))
-
-
-# Module-level operation aliases, exported by the package.
-
-def poly_add(p: APPoly, q: APPoly) -> APPoly:
-    return p + q
-
-
-def poly_mul(p: APPoly, q: APPoly) -> APPoly:
-    return p * q
-
-
-def poly_conj(p: APPoly) -> APPoly:
-    return p.conj()
-
-
-def abs2(p: APPoly) -> APPoly:
-    return p.abs2()
-
-
-def mean(p: APPoly) -> complex:
-    return complex(p.mean())
-
-
-def fourier_coeff(p: APPoly, lam: Frequency) -> complex:
-    return complex(p.fourier_coeff(lam))
-
-
-def l2_norm(p: APPoly) -> float:
-    return p.l2_norm()
-
-
-def degree(p: APPoly) -> float:
-    return p.degree()

@@ -461,8 +461,8 @@ def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
     tool.  Each doubling evaluates only the new midpoints and adds them to
     the running node sum.
     """
-    if not a < b:
-        raise ValidationError("need a < b")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValidationError("need finite interval bounds a < b")
 
     def f(x):
         return np.abs(np.abs(p.eval_real(x)) ** 2 - 1.0)

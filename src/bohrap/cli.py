@@ -63,12 +63,18 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _parse(text: str, convert, flag: str):
-    """``convert(text)``, with malformed input raised as a ValidationError."""
+def _parse(value, convert, what: str):
+    """``convert(value)``, with malformed input raised as a ValidationError.
+
+    The one place where outside input (a flag, the config seed or a config
+    document) that fails to convert becomes an exit-2 error; the converters
+    raise whatever builtin error their first bad field causes.
+    """
     try:
-        return convert(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad {flag} value {text!r}: {exc}") from None
+        return convert(value)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {what}: {type(exc).__name__}: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -95,7 +101,7 @@ def _params(args, doc: dict, seed: int) -> RankOneParams:
         return make_independent_params(cuts, seed=seed)
     if "stages" not in doc:
         raise ValidationError("config must declare stages, or pass --cuts")
-    return RankOneParams.from_config(doc)
+    return _parse(doc, RankOneParams.from_config, "config")
 
 
 def _budget(args, seed: int) -> Budget:
@@ -194,8 +200,8 @@ def _cmd_kac_moments(args, doc: dict, seed: int) -> int:
 def _cmd_flatness(args, doc: dict, seed: int) -> int:
     if "family" not in doc:
         raise ValidationError("config must declare a family for this analysis")
-    spec = PolyFamilySpec.from_config(doc["family"])
-    p = build_family(spec)
+    spec = _parse(doc["family"], PolyFamilySpec.from_config, "family")
+    p = _parse(spec, build_family, "family")
     result = {"kind": spec.kind, "n": spec.n}
     rows = []
     if spec.kind == "prikhodko":

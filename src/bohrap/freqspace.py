@@ -261,15 +261,6 @@ class Frequency:
         return cls(basis, tuple(vec))
 
 
-def freq_add(a: Frequency, b: Frequency) -> Frequency:
-    """Group law of the frequency module (componentwise rational sum)."""
-    return a + b
-
-
-def real_value(f: Frequency) -> float:
-    return f.real_value()
-
-
 def _shared_basis(freqs: Sequence[Frequency]) -> SymbolBasis:
     if not freqs:
         raise ValidationError("frequency set must be nonempty")

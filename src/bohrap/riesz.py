@@ -91,27 +91,20 @@ class RankOneParams:
 
     @classmethod
     def from_config(cls, doc: dict) -> "RankOneParams":
-        """Build from a config document with basis, unit and stage lists."""
-        try:
-            symbols = tuple(
-                (entry["name"], float(entry["value"])) for entry in doc["basis"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad basis declaration: {exc}") from exc
-        basis = SymbolBasis(symbols)
-        unit_name = doc.get("unit", symbols[0][0])
-        unit = basis.symbol(unit_name)
-        stages = []
-        for k, st in enumerate(doc.get("stages", [])):
-            try:
-                p = int(st["p"])
-                spacers = tuple(
-                    Frequency.parse(text, basis) for text in st["spacers"]
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad stage {k}: {exc}") from exc
-            stages.append(Stage(p=p, spacers=spacers))
-        return cls(basis=basis, unit=unit, stages=tuple(stages))
+        """Build from a config document with basis, unit and stage lists.
+
+        A field of the wrong type or shape raises the builtin error it
+        causes; the CLI reports those as malformed input.
+        """
+        basis = SymbolBasis(tuple(
+            (entry["name"], float(entry["value"])) for entry in doc["basis"]))
+        unit = basis.symbol(doc.get("unit", basis.names[0]))
+        stages = tuple(
+            Stage(p=int(st["p"]),
+                  spacers=tuple(Frequency.parse(text, basis)
+                                for text in st["spacers"]))
+            for st in doc.get("stages", []))
+        return cls(basis=basis, unit=unit, stages=stages)
 
 
 def heights(params: RankOneParams, k: int) -> Frequency:
@@ -197,16 +190,28 @@ def _mul(a: dict[Frequency, int], b: dict[Frequency, int]) -> dict[Frequency, in
     return out
 
 
+def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
+          cap: int) -> dict[Frequency, int]:
+    """``counts`` times p_k |P_k|^2, refused when the product could hold
+    more than ``cap`` terms (len(counts) p_k^2 > cap)."""
+    p = params.stage(k).p
+    if len(counts) * p * p > cap:
+        raise SupportCapError(
+            f"folding in stage {k} would exceed the support cap {cap}")
+    return _mul(counts, _abs2_counts(params, k))
+
+
 def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
     """Exact mean of the product of |P_k|^2 over ``indices``: all factors
-    but the last are multiplied out, and the last is paired with them as
-    sum_f A[f] B[-f], so the full product is never formed."""
+    but the last are multiplied out, under the support cap as in
+    ``extend``, and the last is paired with them as sum_f A[f] B[-f], so
+    the full product is never formed."""
     if not indices:
         return Fraction(1)
     *head, last = indices
     a, den = {params.basis.zero(): 1}, params.stage(last).p
     for k in head:
-        a = _mul(a, _abs2_counts(params, k))
+        a = _fold(a, params, k, DEFAULT_SUPPORT_CAP)
         den *= params.stage(k).p
     get = a.get
     b = _abs2_counts(params, last)
@@ -267,16 +272,11 @@ def extend(state: RieszState, k: int,
         raise ValidationError(
             f"extend expects stage {state.n + 1}, got {k}"
         )
-    st = state.params.stage(k)
-    if len(state.counts) * st.p * st.p > support_cap:
-        raise SupportCapError(
-            f"extending to stage {k} would exceed the support cap {support_cap}"
-        )
     return RieszState(
         params=state.params,
         n=k,
-        counts=_mul(state.counts, _abs2_counts(state.params, k)),
-        den=state.den * st.p,
+        counts=_fold(state.counts, state.params, k, support_cap),
+        den=state.den * state.params.stage(k).p,
     )
 
 

@@ -342,3 +342,5 @@ class TestRealLine:
     def test_bad_interval(self):
         with pytest.raises(ValidationError):
             interval_l1_distortion(APPoly.one(B), 2.0, 1.0)
+        with pytest.raises(ValidationError):
+            interval_l1_distortion(APPoly.one(B), 1.0, math.inf)

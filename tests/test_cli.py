@@ -181,6 +181,17 @@ class TestStartup:
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == "False"
 
+    def test_kac_clt_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(bohrap.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys\n"
+                "from bohrap.criteria import kac_clt_diagnostics\n"
+                "kac_clt_diagnostics(4, 100, seed=0)\n"
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
@@ -227,11 +238,28 @@ class TestExitCodes:
                 "stages": [{"p": 2, "spacers": ["0", "0", "0"]}]})],
         lambda t: ["flatness", *_family_config(
             t, {"kind": "littlewood", "n": 3, "coefficients": 5})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": "one", "value": 1.0}], "stages": 5})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": "one", "value": 1.0}], "unit": ["one"],
+                "stages": [{"p": 2, "spacers": ["0", "0", "0"]}]})],
+        lambda t: ["flatness", *_config(t, {"family": 5})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "frequencies": 5})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "n": 2, "frequencies": ["0", 7],
+                "coefficients": [0.0, 0.3]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "n": 2, "frequencies": ["0", "1" * 5000 + "*a"],
+                "coefficients": [0.0, 0.3]})],
+        lambda t: ["prikhodko", "--sizes", "8", "--b", "inf"],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
             "negative-seed", "basis-name", "basis-name-list",
-            "littlewood-coefficients"])
+            "littlewood-coefficients", "stages-not-list", "unit-list",
+            "family-not-object", "frequencies-not-list", "frequency-not-text",
+            "frequency-digits", "interval-inf"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]
@@ -251,6 +279,13 @@ class TestExitCodes:
         assert _run(["bourgain-scan", "--config", str(cfg), "--k-max", "1",
                      "--window", "1", "--samples", "1024", "--seed", "1",
                      "--out", str(tmp_path / "r")]) == 3
+
+    def test_support_cap_is_3(self, tmp_path, capsys):
+        # The exact product of four 64-cut stages would hold about 10^13
+        # terms; the fold at stage 1 is refused before it is formed.
+        assert _run(["riesz-check", "--cuts", "64,64,64,64", "--seed", "1",
+                     "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTracingTargets:

@@ -9,7 +9,7 @@ import pytest
 
 import bohrap.criteria
 
-from bohrap.bohrint import Budget
+from bohrap.bohrint import Budget, unit_phase_sum
 from bohrap.criteria import (GAUSS_MEAN_ABS, bourgain_scan,
                              cs_subsequence_bound, fejer_factorization_check,
                              guenais_sum, haar_weak_limit_check,
@@ -174,6 +174,19 @@ class TestKacClt:
         rec = kac_clt_diagnostics(1, 5000, seed=0)
         assert rec.mean_abs == pytest.approx(1.0, abs=1e-12)
         assert rec.mean_abs2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_ks_matches_scipy(self):
+        from scipy import stats
+
+        sigma = math.sqrt(0.5)
+        for q, n, seed in ((1, 5000, 0), (8, 40000, 1), (128, 100_000, 31)):
+            z = unit_phase_sum(np.random.default_rng(np.random.SeedSequence(seed)),
+                               q, n) / math.sqrt(q)
+            rec = kac_clt_diagnostics(q, n, seed)
+            for x, got in ((z.real, rec.ks_distance_re),
+                           (z.imag, rec.ks_distance_im)):
+                want = stats.kstest(x, "norm", args=(0.0, sigma)).statistic
+                assert got == float(want)
 
     def test_ks_distance_shrinks_with_q(self):
         ds = [kac_clt_diagnostics(q, 40000, seed=1).ks_distance_re

@@ -153,6 +153,16 @@ class TestUltraflat:
             else:
                 assert dev == pytest.approx(want, abs=1e-5)
 
+    @pytest.mark.xfail(strict=True, reason="_stable_max stops once two "
+                       "seeded samples agree to tol, below the supremum")
+    def test_seeded_sup_reaches_supremum(self):
+        # e^{ia} + e^{iNa} reaches 0, so the deviation is exactly 1; the
+        # seeded scan reads 0.98344 with tol 1e-3.
+        b = SymbolBasis.make(("a", 1.0))
+        a = b.symbol("a")
+        p = APPoly.from_terms(b, [(a, 1.0), (a.scale((1 << 60) + 1), 1.0)])
+        assert ultraflat_deviation(p, tol=1e-3) == pytest.approx(1.0, abs=1e-3)
+
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
         assert ultraflat_deviation(APPoly.constant(b, -2.0)) == 0.0

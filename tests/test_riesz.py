@@ -142,6 +142,12 @@ class TestPartialProducts:
         with pytest.raises(SupportCapError):
             extend(st, 1, support_cap=100)
 
+    def test_product_mean_support_cap(self):
+        # Stages 0 and 1 would multiply out to about 1.6e7 > 10^6 terms.
+        params = make_independent_params([64] * 4, seed=1)
+        with pytest.raises(SupportCapError):
+            riesz_property_check(params, range(4))
+
     def test_riesz_property_exact(self):
         params = _basic_params()
         assert riesz_property_check(params, [0, 1]) == 1
