@@ -12,7 +12,7 @@ orthogonality) and seeded batch Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -33,9 +33,11 @@ _MAX_LIMBS = 5
 _MAX_EXPONENT = 1 << (_LIMB * _MAX_LIMBS)
 _GUARD_BITS = 60
 
-#: Dimension and point caps of the tensor method.
+#: Dimension and point caps of the tensor method, and the root-table
+#: entries one block of terms holds while a grid is built.
 TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
+_TABLE_ENTRIES = 1 << 20
 
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
@@ -79,15 +81,9 @@ class IntegralEstimate:
             raise ValidationError("malformed integral estimate")
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "n": self.nodes_or_samples,
-            "seed": self.seed,
-            "torus_dim": self.torus_dim,
-            "refinement_delta": self.refinement_delta,
-        }
+        doc = asdict(self)
+        doc["n"] = doc.pop("nodes_or_samples")
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +294,34 @@ def _grid_sizes(emats, dim: int, nodes: int | None) -> list[int]:
 
 
 def _tensor_values(coeffs, E, ns):
-    d = len(ns)
-    grid = np.zeros(tuple(ns), dtype=complex)
-    roots = [np.exp((2j * np.pi / n) * np.arange(n)) for n in ns]
-    idx = [np.arange(n) for n in ns]
-    for a, erow in zip(coeffs, E):
-        term = None
-        for i in range(d):
-            e = int(erow[i]) % ns[i]
-            f = roots[i][(e * idx[i]) % ns[i]]
-            shape = [1] * d
-            shape[i] = ns[i]
-            f = f.reshape(shape)
-            term = f if term is None else term * f
-        grid = grid + (a if term is None else a * term)  # d = 0: a constant
-    return grid
+    """sum_t c_t e^{2 pi i sum_i E[t, i] k_i / n_i} on the grid of ``ns`` nodes.
+
+    Each term is separable: with per-axis root tables F[t, k], the grid is
+    U^T F_last for U = c times the row-wise Kronecker product of the other
+    tables, one matrix product per block of terms (a few terms are one).
+    """
+    if not ns or not len(coeffs):
+        return np.full(ns, coeffs.sum())
+    # Python ints reduce huge exponents exactly before they become int64.
+    E = (E % np.array(ns, dtype=object)).astype(np.int64)
+    d, n, points = len(ns), ns[-1], math.prod(ns)
+    # Table (i, m, st) is F[t, k] = root_i[e_ti st k mod n_i] for k < m.  The
+    # last axis, k = q n / hi + r, gets one over q < hi and one over r: hi is
+    # near sqrt(n / points of the other axes), so 1 unless those are fewer.
+    hi = math.gcd(n, 1 << (n * n // points).bit_length() // 2)
+    axes = ([(i, m, 1) for i, m in enumerate(ns[:-1])]
+            + [(d - 1, hi, n // hi), (d - 1, n // hi, 1)])
+    roots = [np.exp((2j * np.pi / m) * np.arange(m)) for m in ns]
+    step = max(1, _TABLE_ENTRIES // (points * hi // n + sum(m for _, m, _ in axes)))
+    for s in range(0, len(coeffs), step):
+        F = [roots[i][np.outer(E[s:s + step, i] * st % ns[i], np.arange(m)) % ns[i]]
+             for i, m, st in axes]
+        U = coeffs[s:s + step, None]
+        for f in F[:-1]:
+            U = (U[:, :, None] * f[:, None, :]).reshape(len(U), -1)
+        part = U.T @ F[-1]
+        grid = part if s == 0 else np.add(grid, part, out=grid)
+    return grid.reshape(ns)
 
 
 def _tensor(gs, polys, emats, ns):

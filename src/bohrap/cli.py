@@ -25,7 +25,7 @@ from . import __version__
 from .bohrint import Budget
 from .criteria import (bourgain_scan, fejer_factorization_check, guenais_sum,
                        kac_clt_diagnostics, kac_moment_identity)
-from .errors import BohrapError, ValidationError
+from .errors import BohrapError, ValidationError, json_int
 from .flatness import (PolyFamilySpec, build_family, flatness_ratio,
                        local_vs_global_flatness, ultraflat_deviation)
 from .riesz import (RankOneParams, abs2_polynomial, degree_report,
@@ -85,7 +85,7 @@ def _resolve_seed(args, doc: dict) -> int:
     if args.seed is not None:
         seed = args.seed
     elif "seed" in doc:
-        seed = _parse(doc["seed"], int, "seed")
+        seed = _parse(doc["seed"], lambda v: json_int(v, "seed"), "seed")
     else:
         return secrets.randbits(32)
     if seed < 0:

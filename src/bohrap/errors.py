@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the type checks of
+JSON config fields.
 
 Exit codes used by the CLI are attached to the classes so the dispatcher
 does not need a mapping table.
@@ -35,3 +36,19 @@ class InternalInconsistencyError(BohrapError):
     """An exact invariant failed; this signals a bug, not bad input."""
 
     exit_code = 4
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else TypeError: ``true``, ``2.9``
+    and ``"3"`` are refused, not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
+def json_array(value, what: str) -> list:
+    """``value`` if it is a JSON array, else TypeError: a string is refused,
+    not read character by character."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value

@@ -20,7 +20,7 @@ from .appoly import APPoly, trig_sum
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
                       TorusEvaluator, independent_phase_mean_abs,
                       interval_l1_distortion, mean_abs)
-from .errors import ValidationError
+from .errors import ValidationError, json_array, json_int
 from .freqspace import Frequency, SymbolBasis
 
 _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
@@ -109,23 +109,26 @@ class PolyFamilySpec:
         """Build from a config document.
 
         A field of the wrong type or shape raises the builtin error it
-        causes; the CLI reports those as malformed input.
+        causes; the CLI reports those as malformed input.  Sizes must be
+        JSON integers and the lists JSON arrays; neither is coerced.
         """
         kind = doc.get("kind")
-        n = int(doc.get("n", 0))
+        n = json_int(doc.get("n", 0), "n")
         if kind == "prikhodko":
             return cls(kind=kind, n=n,
-                       m_n=int(doc.get("m_n", 1)),
+                       m_n=json_int(doc.get("m_n", 1), "m_n"),
                        eps_n=Fraction(str(doc.get("eps_n", "1/2"))))
-        coeffs = tuple(doc["coefficients"]) if "coefficients" in doc else None
+        coeffs = (tuple(json_array(doc["coefficients"], "coefficients"))
+                  if "coefficients" in doc else None)
         basis = freqs = None
         if "basis" in doc:
             basis = SymbolBasis(tuple((e["name"], float(e["value"]))
-                                      for e in doc["basis"]))
+                                      for e in json_array(doc["basis"], "basis")))
         if "frequencies" in doc:
             if basis is None:
                 raise ValidationError("frequency overrides need a basis")
-            freqs = tuple(Frequency.parse(s, basis) for s in doc["frequencies"])
+            freqs = tuple(Frequency.parse(s, basis)
+                          for s in json_array(doc["frequencies"], "frequencies"))
         return cls(kind=kind, n=n, coefficients=coeffs,
                    frequencies=freqs, basis=basis)
 

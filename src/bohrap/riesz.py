@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .appoly import APPoly, EXACT_ONE, ExactComplex, _canonical
-from .errors import BasisMismatchError, SupportCapError, ValidationError
+from .errors import (BasisMismatchError, SupportCapError, ValidationError,
+                     json_array, json_int)
 from .freqspace import Frequency, SymbolBasis, is_rationally_independent
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -94,16 +95,18 @@ class RankOneParams:
         """Build from a config document with basis, unit and stage lists.
 
         A field of the wrong type or shape raises the builtin error it
-        causes; the CLI reports those as malformed input.
+        causes; the CLI reports those as malformed input.  Cut numbers must
+        be JSON integers and the lists JSON arrays; neither is coerced.
         """
         basis = SymbolBasis(tuple(
-            (entry["name"], float(entry["value"])) for entry in doc["basis"]))
+            (entry["name"], float(entry["value"]))
+            for entry in json_array(doc["basis"], "basis")))
         unit = basis.symbol(doc.get("unit", basis.names[0]))
         stages = tuple(
-            Stage(p=int(st["p"]),
+            Stage(p=json_int(st["p"], "p"),
                   spacers=tuple(Frequency.parse(text, basis)
-                                for text in st["spacers"]))
-            for st in doc.get("stages", []))
+                                for text in json_array(st["spacers"], "spacers")))
+            for st in json_array(doc.get("stages", []), "stages"))
         return cls(basis=basis, unit=unit, stages=stages)
 
 

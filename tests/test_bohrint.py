@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bohrap import bohrint
 from bohrap.appoly import APPoly
 from bohrap.bohrint import (Budget, TorusEvaluator, _phase_space,
-                            _signed_limbs, bohr_integral, bohr_integral_multi,
+                            _signed_limbs, _tensor_values, bohr_integral,
+                            bohr_integral_multi,
                             independent_phase_mean_abs,
                             interval_l1_distortion, mean_abs, real_line_mean,
                             unit_phase_sum)
@@ -99,6 +101,73 @@ class TestTensorQuadrature:
         assert calls == [(256,)]
         assert (got.value, got.refinement_delta) == (est.value, est.refinement_delta)
         assert got.refinement_delta > 0
+
+
+def _meshgrid_sum(c, E, ns):
+    """sum_t c_t exp(2 pi i sum_i e_ti k_i / n_i), one full grid per term;
+    the phases are reduced exactly in Python ints."""
+    ks = [k.astype(object) for k in np.meshgrid(*map(np.arange, ns), indexing="ij")]
+    grid = np.zeros(tuple(ns), dtype=complex)
+    for a, row in zip(c, E):
+        turns = sum((((int(e) * k) % n) / n for e, k, n in zip(row, ks, ns)),
+                    np.zeros(tuple(ns)))
+        grid += a * np.exp(2j * np.pi * turns.astype(float))
+    return grid
+
+
+def _random_terms(T, d, rng, offset=0):
+    c = rng.normal(size=T) + 1j * rng.normal(size=T)
+    E = rng.integers(-40, 41, size=(T, d)).astype(object) + offset
+    return c, E
+
+
+class TestTensorGrid:
+    """``_tensor_values`` against a term-by-term sum over the full grid."""
+
+    @pytest.mark.parametrize("ns", [(), (5,), (3, 5), (5, 3, 8), (3, 5, 4, 3),
+                                    (64,), (3, 64), (8, 8, 8)])
+    @pytest.mark.parametrize("T", [0, 1, 5])
+    @pytest.mark.parametrize("offset", [0, 2 ** 64 + 7, -(2 ** 70)],
+                             ids=["small", "huge", "huge-negative"])
+    def test_matches_meshgrid_sum(self, ns, T, offset):
+        rng = np.random.default_rng(len(ns) * 10 + T)
+        # A constant polynomial (zero torus dimension) has at most one term.
+        c, E = _random_terms(T if ns else min(T, 1), len(ns), rng, offset)
+        got = _tensor_values(c, E, list(ns))
+        assert got.shape == ns and got.dtype == complex
+        np.testing.assert_allclose(got, _meshgrid_sum(c, E, ns), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ns", [(2048,), (8, 16, 4)])
+    def test_blocks_of_terms(self, monkeypatch, ns):
+        # Tables of 2^9 entries split 40 terms into many blocks.
+        monkeypatch.setattr(bohrint, "_TABLE_ENTRIES", 1 << 9)
+        c, E = _random_terms(40, len(ns), np.random.default_rng(5))
+        np.testing.assert_allclose(_tensor_values(c, E * 25, list(ns)),
+                                   _meshgrid_sum(c, E * 25, ns), rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _peak(c, E, ns):
+        tracemalloc.start()
+        try:
+            grid = _tensor_values(c, E, ns)
+            return tracemalloc.get_traced_memory()[1], grid
+        finally:
+            tracemalloc.stop()
+
+    def test_grid_build_memory(self):
+        # 5 terms over 3 coordinates on 2^18 points: the grid is written once,
+        # next to per-axis tables, not built from one full grid per term.
+        c, E = _random_terms(5, 3, np.random.default_rng(3))
+        peak, grid = self._peak(c, E, [64, 64, 64])
+        assert grid.size == 2 ** 18
+        assert peak < 1.5 * grid.nbytes
+
+    def test_many_terms_memory(self):
+        # 6000 terms over 2^16 nodes: the tables of all terms at once would
+        # take about 150 MB; a block of terms holds about 2^20 entries.
+        c, E = _random_terms(6000, 1, np.random.default_rng(4))
+        peak, _ = self._peak(c, E * 800, [1 << 16])
+        assert peak < 64 * 2 ** 20
 
 
 class TestMonteCarlo:

@@ -253,13 +253,42 @@ class TestExitCodes:
             t, {**_FAMILY, "n": 2, "frequencies": ["0", "1" * 5000 + "*a"],
                 "coefficients": [0.0, 0.3]})],
         lambda t: ["prikhodko", "--sizes", "8", "--b", "inf"],
+        # JSON values that Python would coerce quietly are refused.
+        lambda t: ["riesz-check", *_stage_config(
+            t, {"p": 2.9, "spacers": ["0", "s", "0"]})],
+        lambda t: ["riesz-check", *_stage_config(
+            t, {"p": True, "spacers": ["0", "0"]})],
+        lambda t: ["riesz-check", *_stage_config(
+            t, {"p": "2", "spacers": ["0", "s", "0"]})],
+        lambda t: ["riesz-check", *_stage_config(t, {"p": 2, "spacers": "0s0"})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": {"name": "one", "value": 1.0},
+                "stages": [{"p": 2, "spacers": ["0", "0", "0"]}]})],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100",
+                   *_config(t, {"seed": 3.7})],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100",
+                   *_config(t, {"seed": True})],
+        lambda t: ["kac-clt", "--q", "4", "--samples", "100",
+                   *_config(t, {"seed": "3"})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "littlewood", "n": 4.0})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "prikhodko", "n": 8, "m_n": 2.5})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "n": 3, "frequencies": "0ab",
+                "coefficients": [0.0, 0.3, 1.1]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "coefficients": "0000"})],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
             "negative-seed", "basis-name", "basis-name-list",
             "littlewood-coefficients", "stages-not-list", "unit-list",
             "family-not-object", "frequencies-not-list", "frequency-not-text",
-            "frequency-digits", "interval-inf"])
+            "frequency-digits", "interval-inf", "stage-p-float", "stage-p-bool",
+            "stage-p-text", "spacers-text", "basis-object", "seed-float",
+            "seed-bool", "seed-text", "family-n-float", "m-n-float",
+            "frequencies-text", "coefficients-text"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]
