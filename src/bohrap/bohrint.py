@@ -178,6 +178,44 @@ def _frac_pow2(x: np.ndarray, k: int):
     return v - np.floor(v)
 
 
+#: e^{2 pi i x} by table lookup: x 2^20 splits exactly into two 10-bit
+#: indices and a remainder r < 1, so e^{2 pi i x} = C[i] F[j] e^{i theta}
+#: with theta = 2 pi r 2^-20 < 6.2e-6, whose cubic series drops terms below
+#: 1e-22.  The extra entry of each table covers x = 1.  Blocks of points
+#: keep the temporaries in cache.
+_CIS_BITS = 10
+_CIS_COARSE, _CIS_FINE = (
+    np.exp((2j * np.pi / (1 << bits)) * np.arange((1 << _CIS_BITS) + 1))
+    for bits in (_CIS_BITS, 2 * _CIS_BITS))
+_CIS_BLOCK = 1 << 14
+
+
+def _cis(x: np.ndarray) -> np.ndarray:
+    """e^{2 pi i x} elementwise for x in [0, 1], within 2e-15 of ``np.exp``.
+
+    Each value depends only on its own x, so slices of ``x`` give the same
+    bits as the whole array.
+    """
+    flat = np.ravel(x)
+    z = np.empty(flat.shape, dtype=complex)
+    for lo in range(0, flat.size, _CIS_BLOCK):
+        u = flat[lo:lo + _CIS_BLOCK] * (1 << _CIS_BITS)
+        i = u.astype(np.intp)
+        u -= i
+        u *= 1 << _CIS_BITS
+        j = u.astype(np.intp)
+        u -= j
+        u *= 2 * np.pi / (1 << 2 * _CIS_BITS)  # theta
+        t2 = u * u
+        s = np.empty(len(u), dtype=complex)
+        s.real = 1.0 - 0.5 * t2
+        s.imag = u - u * t2 / 6.0
+        out = z[lo:lo + _CIS_BLOCK]
+        np.multiply(_CIS_COARSE.take(i), _CIS_FINE.take(j), out=out)
+        out *= s
+    return z.reshape(np.shape(x))
+
+
 def _unit_rows(L: np.ndarray) -> bool:
     """Whether every row of the limb matrix L is zero or a 0/1 unit vector."""
     return bool(np.all((L == 0) | (L == 1)) and np.all(L.sum(axis=1) <= 1))
@@ -191,7 +229,8 @@ class TorusEvaluator:
     headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
     points needs one.  When every exponent row is zero or a unit vector,
     as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
-    and one level is exact: a batch costs one ``exp`` and one matmul.
+    and one level is exact: a batch costs one ``_cis`` of the coordinates
+    and one matmul.
     """
 
     def __init__(self, polys: Sequence[APPoly], dim: int, emats):
@@ -226,9 +265,7 @@ class TorusEvaluator:
         """Values of each polynomial at the n points; ``levels`` may be lazy."""
         if self._unit is not None:
             A, a0 = self._unit
-            z = (2j * np.pi) * next(iter(levels))
-            np.exp(z, out=z)
-            return list(A @ z + a0[:, None])
+            return list(A @ _cis(next(iter(levels))) + a0[:, None])
         phases = [np.zeros((len(c), n)) for c in self._coeffs]
         # Each (limb, level) pair contributes limb @ frac(x_j * 2^(27 i - 53 j)).
         for j, xj in enumerate(levels):

@@ -5,6 +5,8 @@ Exit codes used by the CLI are attached to the classes so the dispatcher
 does not need a mapping table.
 """
 
+import sys
+
 
 class BohrapError(Exception):
     """Base class for all toolkit errors."""
@@ -44,6 +46,17 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be a JSON integer, not {type(value).__name__}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else TypeError or
+    ValueError: ``true`` and ``"1.0"`` are refused, not coerced, and so are
+    ``NaN``, ``Infinity`` and integers past the float range."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a JSON number, not {type(value).__name__}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # false for NaN
+        raise ValueError(f"{what} must be a finite number")
+    return float(value)
 
 
 def json_array(value, what: str) -> list:

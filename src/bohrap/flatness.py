@@ -20,7 +20,7 @@ from .appoly import APPoly, trig_sum
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
                       TorusEvaluator, independent_phase_mean_abs,
                       interval_l1_distortion, mean_abs)
-from .errors import ValidationError, json_array, json_int
+from .errors import ValidationError, json_array, json_int, json_number
 from .freqspace import Frequency, SymbolBasis
 
 _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
@@ -28,8 +28,8 @@ _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
 #: Default generator value for the arithmetic-progression frequency rule.
 _DEFAULT_ALPHA = math.sqrt(2.0)
 
-#: Most torus points that ``ultraflat_deviation`` evaluates at once.
-_EVAL_SLICE = 1 << 16
+#: Most terms x points that ``ultraflat_deviation`` evaluates at once.
+_EVAL_ENTRIES = 1 << 20
 
 
 class RealFreqPoly:
@@ -109,8 +109,9 @@ class PolyFamilySpec:
         """Build from a config document.
 
         A field of the wrong type or shape raises the builtin error it
-        causes; the CLI reports those as malformed input.  Sizes must be
-        JSON integers and the lists JSON arrays; neither is coerced.
+        causes; the CLI reports those as malformed input.  Sizes, signs and
+        indicators must be JSON integers, phases and basis values JSON
+        numbers and the lists JSON arrays; none is coerced.
         """
         kind = doc.get("kind")
         n = json_int(doc.get("n", 0), "n")
@@ -118,11 +119,15 @@ class PolyFamilySpec:
             return cls(kind=kind, n=n,
                        m_n=json_int(doc.get("m_n", 1), "m_n"),
                        eps_n=Fraction(str(doc.get("eps_n", "1/2"))))
-        coeffs = (tuple(json_array(doc["coefficients"], "coefficients"))
-                  if "coefficients" in doc else None)
+        coeffs = None
+        if "coefficients" in doc:
+            # Signs and indicators are integers, phases any number.
+            entry = json_number if kind == "unimodular" else json_int
+            coeffs = tuple(entry(c, "coefficient")
+                           for c in json_array(doc["coefficients"], "coefficients"))
         basis = freqs = None
         if "basis" in doc:
-            basis = SymbolBasis(tuple((e["name"], float(e["value"]))
+            basis = SymbolBasis(tuple((e["name"], json_number(e["value"], "basis value"))
                                       for e in json_array(doc["basis"], "basis")))
         if "frequencies" in doc:
             if basis is None:
@@ -253,9 +258,10 @@ def ultraflat_deviation(p: Poly, tol: float = 1e-3,
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
             levels = [rng.random((ev.dim, n)) for _ in range(ev.levels)]
         # Column slices bound the terms x points phase arrays.
+        width = max(1, _EVAL_ENTRIES // len(p))
         top = 0.0
-        for lo in range(0, n, _EVAL_SLICE):
-            cols = [x[:, lo:lo + _EVAL_SLICE] for x in levels]
+        for lo in range(0, n, width):
+            cols = [x[:, lo:lo + width] for x in levels]
             (vals,) = ev(cols[0].shape[1], cols)
             top = max(top, float(np.abs(np.abs(vals) / l2 - 1.0).max()))
         return top

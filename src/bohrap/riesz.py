@@ -24,7 +24,7 @@ import numpy as np
 
 from .appoly import APPoly, EXACT_ONE, ExactComplex, _canonical
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
-                     json_array, json_int)
+                     json_array, json_int, json_number)
 from .freqspace import Frequency, SymbolBasis, is_rationally_independent
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -96,10 +96,11 @@ class RankOneParams:
 
         A field of the wrong type or shape raises the builtin error it
         causes; the CLI reports those as malformed input.  Cut numbers must
-        be JSON integers and the lists JSON arrays; neither is coerced.
+        be JSON integers, basis values JSON numbers and the lists JSON
+        arrays; none is coerced.
         """
         basis = SymbolBasis(tuple(
-            (entry["name"], float(entry["value"]))
+            (entry["name"], json_number(entry["value"], "basis value"))
             for entry in json_array(doc["basis"], "basis")))
         unit = basis.symbol(doc.get("unit", basis.names[0]))
         stages = tuple(

@@ -9,7 +9,7 @@ import pytest
 
 from bohrap import bohrint
 from bohrap.appoly import APPoly
-from bohrap.bohrint import (Budget, TorusEvaluator, _phase_space,
+from bohrap.bohrint import (Budget, TorusEvaluator, _cis, _phase_space,
                             _signed_limbs, _tensor_values, bohr_integral,
                             bohr_integral_multi,
                             independent_phase_mean_abs,
@@ -335,6 +335,18 @@ class TestIdentityCoordinates:
             want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
             assert np.allclose(vals, want, rtol=0, atol=1e-12)
 
+    def test_unit_form_matches_exp_to_1e14(self):
+        params = make_independent_params([64, 32], seed=9)
+        polys = [build_polynomial(params, k) for k in (0, 1)]
+        dim, emats = _phase_space(polys)
+        ev = TorusEvaluator(polys, dim, emats)
+        assert (ev.dim, ev.levels) == (94, 1)
+        x = np.random.default_rng(10).random((dim, 4096))
+        for p, E, vals in zip(polys, emats, ev(4096, [x])):
+            c = np.array(list(p.terms.values()), dtype=complex)
+            want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-14)
+
     def test_long_two_cut_stage_uses_grid(self):
         # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with
         # h over 281 symbols and coefficients near 2^139: one coordinate,
@@ -344,6 +356,37 @@ class TestIdentityCoordinates:
         assert (est.method, est.torus_dim) == ("tensor-quadrature", 1)
         want = 2 * math.sqrt(2) / math.pi
         assert abs(est.value - want) <= 3 * est.std_error + est.refinement_delta
+
+
+class TestCis:
+    """``_cis``, the unit-form kernel, against ``np.exp``."""
+
+    @staticmethod
+    def _check(x):
+        z = _cis(x)
+        assert z.shape == x.shape and z.dtype == complex
+        np.testing.assert_allclose(z, np.exp((2j * np.pi) * x), rtol=0, atol=2e-15)
+        assert np.abs(np.abs(z) - 1.0).max() <= 1e-15
+
+    def test_table_boundaries(self):
+        # Every multiple of 2^-10 and 2^-20 with the doubles on either side,
+        # where a table index steps and the remainder restarts at 0.
+        self._check(np.array([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0]))
+        for grid in (np.arange(2 ** 10 + 1) / 2 ** 10, np.arange(2 ** 20 + 1) / 2 ** 20):
+            self._check(grid)
+            self._check(np.nextafter(grid[1:], 0.0))
+            self._check(np.nextafter(grid[:-1], 1.0))
+
+    def test_random_points(self):
+        self._check(np.random.default_rng(11).random(10 ** 6))
+
+    def test_column_slices_bit_identical(self):
+        # ``ultraflat_deviation`` evaluates column slices of its points.
+        x = np.random.default_rng(12).random((7, 40000))
+        z = _cis(x)
+        for lo, hi in ((0, 1), (1, 16385), (16385, 40000), (123, 9000)):
+            assert np.array_equal(_cis(x[:, lo:hi]), z[:, lo:hi])
+        assert np.array_equal(_cis(x[3]), z[3])
 
 
 class TestRealLine:

@@ -279,6 +279,31 @@ class TestExitCodes:
                 "coefficients": [0.0, 0.3, 1.1]})],
         lambda t: ["flatness", *_family_config(
             t, {**_FAMILY, "coefficients": "0000"})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": "one", "value": "1.0"},
+                          {"name": "s", "value": 0.4}],
+                "stages": [{"p": 2, "spacers": ["0", "s", "0"]}]})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": "one", "value": 1.0},
+                          {"name": "s", "value": True}],
+                "stages": [{"p": 2, "spacers": ["0", "s", "0"]}]})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "littlewood", "n": 3, "coefficients": [True, -1, 1.0]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "basis": [{"name": "a", "value": "1"},
+                                     {"name": "b", "value": 2 ** 0.5}]})],
+        lambda t: ["flatness", *_family_config(
+            t, {"kind": "newman", "n": 3, "coefficients": [1, True, 0]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "coefficients": [0.0, True, 1.1, 2.0]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "coefficients": [0.0, float("inf"), 1.1, 2.0]})],
+        lambda t: ["flatness", *_family_config(
+            t, {**_FAMILY, "coefficients": [0.0, float("nan"), 1.1, 2.0]})],
+        lambda t: ["riesz-check", *_config(
+            t, {"basis": [{"name": "one", "value": 1.0},
+                          {"name": "s", "value": 10 ** 400}],
+                "stages": [{"p": 2, "spacers": ["0", "s", "0"]}]})],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
@@ -288,7 +313,10 @@ class TestExitCodes:
             "frequency-digits", "interval-inf", "stage-p-float", "stage-p-bool",
             "stage-p-text", "spacers-text", "basis-object", "seed-float",
             "seed-bool", "seed-text", "family-n-float", "m-n-float",
-            "frequencies-text", "coefficients-text"])
+            "frequencies-text", "coefficients-text", "basis-value-text",
+            "basis-value-bool", "littlewood-bool-float",
+            "family-basis-value-text", "newman-bool", "unimodular-phase-bool",
+            "unimodular-phase-inf", "unimodular-phase-nan", "basis-value-huge"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]

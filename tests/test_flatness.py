@@ -186,6 +186,22 @@ class TestUltraflat:
         assert dev == 0.9994289039355171
 
 
+    def test_many_terms_memory_bounded_by_slices(self):
+        # 256 Littlewood terms over one symbol on 2^14 grid points: slices
+        # of 2^16 points held 256 x 2^14 phases at once (160 MB); slices of
+        # 2^20 / 256 points hold about 2^20 phases.
+        p = build_family(PolyFamilySpec(kind="littlewood", n=256))
+        tracemalloc.start()
+        try:
+            dev = ultraflat_deviation(p, max_points=1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # sup |P| / |P|_2 - 1 = 256 / 16 - 1, reached at theta = 0.
+        assert dev == pytest.approx(15.0, abs=1e-2)
+
+
 class TestLocalVsGlobal:
     def test_requires_prikhodko(self):
         with pytest.raises(ValidationError):
