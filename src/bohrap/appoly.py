@@ -11,6 +11,7 @@ exact sums and equality, and pruning depend on the kind.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,9 +74,13 @@ Coeff = Union[complex, ExactComplex]
 
 def _as_coeff(c, exact: bool) -> Coeff:
     """``c`` as a coefficient of the given kind; ``_as_coeff(0, exact)`` is
-    the typed zero."""
+    the typed zero.  A non-finite float would poison the prune cut of
+    ``_canonical``, so it is refused."""
     if not exact:
-        return complex(c)
+        z = complex(c)
+        if not cmath.isfinite(z):
+            raise ValidationError(f"non-finite coefficient {z}")
+        return z
     if isinstance(c, ExactComplex):
         return c
     if isinstance(c, (int, Fraction)):
@@ -213,14 +218,16 @@ class APPoly:
     def support(self) -> tuple[Frequency, ...]:
         return tuple(self.terms.keys())
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
+        """Whether c_{-f} is the conjugate of c_f for every f: exactly for
+        exact coefficients, within 1e-12 relative for floating ones."""
         for f, c in self.terms.items():
             cc = self.fourier_coeff(-f)
             want = c.conjugate()
             if self.exact:
                 if cc != want:
                     return False
-            elif abs(cc - want) > tol * max(1.0, abs(c)):
+            elif abs(cc - want) > 1e-12 * max(1.0, abs(c)):
                 return False
         return True
 

@@ -39,6 +39,9 @@ TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
 _TABLE_ENTRIES = 1 << 20
 
+#: Monte Carlo points per batch; each batch draws from its own child stream.
+MC_BATCH = 1 << 14
+
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
 #: cheap column reduction is used and Monte Carlo takes over anyway.
@@ -53,13 +56,12 @@ class Budget:
     samples: int = 1 << 16
     nodes: int | None = None  # per-dimension override for the tensor grid
     seed: int = 0
-    batch: int = 1 << 14
 
     def __post_init__(self):
         if self.method not in ("auto", "tensor", "monte-carlo"):
             raise ValidationError(f"unknown integration method {self.method!r}")
-        if self.samples < 1 or self.batch < 1:
-            raise ValidationError("samples and batch must be positive")
+        if self.samples < 1:
+            raise ValidationError("samples must be positive")
         if self.nodes is not None and self.nodes < 1:
             raise ValidationError("tensor nodes must be positive")
 
@@ -230,7 +232,8 @@ class TorusEvaluator:
     points needs one.  When every exponent row is zero or a unit vector,
     as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
     and one level is exact: a batch costs one ``_cis`` of the coordinates
-    and one matmul.
+    and one matmul.  Otherwise the phases are summed from integer limbs of
+    the exponents and go through the same ``_cis``.
     """
 
     def __init__(self, polys: Sequence[APPoly], dim: int, emats):
@@ -276,8 +279,8 @@ class TorusEvaluator:
                 for t, limbs in zip(phases, self._limbs):
                     if i < len(limbs) and limbs[i] is not None:
                         t += limbs[i] @ g
-        return [c @ np.exp((2j * np.pi) * np.mod(t, 1.0))
-                for c, t in zip(self._coeffs, phases)]
+        # np.mod maps a tiny negative phase to 1.0, which _cis covers.
+        return [c @ _cis(np.mod(t, 1.0)) for c, t in zip(self._coeffs, phases)]
 
 
 def _finite(y) -> np.ndarray:
@@ -290,14 +293,14 @@ def _finite(y) -> np.ndarray:
 def _monte_carlo(gs, dim: int, draw, budget: Budget):
     """Seeded batch Monte Carlo; ``draw(rng, n)`` gives the integrands'
     arguments at n random points."""
-    n_batches = -(-budget.samples // budget.batch)
-    total = n_batches * budget.batch
+    n_batches = -(-budget.samples // MC_BATCH)
+    total = n_batches * MC_BATCH
     sums = np.zeros(len(gs), dtype=complex)
     sumsq = np.zeros(len(gs))
     # Fixed batch order and per-batch child streams keep the estimate
     # bit-identical regardless of any outer parallel schedule.
     for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
-        vals = draw(np.random.default_rng(child), budget.batch)
+        vals = draw(np.random.default_rng(child), MC_BATCH)
         for i, g in enumerate(gs):
             y = _finite(g(*vals))
             sums[i] += y.sum()
@@ -443,7 +446,7 @@ def unit_phase_sum(rng: np.random.Generator, q: int, n: int) -> np.ndarray:
     """
     z = np.zeros(n, dtype=complex)
     for _ in range(q):
-        z += np.exp((2j * np.pi) * rng.random(n))
+        z += _cis(rng.random(n))
     return z
 
 
@@ -465,7 +468,14 @@ def independent_phase_mean_abs(q: int, budget: Budget = Budget()) -> IntegralEst
 # Real-line quadrature
 
 
-def real_line_mean(p, T: float, resolution: int = 12) -> float:
+#: Gauss-Legendre nodes per panel of the real-line Cesaro mean.
+_PANEL_NODES = 12
+
+#: Node cap of the interval trapezoid doubling.
+_L1_MAX_NODES = 1 << 21
+
+
+def real_line_mean(p, T: float) -> float:
     """Cesaro mean (1/2T) integral of p over [-T, T].
 
     Composite Gauss-Legendre panels sized against the largest frequency, so
@@ -478,14 +488,14 @@ def real_line_mean(p, T: float, resolution: int = 12) -> float:
     max_w = p.degree() if len(p) else 0.0
     h = 1.0 if max_w <= 3.0 else 3.0 / max_w
     n_panels = max(1, int(math.ceil(2.0 * T / h)))
-    if n_panels * resolution > 5_000_000:
+    if n_panels * _PANEL_NODES > 5_000_000:
         raise BudgetError("real-line quadrature would need too many nodes")
-    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
     edges = np.linspace(-T, T, n_panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     pts = (centers[:, None] + half * x[None, :]).ravel()
-    vals = p.eval_real(pts).reshape(n_panels, resolution)
+    vals = p.eval_real(pts).reshape(n_panels, _PANEL_NODES)
     integral = float((vals.real @ w).sum() * half)
     return integral / (2.0 * T)
 
@@ -498,8 +508,8 @@ class QuadratureResult:
 
 
 
-def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
-                           max_nodes: int = 1 << 21) -> QuadratureResult:
+def interval_l1_distortion(p, a: float, b: float,
+                           rel_tol: float = 1e-6) -> QuadratureResult:
     """(1/(b-a)) integral over [a, b] of | |p(x)|^2 - 1 | dx on the real line.
 
     Composite trapezoid with doubling until the refinement delta stabilizes;
@@ -523,6 +533,6 @@ def interval_l1_distortion(p, a: float, b: float, rel_tol: float = 1e-6,
         n *= 2
         cur = s / n
         delta = abs(cur - prev)
-        if delta <= rel_tol * max(1.0, abs(cur)) or n >= max_nodes:
+        if delta <= rel_tol * max(1.0, abs(cur)) or n >= _L1_MAX_NODES:
             return QuadratureResult(value=cur, refinement_delta=delta, nodes=n + 1)
         prev = cur

@@ -155,8 +155,8 @@ def _cmd_riesz_check(args, doc: dict, seed: int) -> int:
 def _cmd_bourgain_scan(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     report = bourgain_scan(
-        params, strategy=args.strategy, k_max=args.k_max,
-        budget=_budget(args, seed), window=args.window,
+        params, k_max=args.k_max, budget=_budget(args, seed),
+        window=args.window,
     )
     rows = [
         (k, "I_k", e.value, e.std_error)
@@ -251,13 +251,16 @@ def _cmd_degree_report(args, doc: dict, seed: int) -> int:
 # Parser and entry point
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, samples: bool = True) -> None:
+    """The shared flags; ``--samples`` only where a Monte Carlo budget or a
+    sample count is read."""
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
-    p.add_argument("--samples", type=int, default=1 << 16,
-                   help="Monte Carlo sample budget")
+    if samples:
+        p.add_argument("--samples", type=int, default=1 << 16,
+                       help="Monte Carlo sample budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,15 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riesz-check", help="exact probability and product means")
     p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
-    _add_common(p)
+    _add_common(p, samples=False)
     p.set_defaults(fn=_cmd_riesz_check)
 
     p = sub.add_parser("bourgain-scan", help="greedy subsequence decay scan")
     p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
     p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--strategy", choices=("greedy", "fixed-stride"),
-                   default="greedy")
+    p.add_argument("--window", type=int, default=3,
+                   help="candidate stages per step; 1 takes consecutive stages")
     _add_common(p)
     p.set_defaults(fn=_cmd_bourgain_scan)
 
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kac-moments", help="exact cosine-product moments")
     p.add_argument("--exponents", default="2", help="comma list of exponents")
-    _add_common(p)
+    _add_common(p, samples=False)
     p.set_defaults(fn=_cmd_kac_moments)
 
     p = sub.add_parser("flatness", help="flatness ratio and sup-norm deviation")
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degree-report", help="degree and height bookkeeping")
     p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
     p.add_argument("--indices", help="comma list of stage indices")
-    _add_common(p)
+    _add_common(p, samples=False)
     p.set_defaults(fn=_cmd_degree_report)
 
     return ap

@@ -29,6 +29,10 @@ from .riesz import (RankOneParams, _product_mean,  # noqa: F401
 #: the limit L1 norm sqrt(pi)/2 plus a fixed slack of sqrt(pi)/100.
 GEOMETRIC_FACTOR = 51.0 * math.sqrt(math.pi) / 100.0
 
+#: Bourgain scans report singularity evidence when the last product mean
+#: is below this value with 3 sigma to spare.
+SCAN_THRESHOLD = 0.1
+
 #: Gaussian first absolute moment: the limit of mean_abs for large cut numbers.
 GAUSS_MEAN_ABS = math.sqrt(math.pi) / 2.0
 
@@ -92,23 +96,20 @@ class ScanReport:
         }
 
 
-def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
-                  k_max: int = 5, budget: Budget = Budget(),
-                  window: int = 3, stride: int = 1,
-                  threshold: float = 0.1) -> ScanReport:
+def bourgain_scan(params: RankOneParams, k_max: int = 5,
+                  budget: Budget = Budget(), window: int = 3) -> ScanReport:
     """Drive I_k = mean of the product of |P_{n_j}| toward zero.
 
-    The greedy strategy mimics the inductive construction: at each step it
+    The greedy scan mimics the inductive construction: at each step it
     tries the next ``window`` unused stages and keeps the one minimizing the
-    estimated integral.  The verdict is singularity-evidence when I_{k_max}
-    is below the threshold with 3 sigma to spare.
+    estimated integral, so ``window=1`` takes consecutive stages.  The
+    verdict is singularity-evidence when I_{k_max} is below
+    ``SCAN_THRESHOLD`` with 3 sigma to spare.
     """
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
-    if strategy not in ("greedy", "fixed-stride"):
-        raise ValidationError(f"unknown scan strategy {strategy!r}")
-    if window < 1 or stride < 1:
-        raise ValidationError("window and stride must be positive")
+    if window < 1:
+        raise ValidationError("window must be positive")
 
     chosen: list[int] = []
     chosen_polys: list[APPoly] = []
@@ -118,10 +119,7 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
 
     for step in range(k_max):
         start = chosen[-1] + 1 if chosen else 0
-        if strategy == "greedy":
-            cands = [m for m in range(start, min(start + window, params.n_stages))]
-        else:
-            cands = [start + stride - 1] if start + stride - 1 < params.n_stages else []
+        cands = range(start, min(start + window, params.n_stages))
         if not cands:
             raise ValidationError(
                 f"scan step {step} has no candidate stages left "
@@ -152,7 +150,7 @@ def bourgain_scan(params: RankOneParams, strategy: str = "greedy",
     last = estimates[-1]
     verdict = (
         "singularity-evidence"
-        if last.value + 3.0 * last.std_error < threshold
+        if last.value + 3.0 * last.std_error < SCAN_THRESHOLD
         else "inconclusive"
     )
     return ScanReport(

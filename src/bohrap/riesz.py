@@ -302,8 +302,11 @@ class DegreeReport:
     all_hold: bool
 
 
-def degree_report(params: RankOneParams, indices: Sequence[int],
-                  rel_tol: float = 1e-9) -> DegreeReport:
+#: Relative slack of the degree-report comparisons of real values.
+_DEGREE_REL_TOL = 1e-9
+
+
+def degree_report(params: RankOneParams, indices: Sequence[int]) -> DegreeReport:
     """Degree bookkeeping: d_m < h_{m+1}, h_m <= h_{m+1}/2, q_k < h_{n_k+1}.
 
     Degrees are computed from the actual polynomial supports, not from the
@@ -318,10 +321,10 @@ def degree_report(params: RankOneParams, indices: Sequence[int],
     checks = []
 
     def leq(x, y):
-        return x <= y * (1.0 + rel_tol) + rel_tol
+        return x <= y * (1.0 + _DEGREE_REL_TOL) + _DEGREE_REL_TOL
 
     def lt(x, y):
-        return x < y * (1.0 + rel_tol) + rel_tol
+        return x < y * (1.0 + _DEGREE_REL_TOL) + _DEGREE_REL_TOL
 
     for m in indices:
         d = build_polynomial(params, m).degree()
@@ -363,20 +366,19 @@ def validate_main_hypothesis(params: RankOneParams,
     return out
 
 
-def make_independent_params(cuts: Sequence[int], seed: int = 0,
-                            value_low: float = 0.1,
-                            value_high: float = 0.9) -> RankOneParams:
+def make_independent_params(cuts: Sequence[int], seed: int = 0) -> RankOneParams:
     """Rank-one parameters whose spacers are fresh independent symbols.
 
     Each stage k gets p_k fresh symbols s{k}_{1..p_k}; s_{k,0} is zero.  The
     symbol values are only used for real-line evaluation and degrees, so any
-    positive values do; they are drawn reproducibly from the seed.
+    positive values do; they are drawn reproducibly from the seed, uniformly
+    in [0.1, 0.9).
     """
     rng = np.random.default_rng(seed)
     symbols = [("one", 1.0)]
     for k, p in enumerate(cuts):
         for j in range(1, p + 1):
-            symbols.append((f"s{k}_{j}", float(rng.uniform(value_low, value_high))))
+            symbols.append((f"s{k}_{j}", float(rng.uniform(0.1, 0.9))))
     basis = SymbolBasis(tuple(symbols))
     stages = []
     for k, p in enumerate(cuts):

@@ -63,6 +63,23 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             APPoly.from_terms(B, [(B.zero(), 0.5)], exact=True)
 
+    @pytest.mark.parametrize("items", [
+        [(0, 1.0), (1, math.nan)],
+        [(1, math.nan), (0, 1.0)],
+        [(0, 1.0), (1, complex(0.0, -math.inf))],
+        [(1, math.inf)],
+    ], ids=["nan-after-finite", "nan-first", "inf-imag", "inf-alone"])
+    def test_non_finite_coefficient_refused(self, items):
+        # A nan or inf coefficient would turn the prune cut into nan or inf
+        # and silently drop the other terms.
+        freqs = [B.zero(), B.symbol("a")]
+        with pytest.raises(ValidationError):
+            APPoly.from_terms(B, [(freqs[i], c) for i, c in items])
+
+    def test_scale_by_nan_refused(self):
+        with pytest.raises(ValidationError):
+            APPoly.one(B).scale(math.nan)
+
     def test_cancellation_prunes(self):
         f = B.symbol("a")
         p = APPoly.from_terms(B, [(f, 1.0)]) - APPoly.from_terms(B, [(f, 1.0)])
@@ -187,7 +204,7 @@ class TestFloatImage:
             assert (repr(complex(p.fourier_coeff(f)))
                     == repr(complex(q.fourier_coeff(f))))
         for method in ("auto", "monte-carlo"):
-            budget = Budget(method=method, samples=512, batch=256, seed=3)
+            budget = Budget(method=method, samples=512, seed=3)
             assert mean_abs(p, budget) == mean_abs(q, budget)
 
 

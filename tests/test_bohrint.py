@@ -9,7 +9,8 @@ import pytest
 
 from bohrap import bohrint
 from bohrap.appoly import APPoly
-from bohrap.bohrint import (Budget, TorusEvaluator, _cis, _phase_space,
+from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
+                            _phase_space,
                             _signed_limbs, _tensor_values, bohr_integral,
                             bohr_integral_multi,
                             independent_phase_mean_abs,
@@ -183,15 +184,6 @@ class TestMonteCarlo:
         b = Budget(method="monte-carlo", samples=1 << 14, seed=9)
         assert mean_abs(p, b).value == mean_abs(p, b).value
 
-    def test_batch_layout_invariant(self):
-        # The estimate depends on the seed only, not on the batch size.
-        p = _two_char_poly()
-        v1 = mean_abs(p, Budget(method="monte-carlo", samples=1 << 14,
-                                seed=9, batch=1 << 14)).value
-        v2 = mean_abs(p, Budget(method="monte-carlo", samples=1 << 14,
-                                seed=9, batch=1 << 12)).value
-        assert v1 != v2  # different stream layout is declared, not hidden
-
     def test_huge_exponents_supported(self):
         # Exponent magnitudes far past 2^54 must keep exact relations:
         # mean of e^{iMat} * conj(e^{iMat}) = 1 for M = 2^80 + 1.
@@ -248,13 +240,15 @@ class TestMonteCarlo:
     def test_independence_model_matches_batch_loop(self):
         # The shared Monte Carlo driver reproduces the dedicated batch loop
         # it replaced, bit for bit, over several batches.
-        q, budget = 7, Budget(samples=5000, batch=1024, seed=13)
-        n_batches = -(-budget.samples // budget.batch)
-        total = n_batches * budget.batch
+        # The total is a power of two, so dividing the driver's complex sum
+        # (numpy multiplies by the reciprocal) is exact as in this loop.
+        q, budget = 7, Budget(samples=4 * MC_BATCH, seed=13)
+        n_batches = -(-budget.samples // MC_BATCH)
+        total = n_batches * MC_BATCH
         s = s2 = 0.0
         for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
             z = np.abs(unit_phase_sum(np.random.default_rng(child), q,
-                                      budget.batch) * (1.0 / math.sqrt(q)))
+                                      MC_BATCH) * (1.0 / math.sqrt(q)))
             s += float(z.sum())
             s2 += float((z * z).sum())
         m = s / total
@@ -268,7 +262,26 @@ class TestMonteCarlo:
         # axis 0, bit for bit.
         z = unit_phase_sum(np.random.default_rng(7), 16, 1000)
         theta = np.random.default_rng(7).random((16, 1000))
-        assert np.array_equal(z, np.exp((2j * np.pi) * theta).sum(axis=0))
+        assert np.array_equal(z, _cis(theta).sum(axis=0))
+
+    def test_phases_match_exp_sum(self):
+        # Both phase paths through ``_cis`` stay within 1e-13 of an
+        # ``np.exp`` sum.  A limb phase just below 0 wraps to 1.0 under
+        # np.mod, the last entry of the root tables.
+        rng = np.random.default_rng(8)
+        z = unit_phase_sum(rng, 16, 1000)
+        theta = np.random.default_rng(8).random((16, 1000))
+        np.testing.assert_allclose(
+            z, np.exp((2j * np.pi) * theta).sum(axis=0), rtol=0, atol=1e-13)
+        p = APPoly.from_terms(B, [(B.zero(), 0.5), (B.symbol("a"), 1.0),
+                                  (B.symbol("a").scale(-1), 2j)])
+        ev = TorusEvaluator.of([p])
+        assert ev.levels == 2  # the exponent -1 takes the limb path
+        x = np.concatenate([rng.random(999), [2.0 ** -60]])
+        assert np.mod(-x[-1], 1.0) == 1.0
+        (vals,) = ev(x.size, [x[None, :], np.zeros((1, x.size))])
+        want = 0.5 + np.exp(2j * np.pi * x) + 2j * np.exp(-2j * np.pi * x)
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
 
     def test_evaluator_grid_matches_direct_sum(self):
         # One level of midpoint coordinates reproduces the polynomial's

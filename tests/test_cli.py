@@ -323,6 +323,19 @@ class TestExitCodes:
         assert _run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bourgain-scan", "--cuts", "4,4", "--strategy", "greedy"],
+        ["riesz-check", "--cuts", "3,3", "--samples", "5"],
+        ["kac-moments", "--exponents", "2", "--samples", "5"],
+        ["degree-report", "--cuts", "3,3", "--samples", "5"],
+    ], ids=["scan-strategy", "riesz-check-samples", "kac-moments-samples",
+            "degree-report-samples"])
+    def test_removed_flag_is_usage_error(self, tmp_path, argv):
+        # Flags a command does not read are refused by argparse.
+        with pytest.raises(SystemExit) as exc:
+            _run(argv + ["--seed", "1", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+
     def test_budget_error_is_3(self, tmp_path):
         # one spacer pushes a lattice exponent past the Monte Carlo limb
         # range, so the integration budget is refused up front

@@ -80,11 +80,11 @@ class TestBourgainScan:
         assert len(built) == len(set(built))
         assert set(built) == {s for step in rep.candidates for s, _, _ in step}
 
-    def test_fixed_stride(self):
+    def test_window_one_takes_consecutive_stages(self):
         params = make_independent_params([4] * 4, seed=5)
-        rep = bourgain_scan(params, strategy="fixed-stride", k_max=3,
-                            budget=FAST, stride=1)
+        rep = bourgain_scan(params, k_max=3, budget=FAST, window=1)
         assert rep.indices == (0, 1, 2)
+        assert all(len(step) == 1 for step in rep.candidates)
 
 
 class TestSubsequenceBound:
