@@ -9,8 +9,7 @@ criteria.
 from .appoly import APPoly, ExactComplex
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
                       bohr_integral, bohr_integral_multi,
-                      independent_phase_mean_abs, interval_l1_distortion,
-                      mean_abs, real_line_mean)
+                      interval_l1_distortion, mean_abs, real_line_mean)
 from .criteria import (GAUSS_MEAN_ABS, GEOMETRIC_FACTOR, ScanReport,
                        bourgain_scan, cs_subsequence_bound,
                        fejer_factorization_check, guenais_sum,
@@ -19,9 +18,9 @@ from .criteria import (GAUSS_MEAN_ABS, GEOMETRIC_FACTOR, ScanReport,
 from .errors import (BasisMismatchError, BohrapError, BudgetError,
                      InternalInconsistencyError, SupportCapError,
                      ValidationError)
-from .flatness import (PolyFamilySpec, RealFreqPoly, build_family,
-                       flatness_ratio, local_vs_global_flatness,
-                       prikhodko_frequencies, ultraflat_deviation)
+from .flatness import (PolyFamilySpec, build_family, flatness_ratio,
+                       local_vs_global_flatness, prikhodko_frequencies,
+                       ultraflat_deviation)
 from .freqspace import (Frequency, SymbolBasis, TorusReduction,
                         is_rationally_independent, rational_rank, torus_reduce)
 from .riesz import (RankOneParams, RieszState, Stage, abs2_polynomial,

@@ -42,6 +42,10 @@ _TABLE_ENTRIES = 1 << 20
 #: Monte Carlo points per batch; each batch draws from its own child stream.
 MC_BATCH = 1 << 14
 
+#: Most phases (terms x points, or coordinates x points) that one step of
+#: ``TorusEvaluator`` holds.
+_EVAL_ENTRIES = 1 << 20
+
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
 #: cheap column reduction is used and Monte Carlo takes over anyway.
@@ -231,9 +235,12 @@ class TorusEvaluator:
     headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
     points needs one.  When every exponent row is zero or a unit vector,
     as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
-    and one level is exact: a batch costs one ``_cis`` of the coordinates
-    and one matmul.  Otherwise the phases are summed from integer limbs of
-    the exponents and go through the same ``_cis``.
+    (``unit`` holds A and a0) and one level is exact: a batch costs one
+    ``_cis`` of the coordinates and one matmul.  Otherwise the phases are
+    summed from integer limbs of the exponents and go through the same
+    ``_cis``.  Either way a step holds about _EVAL_ENTRIES phases: the
+    limb form evaluates column slices of _EVAL_ENTRIES // terms points,
+    the unit form row blocks of _EVAL_ENTRIES // n coordinates.
     """
 
     def __init__(self, polys: Sequence[APPoly], dim: int, emats):
@@ -246,14 +253,15 @@ class TorusEvaluator:
         limbs = [_signed_limbs(E) for E in emats]
         if all(len(ls) == 1 and _unit_rows(ls[0]) for ls in limbs):
             units = [ls[0] for ls in limbs]
-            self._unit = (
+            self.unit = (
                 np.array([c @ L for c, L in zip(coeffs, units)]).reshape(len(polys), dim),
                 np.array([c @ (1.0 - L.sum(axis=1)) for c, L in zip(coeffs, units)]),
             )
             self.levels = 1
             return
-        self._unit = None
+        self.unit = None
         self._coeffs = coeffs
+        self._width = max(1, _EVAL_ENTRIES // sum(len(c) for c in coeffs))
         # All-zero limbs are None, so they cost no product.
         self._limbs = [[l if np.any(l) else None for l in ls] for ls in limbs]
         self._n_limbs = max(len(ls) for ls in self._limbs)
@@ -264,23 +272,47 @@ class TorusEvaluator:
         """Reduce the phase space of ``polys`` and build their evaluator."""
         return cls(polys, *_phase_space(polys))
 
-    def __call__(self, n: int, levels) -> list[np.ndarray]:
-        """Values of each polynomial at the n points; ``levels`` may be lazy."""
-        if self._unit is not None:
-            A, a0 = self._unit
-            return list(A @ _cis(next(iter(levels))) + a0[:, None])
-        phases = [np.zeros((len(c), n)) for c in self._coeffs]
-        # Each (limb, level) pair contributes limb @ frac(x_j * 2^(27 i - 53 j)).
-        for j, xj in enumerate(levels):
-            for i in range(self._n_limbs):
-                g = _frac_pow2(xj, _LIMB * i - 53 * j)
-                if g is None:
-                    continue
-                for t, limbs in zip(phases, self._limbs):
-                    if i < len(limbs) and limbs[i] is not None:
-                        t += limbs[i] @ g
-        # np.mod maps a tiny negative phase to 1.0, which _cis covers.
-        return [c @ _cis(np.mod(t, 1.0)) for c, t in zip(self._coeffs, phases)]
+    def __call__(self, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Values of each polynomial at the points of the level arrays."""
+        n = levels[0].shape[1]
+        if self.unit is not None:
+            return self._unit_values(n, lambda lo, hi: levels[0][lo:hi])
+        out = np.empty((len(self._coeffs), n), dtype=complex)
+        for lo in range(0, n, self._width):
+            cols = [x[:, lo:lo + self._width] for x in levels]
+            phases = [np.zeros((len(c), cols[0].shape[1])) for c in self._coeffs]
+            # Each (limb, level) pair contributes limb @ frac(x_j * 2^(27 i - 53 j)).
+            for j, xj in enumerate(cols):
+                for i in range(self._n_limbs):
+                    g = _frac_pow2(xj, _LIMB * i - 53 * j)
+                    if g is None:
+                        continue
+                    for t, limbs in zip(phases, self._limbs):
+                        if i < len(limbs) and limbs[i] is not None:
+                            t += limbs[i] @ g
+            # np.mod maps a tiny negative phase to 1.0, which _cis covers.
+            for row, c, t in zip(out, self._coeffs, phases):
+                row[lo:lo + self._width] = c @ _cis(np.mod(t, 1.0))
+        return list(out)
+
+    def sample(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        """Values at n random points: the draws of ``rng.random((dim, n))``
+        once per level (in the unit form, one row block at a time)."""
+        if self.unit is not None:
+            return self._unit_values(n, lambda lo, hi: rng.random((hi - lo, n)))
+        return self([rng.random((self.dim, n)) for _ in range(self.levels)])
+
+    def _unit_values(self, n: int, block) -> list[np.ndarray]:
+        """a0 + A . e^{2 pi i x} at n points; ``block(lo, hi)`` gives rows
+        lo:hi of x, asked for in order."""
+        A, a0 = self.unit
+        z = np.zeros((len(A), n), dtype=complex)
+        rows = max(1, _EVAL_ENTRIES // n)
+        for lo in range(0, self.dim, rows):
+            hi = min(lo + rows, self.dim)
+            z += A[:, lo:hi] @ _cis(block(lo, hi))
+        z += a0[:, None]
+        return list(z)
 
 
 def _finite(y) -> np.ndarray:
@@ -290,9 +322,8 @@ def _finite(y) -> np.ndarray:
     return y
 
 
-def _monte_carlo(gs, dim: int, draw, budget: Budget):
-    """Seeded batch Monte Carlo; ``draw(rng, n)`` gives the integrands'
-    arguments at n random points."""
+def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
+    """Seeded batch Monte Carlo of the integrands at ``ev``'s polynomials."""
     n_batches = -(-budget.samples // MC_BATCH)
     total = n_batches * MC_BATCH
     sums = np.zeros(len(gs), dtype=complex)
@@ -300,7 +331,7 @@ def _monte_carlo(gs, dim: int, draw, budget: Budget):
     # Fixed batch order and per-batch child streams keep the estimate
     # bit-identical regardless of any outer parallel schedule.
     for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
-        vals = draw(np.random.default_rng(child), MC_BATCH)
+        vals = ev.sample(np.random.default_rng(child), MC_BATCH)
         for i, g in enumerate(gs):
             y = _finite(g(*vals))
             sums[i] += y.sum()
@@ -315,7 +346,7 @@ def _monte_carlo(gs, dim: int, draw, budget: Budget):
             method="monte-carlo",
             nodes_or_samples=total,
             seed=budget.seed,
-            torus_dim=dim,
+            torus_dim=ev.dim,
         ))
     return out
 
@@ -420,11 +451,7 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
             raise BudgetError(
                 f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
             )
-    ev = TorusEvaluator(polys, dim, emats)
-    return _monte_carlo(
-        gs, dim,
-        lambda rng, n: ev(n, (rng.random((dim, n)) for _ in range(ev.levels))),
-        budget)
+    return _monte_carlo(gs, TorusEvaluator(polys, dim, emats), budget)
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],
@@ -450,20 +477,6 @@ def unit_phase_sum(rng: np.random.Generator, q: int, n: int) -> np.ndarray:
     return z
 
 
-def independent_phase_mean_abs(q: int, budget: Budget = Budget()) -> IntegralEstimate:
-    """Monte Carlo estimate of E| (1/sqrt(q)) sum of q independent unit phases |.
-
-    This is the Haar pushforward model for a normalized sum of characters at
-    q rationally independent frequencies.
-    """
-    if q < 1:
-        raise ValidationError("q must be positive")
-    norm = 1.0 / math.sqrt(q)
-    (est,) = _monte_carlo([lambda z: np.abs(z * norm)], q,
-                          lambda rng, n: [unit_phase_sum(rng, q, n)], budget)
-    return est
-
-
 # ---------------------------------------------------------------------------
 # Real-line quadrature
 
@@ -475,13 +488,12 @@ _PANEL_NODES = 12
 _L1_MAX_NODES = 1 << 21
 
 
-def real_line_mean(p, T: float) -> float:
+def real_line_mean(p: APPoly, T: float) -> float:
     """Cesaro mean (1/2T) integral of p over [-T, T].
 
     Composite Gauss-Legendre panels sized against the largest frequency, so
     the quadrature error is negligible next to the O(1/T) distance from the
-    asymptotic mean.  Accepts anything with ``eval_real``, ``degree`` and
-    ``len``: an ``APPoly`` or a ``RealFreqPoly``.
+    asymptotic mean.
     """
     if T <= 0:
         raise ValidationError("T must be positive")
@@ -508,7 +520,7 @@ class QuadratureResult:
 
 
 
-def interval_l1_distortion(p, a: float, b: float,
+def interval_l1_distortion(p: APPoly, a: float, b: float,
                            rel_tol: float = 1e-6) -> QuadratureResult:
     """(1/(b-a)) integral over [a, b] of | |p(x)|^2 - 1 | dx on the real line.
 

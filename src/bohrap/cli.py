@@ -202,17 +202,12 @@ def _cmd_flatness(args, doc: dict, seed: int) -> int:
         raise ValidationError("config must declare a family for this analysis")
     spec = _parse(doc["family"], PolyFamilySpec.from_config, "family")
     p = _parse(spec, build_family, "family")
-    result = {"kind": spec.kind, "n": spec.n}
-    rows = []
-    if spec.kind == "prikhodko":
-        result["note"] = "flatness ratio skipped: no exact frequency structure"
-    else:
-        ratio = flatness_ratio(p, _budget(args, seed))
-        result["flatness_ratio"] = ratio.to_json()
-        rows.append((spec.n, "flatness_ratio", ratio.value, ratio.std_error))
+    ratio = flatness_ratio(p, _budget(args, seed))
     dev = ultraflat_deviation(p, seed=seed)
-    result["ultraflat_deviation"] = dev
-    rows.append((spec.n, "ultraflat_deviation", dev, 0.0))
+    result = {"kind": spec.kind, "n": spec.n,
+              "flatness_ratio": ratio.to_json(), "ultraflat_deviation": dev}
+    rows = [(spec.n, "flatness_ratio", ratio.value, ratio.std_error),
+            (spec.n, "ultraflat_deviation", dev, 0.0)]
     _emit(args, "flatness", result, seed, doc, rows)
     return 0
 

@@ -18,12 +18,13 @@ import numpy as np
 from .appoly import APPoly, ExactComplex
 from .bohrint import (Budget, IntegralEstimate, bohr_integral_multi,
                       unit_phase_sum)
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import (InternalInconsistencyError, SupportCapError,
+                     ValidationError)
 from .freqspace import SymbolBasis, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it through this name.
-from .riesz import (RankOneParams, _product_mean,  # noqa: F401
-                    abs2_polynomial, build_polynomial)
+from .riesz import (DEFAULT_SUPPORT_CAP, RankOneParams,  # noqa: F401
+                    _product_mean, abs2_polynomial, build_polynomial)
 
 #: Geometric contraction factor of the inductive singularity construction:
 #: the limit L1 norm sqrt(pi)/2 plus a fixed slack of sqrt(pi)/100.
@@ -475,10 +476,14 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
 
     The symbolic route expands prod cos^{l_j}(w_j t) as an exact-coefficient
     polynomial over fresh independent symbols and reads off the mean; the
-    two routes must agree exactly.
+    two routes must agree exactly.  The product holds prod (l_j + 1) terms,
+    refused past the support cap.
     """
     exponents = list(exponents)
     formula = kac_moment_formula(exponents)
+    if math.prod(l + 1 for l in exponents) > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(
+            f"the cosine product would exceed the support cap {DEFAULT_SUPPORT_CAP}")
     if exponents:
         basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
         half = ExactComplex.of(Fraction(1, 2))

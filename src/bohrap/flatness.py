@@ -1,9 +1,11 @@
 """Flatness suite: polynomial family constructors and flatness measurements.
 
-Families with exact frequencies (Littlewood, Newman, unimodular) live in
-the sparse Fourier algebra; the locally-flat family with exponentially
-spaced real frequencies is a separate float-frequency type, since its
-frequencies have no useful rational structure.
+Every family lives in the sparse Fourier algebra.  Littlewood, Newman and
+unimodular polynomials sit on an arithmetic progression of exact
+frequencies; the locally-flat family's exponentially spaced real
+frequencies are declared symbols, one each, so the Bohr group sees them as
+rationally independent (the generic case, which no float check can
+certify).
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
-from .appoly import APPoly, trig_sum
+from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
-                      TorusEvaluator, independent_phase_mean_abs,
-                      interval_l1_distortion, mean_abs)
+                      TorusEvaluator, interval_l1_distortion, mean_abs)
 from .errors import ValidationError, json_array, json_int, json_number
 from .freqspace import Frequency, SymbolBasis
 
@@ -27,52 +27,6 @@ _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
 
 #: Default generator value for the arithmetic-progression frequency rule.
 _DEFAULT_ALPHA = math.sqrt(2.0)
-
-#: Most terms x points that ``ultraflat_deviation`` evaluates at once.
-_EVAL_ENTRIES = 1 << 20
-
-
-class RealFreqPoly:
-    """Trigonometric polynomial with floating-point real frequencies.
-
-    Used for families whose frequencies are transcendental-like reals with
-    no declared rational structure; supports real-line evaluation and the
-    Parseval norm, but no Bohr-group reduction.
-    """
-
-    __slots__ = ("freqs", "coeffs")
-
-    def __init__(self, freqs: Sequence[float], coeffs: Sequence[complex]):
-        freqs = np.asarray(freqs, dtype=float)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if freqs.ndim != 1 or freqs.shape != coeffs.shape:
-            raise ValidationError("frequency and coefficient lists must match")
-        if freqs.size == 0:
-            raise ValidationError("polynomial must have at least one term")
-        if len(np.unique(freqs)) != freqs.size:
-            raise ValidationError("duplicate frequencies")
-        order = np.argsort(freqs)
-        self.freqs = freqs[order]
-        self.coeffs = coeffs[order]
-
-    def __len__(self) -> int:
-        return int(self.freqs.size)
-
-    def eval_real(self, t) -> np.ndarray:
-        return trig_sum(t, zip(self.freqs, self.coeffs))
-
-    def l2_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.l2_norm_sq())
-
-    def degree(self) -> float:
-        return float(np.abs(self.freqs).max())
-
-
-Poly = Union[APPoly, RealFreqPoly]
-
 
 @dataclass(frozen=True)
 class PolyFamilySpec:
@@ -164,12 +118,16 @@ def prikhodko_frequencies(p_n: int, m_n: int, eps_n: Fraction) -> np.ndarray:
     return w
 
 
-def build_family(spec: PolyFamilySpec) -> Poly:
+def build_family(spec: PolyFamilySpec) -> APPoly:
     """Instantiate one polynomial of the requested family."""
     if spec.kind == "prikhodko":
         w = prikhodko_frequencies(spec.n, spec.m_n, spec.eps_n)
-        c = np.full(spec.n, 1.0 / math.sqrt(spec.n))
-        return RealFreqPoly(w, c)
+        # Symbols w0 .. w{n-1} declared last to first, so the canonical
+        # term order, and every real-line sum, ascends in w.
+        names = [f"w{p}" for p in range(spec.n)]
+        basis = SymbolBasis(tuple(zip(reversed(names), map(float, w[::-1]))))
+        c = 1.0 / math.sqrt(spec.n)
+        return APPoly.from_terms(basis, [(basis.symbol(name), c) for name in names])
     basis, freqs = _progression(spec)
     if spec.kind == "littlewood":
         coeffs = spec.coefficients or (1,) * spec.n
@@ -222,51 +180,40 @@ def _stable_max(sample, n0: int, tol: float, cap: int) -> float:
         prev = cur
 
 
-def ultraflat_deviation(p: Poly, tol: float = 1e-3,
+def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
                         max_points: int = 1 << 22, seed: int = 0) -> float:
-    """max over t of | |P(t)| / |P|_2 - 1 |, by grid refinement.
+    """max over t of | |P(t)| / |P|_2 - 1 |.
 
-    Exact-frequency polynomials are scanned on their reduced torus by the
-    shared ``TorusEvaluator`` (a midpoint grid in one dimension once it has
-    more points than twice the largest exponent, seeded uniform points in
-    full phase precision otherwise); float-frequency ones on a long real
-    interval.  The point count doubles until the maximum is stable to
-    ``tol``.
+    On independent frequencies (the unit form of ``TorusEvaluator``) it is
+    exact: by Kronecker's theorem the phases fill the torus densely, so
+    sup |P| = S = sum |c| and, by the polygon inequality, inf |P| =
+    max(0, 2 max |c| - S) over the folded coefficients c and the constant.
+    Other polynomials are scanned on their reduced torus (a midpoint grid
+    in one dimension once it has more points than twice the largest
+    exponent, seeded uniform points in full phase precision otherwise),
+    doubling the point count until the maximum is stable to ``tol``.
     """
     l2 = p.l2_norm()
     if l2 == 0.0:
         raise ValidationError("the zero polynomial has no flatness deviation")
-    n0 = 64 * len(p)
-
-    if isinstance(p, RealFreqPoly):
-        gaps = np.diff(p.freqs)
-        span = 200.0 * 2.0 * math.pi / float(gaps.min()) if gaps.size else 2.0 * math.pi
-
-        def sample(n):
-            t = np.linspace(0.0, span, n)
-            return float(np.abs(np.abs(p.eval_real(t)) / l2 - 1.0).max())
-
-        return _stable_max(sample, n0, tol, max_points)
-
     ev = TorusEvaluator.of([p])
+    if ev.unit is not None:
+        A, a0 = ev.unit
+        c = np.abs(np.append(A[0], a0))
+        top = float(c.sum())
+        low = max(0.0, 2.0 * float(c.max()) - top)
+        return max(top / l2 - 1.0, 1.0 - low / l2)
 
     def sample(n):
         # The midpoint grid aliases exponents of size n/2 or more.
         if ev.dim == 1 and n > 2 * ev.max_exponent:
-            levels = [((np.arange(n) + 0.5) / n)[None, :]]
+            (vals,) = ev([((np.arange(n) + 0.5) / n)[None, :]])
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-            levels = [rng.random((ev.dim, n)) for _ in range(ev.levels)]
-        # Column slices bound the terms x points phase arrays.
-        width = max(1, _EVAL_ENTRIES // len(p))
-        top = 0.0
-        for lo in range(0, n, width):
-            cols = [x[:, lo:lo + width] for x in levels]
-            (vals,) = ev(cols[0].shape[1], cols)
-            top = max(top, float(np.abs(np.abs(vals) / l2 - 1.0).max()))
-        return top
+            (vals,) = ev.sample(rng, n)
+        return float(np.abs(np.abs(vals) / l2 - 1.0).max())
 
-    return _stable_max(sample, n0, tol, max_points)
+    return _stable_max(sample, 64 * len(p), tol, max_points)
 
 
 @dataclass(frozen=True)
@@ -286,14 +233,14 @@ def local_vs_global_flatness(spec: PolyFamilySpec, a: float, b: float,
                              budget: Budget = Budget()) -> LocalGlobalRecord:
     """Local L1 distortion on [a, b] against the global Bohr-group L1 norm.
 
-    The global mean treats the exponentially spaced frequencies as
-    rationally independent (the generic situation, not numerically
-    checkable); the result is labeled with that modeling assumption.
+    The family's frequencies are declared symbols, so the global mean
+    treats them as rationally independent (the generic situation, not
+    numerically checkable); the result is labeled with that modeling
+    assumption.
     """
     if spec.kind != "prikhodko":
         raise ValidationError("the local/global contrast applies to the "
                               "exponential-frequency family only")
     p = build_family(spec)
     local = interval_l1_distortion(p, a, b)
-    global_est = independent_phase_mean_abs(len(p), budget)
-    return LocalGlobalRecord(local=local, global_mean_abs=global_est)
+    return LocalGlobalRecord(local=local, global_mean_abs=mean_abs(p, budget))

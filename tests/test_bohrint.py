@@ -13,11 +13,10 @@ from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
                             _phase_space,
                             _signed_limbs, _tensor_values, bohr_integral,
                             bohr_integral_multi,
-                            independent_phase_mean_abs,
                             interval_l1_distortion, mean_abs, real_line_mean,
                             unit_phase_sum)
 from bohrap.errors import BudgetError, ValidationError
-from bohrap.flatness import PolyFamilySpec, RealFreqPoly, build_family
+from bohrap.flatness import PolyFamilySpec, build_family
 from bohrap.freqspace import SymbolBasis
 from bohrap.riesz import (abs2_polynomial, build_polynomial,
                           make_independent_params)
@@ -224,6 +223,32 @@ class TestMonteCarlo:
                    for i, L in enumerate(limbs))
         assert (back == E).all()
 
+    def test_constant_under_monte_carlo(self):
+        # No coordinate to draw: each of the n points holds the constant.
+        est = mean_abs(APPoly.constant(B, -2.0),
+                       Budget(method="monte-carlo", samples=1 << 12, seed=3))
+        assert (est.value, est.std_error) == (2.0, 0.0)
+        assert (est.nodes_or_samples, est.torus_dim) == (MC_BATCH, 0)
+
+    def test_limb_form_memory_bounded(self):
+        # |P_0|^2 of a 32-cut stage has 993 terms over 31 columns (limb
+        # form).  A batch of 2^14 points held 993 x 2^14 phases at once
+        # (506 MB); column slices of 2^20 / 993 points hold about 2^20.
+        params = make_independent_params([32], seed=1)
+        q = APPoly.from_terms(params.basis, [
+            (f, complex(c)) for f, c in abs2_polynomial(params, 0).terms.items()])
+        assert len(q) == 993 and TorusEvaluator.of([q]).levels == 2
+        tracemalloc.start()
+        try:
+            est = bohr_integral(lambda v: v.real, [q],
+                                Budget(samples=MC_BATCH, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert (est.method, est.nodes_or_samples) == ("monte-carlo", MC_BATCH)
+        assert abs(est.value - 1.0) <= 5 * est.std_error  # mean |P_0|^2 = 1
+
     def test_shared_samples_correlate(self):
         # With shared nodes, the estimate of g - g is exactly zero.
         p = _two_char_poly()
@@ -232,30 +257,6 @@ class TestMonteCarlo:
             Budget(method="monte-carlo", samples=1 << 12, seed=4),
         )
         assert e1.value == e2.value
-
-    def test_independence_model_mean(self):
-        est = independent_phase_mean_abs(1, Budget(samples=1 << 10, seed=0))
-        assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_independence_model_matches_batch_loop(self):
-        # The shared Monte Carlo driver reproduces the dedicated batch loop
-        # it replaced, bit for bit, over several batches.
-        # The total is a power of two, so dividing the driver's complex sum
-        # (numpy multiplies by the reciprocal) is exact as in this loop.
-        q, budget = 7, Budget(samples=4 * MC_BATCH, seed=13)
-        n_batches = -(-budget.samples // MC_BATCH)
-        total = n_batches * MC_BATCH
-        s = s2 = 0.0
-        for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
-            z = np.abs(unit_phase_sum(np.random.default_rng(child), q,
-                                      MC_BATCH) * (1.0 / math.sqrt(q)))
-            s += float(z.sum())
-            s2 += float((z * z).sum())
-        m = s / total
-        est = independent_phase_mean_abs(q, budget)
-        assert est.value == m
-        assert est.std_error == math.sqrt(max(0.0, s2 / total - m * m) / total)
-        assert (est.nodes_or_samples, est.torus_dim, est.seed) == (total, q, 13)
 
     def test_unit_phase_sum_matches_array_draw(self):
         # Row-at-a-time draws and sums equal one (q, n) draw summed over
@@ -279,7 +280,7 @@ class TestMonteCarlo:
         assert ev.levels == 2  # the exponent -1 takes the limb path
         x = np.concatenate([rng.random(999), [2.0 ** -60]])
         assert np.mod(-x[-1], 1.0) == 1.0
-        (vals,) = ev(x.size, [x[None, :], np.zeros((1, x.size))])
+        (vals,) = ev([x[None, :], np.zeros((1, x.size))])
         want = 0.5 + np.exp(2j * np.pi * x) + 2j * np.exp(-2j * np.pi * x)
         np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
 
@@ -291,7 +292,7 @@ class TestMonteCarlo:
         ev = TorusEvaluator.of([p])
         assert (ev.dim, ev.levels) == (1, 2)
         theta = (np.arange(64) + 0.5) / 64
-        (vals,) = ev(64, [theta[None, :]])
+        (vals,) = ev([theta[None, :]])
         want = 0.5 + np.exp(2j * np.pi * theta) + 2j * np.exp(-6j * np.pi * theta)
         assert np.allclose(vals, want, atol=1e-13)
 
@@ -343,7 +344,7 @@ class TestIdentityCoordinates:
         ev = TorusEvaluator(polys, dim, emats)
         assert (ev.dim, ev.levels) == (22, 1)
         x = np.random.default_rng(8).random((dim, 500))
-        for p, E, vals in zip(polys, emats, ev(500, [x])):
+        for p, E, vals in zip(polys, emats, ev([x])):
             c = np.array(list(p.terms.values()), dtype=complex)
             want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
             assert np.allclose(vals, want, rtol=0, atol=1e-12)
@@ -355,10 +356,26 @@ class TestIdentityCoordinates:
         ev = TorusEvaluator(polys, dim, emats)
         assert (ev.dim, ev.levels) == (94, 1)
         x = np.random.default_rng(10).random((dim, 4096))
-        for p, E, vals in zip(polys, emats, ev(4096, [x])):
+        for p, E, vals in zip(polys, emats, ev([x])):
             c = np.array(list(p.terms.values()), dtype=complex)
             want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
             np.testing.assert_allclose(vals, want, rtol=0, atol=1e-14)
+
+    def test_sample_draws_row_blocks_in_turn(self):
+        # At 2^14 points the unit form takes the 94 coordinates in row
+        # blocks of 64.  ``sample`` draws the blocks in turn: the numbers of
+        # one (dim, n) draw, and the same values as evaluating that draw.
+        params = make_independent_params([64, 32], seed=9)
+        polys = [build_polynomial(params, k) for k in (0, 1)]
+        dim, emats = _phase_space(polys)
+        ev = TorusEvaluator(polys, dim, emats)
+        got = ev.sample(np.random.default_rng(4), MC_BATCH)
+        x = np.random.default_rng(4).random((dim, MC_BATCH))
+        for p, E, vals, direct in zip(polys, emats, got, ev([x])):
+            assert np.array_equal(vals, direct)
+            c = np.array(list(p.terms.values()), dtype=complex)
+            want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
+            np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
 
     def test_long_two_cut_stage_uses_grid(self):
         # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with
@@ -413,13 +430,11 @@ class TestRealLine:
             assert err <= 1.0 / (w * T) + 1e-9
 
     def test_float_frequency_poly_matches_appoly(self):
-        # Panels are sized from the degree for both polynomial types; the
-        # exact value is sin(1000)/1000.
+        # Panels are sized from the degree; the exact value is
+        # sin(1000)/1000.
         b = SymbolBasis.make(("w", 100.0))
-        exact = real_line_mean(APPoly.character(b.symbol("w")), 10.0)
-        floating = real_line_mean(RealFreqPoly([100.0], [1.0]), 10.0)
-        assert floating == pytest.approx(exact, abs=1e-12)
-        assert floating == pytest.approx(math.sin(1000.0) / 1000.0, abs=1e-12)
+        mean = real_line_mean(APPoly.character(b.symbol("w")), 10.0)
+        assert mean == pytest.approx(math.sin(1000.0) / 1000.0, abs=1e-12)
 
     def test_bad_T(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,11 +89,15 @@ class TestDeterminism:
         ["prikhodko", "--sizes", "8,16", "--m-n", "4", "--eps-n", "1/4",
          "--samples", "2048"],
         ["degree-report", "--cuts", "3,3"],
-        ["flatness", "--samples", "2048"],
+        ["flatness", "--samples", "2048", _FAMILY],
+        pytest.param(["flatness", "--samples", "2048",
+                      {"kind": "prikhodko", "n": 16, "m_n": 4, "eps_n": "1/4"}],
+                     id="flatness-prikhodko"),
     ], ids=lambda argv: argv[0])
     def test_replay_byte_identical(self, tmp_path, argv):
-        if argv[0] == "flatness":
-            argv = argv + _family_config(tmp_path, _FAMILY)
+        # A flatness case ends with the family of its config.
+        if isinstance(argv[-1], dict):
+            argv = argv[:-1] + _family_config(tmp_path, argv[-1])
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run(argv + ["--seed", "5", "--out", str(a)]) == 0
         assert _run(argv + ["--seed", "5", "--out", str(b)]) == 0
@@ -349,6 +354,15 @@ class TestExitCodes:
         assert _run(["bourgain-scan", "--config", str(cfg), "--k-max", "1",
                      "--window", "1", "--samples", "1024", "--seed", "1",
                      "--out", str(tmp_path / "r")]) == 3
+
+    def test_oversize_cosine_product_is_3(self, tmp_path, capsys):
+        # The symbolic product of cos^64 over four symbols would hold 65^4,
+        # about 1.8e7, terms; it is refused before it is expanded.
+        start = time.perf_counter()
+        assert _run(["kac-moments", "--exponents", "64,64,64,64", "--seed", "1",
+                     "--out", str(tmp_path / "r")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_support_cap_is_3(self, tmp_path, capsys):
         # The exact product of four 64-cut stages would hold about 10^13

@@ -11,7 +11,7 @@ import pytest
 from bohrap.appoly import APPoly
 from bohrap.bohrint import Budget
 from bohrap.errors import ValidationError
-from bohrap.flatness import (PolyFamilySpec, RealFreqPoly, build_family,
+from bohrap.flatness import (PolyFamilySpec, build_family,
                              flatness_ratio, local_vs_global_flatness,
                              prikhodko_frequencies, ultraflat_deviation)
 from bohrap.freqspace import SymbolBasis
@@ -81,7 +81,7 @@ class TestBuildFamily:
 
     def test_prikhodko_poly_normalized(self):
         p = build_family(PolyFamilySpec(kind="prikhodko", n=16))
-        assert isinstance(p, RealFreqPoly)
+        assert isinstance(p, APPoly)
         assert p.l2_norm() == pytest.approx(1.0)
 
 
@@ -162,6 +162,21 @@ class TestUltraflat:
         a = b.symbol("a")
         p = APPoly.from_terms(b, [(a, 1.0), (a.scale((1 << 60) + 1), 1.0)])
         assert ultraflat_deviation(p, tol=1e-3) == pytest.approx(1.0, abs=1e-3)
+
+    def test_independent_frequencies_exact(self):
+        # Kronecker: the phases fill the torus, so sup |P| is the sum S of
+        # |c| and inf |P| is max(0, 2 max |c| - S).  Each of the three sums
+        # reaches 0, so the deviation is 1 (seeded scans read 0.99772,
+        # 0.99691 and 0.99262); the Prikhodko p_n = 16 sum peaks at
+        # 16 / 4 against |P|_2 = 1.
+        b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
+        one, a, s, c = b.zero(), b.symbol("a"), b.symbol("b"), b.symbol("c")
+        for items in ([(one, 1.0), (a, 1.0), (s, 1.0)],
+                      [(one, 2.0), (a, 1.0), (s, 1.0)],
+                      [(one, 3.0), (a, 1.0), (s, 1.0), (c, 1.0)]):
+            assert ultraflat_deviation(APPoly.from_terms(b, items)) == 1.0
+        p = build_family(PolyFamilySpec(kind="prikhodko", n=16))
+        assert ultraflat_deviation(p) == 3.0
 
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
