@@ -20,7 +20,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .errors import BudgetError, ValidationError
-from .freqspace import _integer_rows, torus_reduce
+from .freqspace import Frequency, _integer_rows, rational_rank, torus_reduce
 
 #: Torus phases are built from signed base-2^27 limbs of the integer
 #: exponents against a multi-double representation of each torus coordinate,
@@ -39,7 +39,8 @@ TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
 _TABLE_ENTRIES = 1 << 20
 
-#: Monte Carlo points per batch; each batch draws from its own child stream.
+#: Monte Carlo points per batch, each batch drawn from its own child stream,
+#: and the most points of a tensor-grid chunk (unless one grid row is longer).
 MC_BATCH = 1 << 14
 
 #: Most phases (terms x points, or coordinates x points) that one step of
@@ -133,6 +134,21 @@ def _phase_space(polys: Sequence[APPoly]):
         E = np.array([[r[c] for c in active] for r in scaled], dtype=object)
     E = E.reshape(len(all_freqs), dim)
     return dim, np.split(E, np.cumsum([len(p.terms) for p in polys])[:-1])
+
+
+def affinely_independent(freqs: Sequence[Frequency]) -> bool:
+    """Whether the differences f_j - f_0 of distinct frequencies are
+    rationally independent.
+
+    More differences than active symbols are dependent; otherwise the rank
+    is tested exactly, over at most _EXACT_REDUCE_DIM active symbols (above
+    that the answer is False).
+    """
+    f0, *rest = freqs
+    active = {i for f in freqs for i, v in enumerate(f.num) if v}
+    if len(rest) > len(active) or len(active) > _EXACT_REDUCE_DIM:
+        return False
+    return rational_rank([f - f0 for f in rest]) == len(rest)
 
 
 def _identity_columns(freqs, support) -> list[int] | None:
@@ -364,51 +380,107 @@ def _grid_sizes(emats, dim: int, nodes: int | None) -> list[int]:
     return [max(64, 1 << (2 * int(m)).bit_length()) for m in top]
 
 
-def _tensor_values(coeffs, E, ns):
-    """sum_t c_t e^{2 pi i sum_i E[t, i] k_i / n_i} on the grid of ``ns`` nodes.
+def _layout(ns):
+    """Nodes per axis, the 0-torus being a grid of one node, and the split
+    hi of the last axis into rows of n_last / hi points: hi is near
+    sqrt(n_last / points of the other axes), so 1 unless those are fewer."""
+    ns = list(ns) or [1]
+    n, points = ns[-1], math.prod(ns)
+    return ns, math.gcd(n, 1 << (n * n // points).bit_length() // 2)
 
-    Each term is separable: with per-axis root tables F[t, k], the grid is
-    U^T F_last for U = c times the row-wise Kronecker product of the other
-    tables, one matrix product per block of terms (a few terms are one).
+
+def _term_blocks(coeffs, E, ns):
+    """The grid sum_t c_t e^{2 pi i sum_i E[t, i] k_i / n_i} of ``ns`` nodes
+    as a sum of separable factors, one pair (U^T, F_last) per block of terms.
+
+    Each term is separable: with per-axis root tables F[t, k], the grid in C
+    order, cut into rows of n_last / hi points, is U^T F_last for U = c times
+    the row-wise Kronecker product of the other tables.  A block of terms
+    holds about _TABLE_ENTRIES table entries; a few terms are one block, and
+    no terms give one empty block.  The 0-torus is a grid of one node.
     """
-    if not ns or not len(coeffs):
-        return np.full(ns, coeffs.sum())
+    if not ns:
+        E = np.zeros((len(coeffs), 1), dtype=np.int64)
+    ns, hi = _layout(ns)
     # Python ints reduce huge exponents exactly before they become int64.
     E = (E % np.array(ns, dtype=object)).astype(np.int64)
     d, n, points = len(ns), ns[-1], math.prod(ns)
-    # Table (i, m, st) is F[t, k] = root_i[e_ti st k mod n_i] for k < m.  The
-    # last axis, k = q n / hi + r, gets one over q < hi and one over r: hi is
-    # near sqrt(n / points of the other axes), so 1 unless those are fewer.
-    hi = math.gcd(n, 1 << (n * n // points).bit_length() // 2)
+    # Table (i, m, st) is F[t, k] = root_i[e_ti st k mod n_i] for k < m; the
+    # last axis, k = q n / hi + r, gets one over q < hi and one over r.
     axes = ([(i, m, 1) for i, m in enumerate(ns[:-1])]
             + [(d - 1, hi, n // hi), (d - 1, n // hi, 1)])
     roots = [np.exp((2j * np.pi / m) * np.arange(m)) for m in ns]
     step = max(1, _TABLE_ENTRIES // (points * hi // n + sum(m for _, m, _ in axes)))
-    for s in range(0, len(coeffs), step):
+    for s in range(0, max(1, len(coeffs)), step):
         F = [roots[i][np.outer(E[s:s + step, i] * st % ns[i], np.arange(m)) % ns[i]]
              for i, m, st in axes]
         U = coeffs[s:s + step, None]
         for f in F[:-1]:
-            U = (U[:, :, None] * f[:, None, :]).reshape(len(U), -1)
-        part = U.T @ F[-1]
-        grid = part if s == 0 else np.add(grid, part, out=grid)
-    return grid.reshape(ns)
+            U = (U[:, :, None] * f[:, None, :]).reshape(len(U), U.shape[1] * f.shape[1])
+        yield U.T, F[-1]
+
+
+def _block_sum(blocks, rows=slice(None)):
+    """Rows ``rows`` of the grid of ``_term_blocks``."""
+    for b, (Ut, F) in enumerate(blocks):
+        part = Ut[rows] @ F
+        grid = part if b == 0 else np.add(grid, part, out=grid)
+    return grid
+
+
+def _tensor_values(coeffs, E, ns):
+    """The whole grid of ``ns`` nodes, built one block of terms at a time."""
+    return _block_sum(_term_blocks(coeffs, E, ns)).reshape(ns)
 
 
 def _tensor(gs, polys, emats, ns):
-    """Means on the uniform grid of ``ns`` nodes; each integrand is called
-    once, and its every-other-node subgrid gives the refinement delta."""
-    grids = [_tensor_values(np.array(list(p.terms.values()), dtype=complex), E, ns)
-             for p, E in zip(polys, emats)]
+    """Means on the uniform grid of ``ns`` nodes and on its every-other-node
+    subgrid, whose difference is the refinement delta.
+
+    The grid is walked in C-order chunks of whole rows of ``_term_blocks``,
+    at most MC_BATCH points or else one row, and each integrand is called
+    once per chunk, on every polynomial's values there.  A polynomial's
+    factors are kept when they hold fewer entries than the grid; otherwise
+    its whole grid, built one block of terms at a time, is kept instead.
+    """
+    full, hi = _layout(ns)
+    width = full[-1] // hi
+    rows = math.prod(full) // width
+    row_values = []
+    for p, E in zip(polys, emats):
+        coeffs = np.array(list(p.terms.values()), dtype=complex)
+        if len(coeffs) * (rows + width) < rows * width:
+            blocks = list(_term_blocks(coeffs, E, ns))
+            row_values.append(lambda r, blocks=blocks: _block_sum(blocks, r))
+        else:
+            row_values.append(_tensor_values(coeffs, E, ns).reshape(rows, width).__getitem__)
+    # Row r holds the nodes (k_0, ..., k_{d-2}, q width + j), j < width, for
+    # the C-order index (k_0, ..., k_{d-2}, q) of r.  Row sums over the
+    # columns of even and of odd j lie on the subgrid when every k_i and
+    # q width + j are even.
+    *index, q = np.unravel_index(np.arange(rows), (*full[:-1], hi))
+    on = np.stack([(q * width + j) % 2 == 0 for j in (0, 1)], axis=1)
+    for k in index:
+        on &= (k % 2 == 0)[:, None]
+    parity = np.zeros((width, 2))
+    parity[0::2, 0] = parity[1::2, 1] = 1.0
+    step = max(1, MC_BATCH // width)
+    # Real parts of the sums of each chunk, added exactly at the end.
+    sums = [[] for _ in gs]
+    half = [[] for _ in gs]
+    for r0 in range(0, rows, step):
+        r = slice(r0, r0 + step)
+        grids = [values(r) for values in row_values]
+        vals = [v.ravel() for v in grids]
+        for i, g in enumerate(gs):
+            s = (_finite(g(*vals)).reshape(grids[0].shape) @ parity).real
+            sums[i].append(s.sum())
+            half[i].append(s[on[r]].sum())
     points = math.prod(ns)
-    half = tuple(slice(None, None, 2) for _ in ns)
+    half_points = math.prod((m + 1) // 2 for m in ns)
     out = []
-    for g in gs:
-        y = _finite(g(*grids))
-        value = float(np.mean(y).real)
-        # The copy keeps the subgrid mean bit-identical to that of the
-        # integrand evaluated on the subgrid itself.
-        y_half = np.ascontiguousarray(y[half])
+    for total, sub in zip(sums, half):
+        value = math.fsum(total) / points
         out.append(IntegralEstimate(
             value=value,
             std_error=0.0,
@@ -416,7 +488,7 @@ def _tensor(gs, polys, emats, ns):
             nodes_or_samples=points,
             seed=None,
             torus_dim=len(ns),
-            refinement_delta=abs(value - float(np.mean(y_half).real)),
+            refinement_delta=abs(value - math.fsum(sub) / half_points),
         ))
     return out
 
@@ -430,7 +502,10 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     """Estimate several functionals of the same polynomials on shared nodes.
 
     Sharing the sample set makes the errors of the returned estimates
-    correlate, which is exactly what inequality checks want.  "auto" takes
+    correlate, which is exactly what inequality checks want.  Integrands
+    must be pointwise: each is called once per Monte Carlo batch or grid
+    chunk, on every polynomial's values at its points (at most MC_BATCH,
+    unless one grid row is longer).  "auto" takes
     the tensor grid when the torus dimension and grid size are within
     ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """

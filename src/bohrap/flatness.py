@@ -19,7 +19,8 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
-                      TorusEvaluator, interval_l1_distortion, mean_abs)
+                      TorusEvaluator, affinely_independent,
+                      interval_l1_distortion, mean_abs)
 from .errors import ValidationError, json_array, json_int, json_number
 from .freqspace import Frequency, SymbolBasis
 
@@ -180,14 +181,25 @@ def _stable_max(sample, n0: int, tol: float, cap: int) -> float:
         prev = cur
 
 
+def _polygon_deviation(coeffs: np.ndarray, l2: float) -> float:
+    """The deviation of a0 + sum_j c_j e^{i theta_j} over the whole torus:
+    sup |P| = S = sum |c| and, by the polygon inequality, inf |P| =
+    max(0, 2 max |c| - S) over the c_j and a0."""
+    c = np.abs(coeffs)
+    top = float(c.sum())
+    low = max(0.0, 2.0 * float(c.max()) - top)
+    return max(top / l2 - 1.0, 1.0 - low / l2)
+
+
 def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
                         max_points: int = 1 << 22, seed: int = 0) -> float:
     """max over t of | |P(t)| / |P|_2 - 1 |.
 
-    On independent frequencies (the unit form of ``TorusEvaluator``) it is
-    exact: by Kronecker's theorem the phases fill the torus densely, so
-    sup |P| = S = sum |c| and, by the polygon inequality, inf |P| =
-    max(0, 2 max |c| - S) over the folded coefficients c and the constant.
+    It is exact when the phases of the terms are independent: in the unit
+    form of ``TorusEvaluator`` (over its folded coefficients and constant),
+    and when the differences f_j - f_0 of the frequencies are rationally
+    independent, since |P| = |P e^{-i f_0 t}|.  Kronecker's theorem then
+    makes the phases fill the torus densely (``_polygon_deviation``).
     Other polynomials are scanned on their reduced torus (a midpoint grid
     in one dimension once it has more points than twice the largest
     exponent, seeded uniform points in full phase precision otherwise),
@@ -199,10 +211,9 @@ def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
     ev = TorusEvaluator.of([p])
     if ev.unit is not None:
         A, a0 = ev.unit
-        c = np.abs(np.append(A[0], a0))
-        top = float(c.sum())
-        low = max(0.0, 2.0 * float(c.max()) - top)
-        return max(top / l2 - 1.0, 1.0 - low / l2)
+        return _polygon_deviation(np.append(A[0], a0), l2)
+    if affinely_independent(list(p.terms)):
+        return _polygon_deviation(np.array(list(p.terms.values()), dtype=complex), l2)
 
     def sample(n):
         # The midpoint grid aliases exponents of size n/2 or more.

@@ -170,6 +170,111 @@ class TestTensorGrid:
         assert peak < 64 * 2 ** 20
 
 
+B4 = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e),
+                      ("d", math.pi))
+
+
+def _random_polys(d, rng, count=3, terms=5):
+    """Polynomials whose frequencies span the first d symbols of B4, so
+    their torus has dimension d (0 gives constants)."""
+    syms = [B4.symbol(n) for n in B4.names[:d]]
+    polys = []
+    for _ in range(count):
+        items = [(B4.zero(), complex(rng.normal(), rng.normal()))]
+        items += [(s, 1.0) for s in syms]
+        for _ in range(terms if d else 0):
+            f = B4.zero()
+            for s in syms:
+                f = f + s.scale(int(rng.integers(-9, 10)))
+            items.append((f, complex(rng.normal(), rng.normal())))
+        polys.append(APPoly.from_terms(B4, items))
+    return polys
+
+
+class TestTensorChunks:
+    """``_tensor`` walks the grid in chunks of whole rows, at most MC_BATCH
+    points or else one row."""
+
+    GS = [lambda x, y, z: np.abs(x) * np.abs(y) ** 2 * np.abs(z) ** 3,
+          lambda x, y, z: np.abs(x * np.conj(z) + y)]
+
+    @staticmethod
+    def _check(monkeypatch, ns, rel):
+        """Chunked means against means of whole grids and their subgrids."""
+        polys = _random_polys(len(ns), np.random.default_rng(len(ns)))
+        monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
+        ests = bohr_integral_multi(TestTensorChunks.GS, polys, Budget(method="tensor"))
+        dim, emats = _phase_space(polys)
+        assert dim == len(ns)
+        grids = [_tensor_values(np.array(list(p.terms.values()), dtype=complex), E, list(ns))
+                 for p, E in zip(polys, emats)]
+        half = tuple(slice(None, None, 2) for _ in ns)
+        for g, est in zip(TestTensorChunks.GS, ests):
+            y = g(*grids)
+            value = float(np.mean(y).real)
+            delta = abs(value - float(np.mean(y[half]).real))
+            tol = rel * max(1.0, abs(value))
+            assert est.nodes_or_samples == math.prod(ns)
+            assert est.value == pytest.approx(value, rel=0, abs=tol)
+            assert est.refinement_delta == pytest.approx(delta, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("ns", [(), (5,), (7,), (5, 5), (7, 7), (12,),
+                                    (64,), (2048,), (4, 256, 256),
+                                    (6, 10, 4, 12)], ids=str)
+    def test_chunked_means_equal_whole_grid(self, monkeypatch, ns):
+        # (12,) has rows of 3 points, so the subgrid parity alternates
+        # between rows; (4, 256, 256) has axis-0 planes of 2^16 points.
+        self._check(monkeypatch, ns, 1e-15)
+
+    def test_row_longer_than_batch(self, monkeypatch):
+        # 20001 nodes on one axis are one row and one chunk; its sums over
+        # 10^4 nodes of one parity agree to 1e-13.
+        self._check(monkeypatch, (20001,), 1e-13)
+
+    def test_bounded_chunks_and_memory(self):
+        # Three polynomials on a 2^21-point grid: whole grids and integrand
+        # temporaries of 32 MB each peaked at 144 MB under tracemalloc;
+        # chunks of MC_BATCH points peak near 6 MB.
+        a, b, c = (B.symbol(n) for n in ("a", "b", "c"))
+        polys = [APPoly.from_terms(B, [(B.zero(), 1.0), (a, 1.0), (b, 1.0),
+                                       (c, 1.0), (f.scale(40), 0.5)])
+                 for f in (a, b, c)]
+        sizes = []
+
+        def g(*vals):
+            sizes.append(vals[0].size)
+            return np.abs(vals[0] * vals[1] * vals[2])
+
+        tracemalloc.start()
+        try:
+            (est,) = bohr_integral_multi([g], polys, Budget(method="tensor"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.nodes_or_samples == 1 << 21
+        assert sum(sizes) == 1 << 21 and max(sizes) <= MC_BATCH
+        assert peak < 16 * 2 ** 20
+
+    def test_many_terms_keep_one_grid(self, monkeypatch):
+        # 6001 terms over 2^16 nodes: the factors of every block of terms at
+        # once hold 6001 x 512 entries (49 MB), 48 times the grid, so the
+        # grid is built once, one block of 85 terms at a time, and sliced.
+        monkeypatch.setattr(bohrint, "_TABLE_ENTRIES", 1 << 16)
+        a = B.symbol("a")
+        rng = np.random.default_rng(4)
+        p = APPoly.from_terms(B, [(a, 1.0)] + [
+            (a.scale(5 * j), complex(rng.normal(), rng.normal()))
+            for j in range(1, 6001)])
+        tracemalloc.start()
+        try:
+            (est,) = bohr_integral_multi([np.abs], [p], Budget(method="tensor"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.nodes_or_samples == 1 << 16
+        assert peak < 8 * 2 ** 20
+
+
 class TestMonteCarlo:
     def test_matches_tensor(self):
         p = _two_char_poly()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bohrap.appoly import APPoly
-from bohrap.bohrint import Budget
+from bohrap.bohrint import Budget, affinely_independent
 from bohrap.errors import ValidationError
 from bohrap.flatness import (PolyFamilySpec, build_family,
                              flatness_ratio, local_vs_global_flatness,
@@ -128,36 +128,42 @@ class TestUltraflat:
         assert ultraflat_deviation(p) > 0.0
 
     def test_huge_exponents_keep_phase_precision(self):
-        # P = e^{ia} + e^{iNa} + e^{i(Na+b)} reaches 0 on the torus, so the
-        # deviation is 1.  For N = 2^60 + 1, phases rounded to float64
-        # freeze e^{iNa} and e^{i(Na+b)} at 1, so |P| stays in [1, 3] and
-        # the deviation reads sqrt(3) - 1 = 0.732.
+        # P = e^{ia} + e^{iNa} + e^{i(Na+b)}/2 + e^{i(2Na+b)}/2 reaches 0 on
+        # the torus, so the deviation is 1; its three differences over two
+        # symbols are dependent, so it is scanned on seeded points.  For
+        # N = 2^60 + 1, phases rounded to float64 freeze every term but
+        # e^{ia} at 1, so |P| stays in [1, 3] and the deviation reads
+        # 3 / sqrt(2.5) - 1 = 0.897.
         b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
         a, s = b.symbol("a"), b.symbol("b")
         N = (1 << 60) + 1
         p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0),
-                                  (a.scale(N) + s, 1.0)])
+                                  (a.scale(N) + s, 0.5),
+                                  (a.scale(2 * N) + s, 0.5)])
+        assert not affinely_independent(list(p.terms))
         assert ultraflat_deviation(p) >= 0.95
 
     def test_huge_exponent_on_one_symbol(self):
-        # e^{ia} + e^{iNa} reaches 0, so the deviation is 1.  A midpoint
-        # grid of n points with 2n dividing 2^60 sees N theta = theta and
-        # reads sqrt(2) - 1; such n are replaced by seeded points.
+        # e^{ia} + e^{iNa} + e^{2iNa} reaches 0, so the deviation is 1.  Its
+        # frequencies are dependent, so it is scanned.  A midpoint grid of n
+        # points with 2n dividing 2^60 sees N theta = theta and reads
+        # sqrt(3) - 1; such n are replaced by seeded points.  For N = 3 the
+        # midpoint grid serves.
         b = SymbolBasis.make(("a", 1.0))
         a = b.symbol("a")
-        for N, want in (((1 << 60) + 1, None), (3, 0.99946)):
-            p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0)])
+        for N, want in (((1 << 60) + 1, None), (3, 0.77107)):
+            p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0),
+                                      (a.scale(2 * N), 1.0)])
             dev = ultraflat_deviation(p)
             if want is None:
                 assert dev >= 0.95
             else:
                 assert dev == pytest.approx(want, abs=1e-5)
 
-    @pytest.mark.xfail(strict=True, reason="_stable_max stops once two "
-                       "seeded samples agree to tol, below the supremum")
     def test_seeded_sup_reaches_supremum(self):
         # e^{ia} + e^{iNa} reaches 0, so the deviation is exactly 1; the
-        # seeded scan reads 0.98344 with tol 1e-3.
+        # seeded scan, which stops once two samples agree to tol, read
+        # 0.98344.  The one difference (N - 1) a is independent.
         b = SymbolBasis.make(("a", 1.0))
         a = b.symbol("a")
         p = APPoly.from_terms(b, [(a, 1.0), (a.scale((1 << 60) + 1), 1.0)])
@@ -177,6 +183,23 @@ class TestUltraflat:
             assert ultraflat_deviation(APPoly.from_terms(b, items)) == 1.0
         p = build_family(PolyFamilySpec(kind="prikhodko", n=16))
         assert ultraflat_deviation(p) == 3.0
+
+    def test_affinely_independent_frequencies_exact(self):
+        # |P| = |P e^{-i f_0 t}|, so independent differences f_j - f_0 give
+        # the exact deviation.  1 + e^{ia} + e^{i(a+b)} reaches 0 (scanned:
+        # 0.99902 in 0.7 s), as do e^{ia} + e^{3ia} (0.99946) and
+        # e^{ia} + e^{iNa} + e^{i(Na+b)} (0.99517).
+        b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
+        a, s = b.symbol("a"), b.symbol("b")
+        N = (1 << 60) + 1
+        for freqs in ([b.zero(), a, a + s], [a, a.scale(3)],
+                      [a, a.scale(N), a.scale(N) + s]):
+            p = APPoly.from_terms(b, [(f, 1.0) for f in freqs])
+            assert ultraflat_deviation(p) == 1.0
+        # The 0/1/43 trinomial has dependent differences and is scanned;
+        # the polygon value would be 1.
+        p = APPoly.from_terms(b, [(a.scale(e), 1 / math.sqrt(3)) for e in (0, 1, 43)])
+        assert ultraflat_deviation(p) == pytest.approx(0.97517, abs=1e-5)
 
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
