@@ -33,18 +33,16 @@ _MAX_LIMBS = 5
 _MAX_EXPONENT = 1 << (_LIMB * _MAX_LIMBS)
 _GUARD_BITS = 60
 
-#: Dimension and point caps of the tensor method, and the root-table
-#: entries one block of terms holds while a grid is built.
+#: Dimension and point caps of the tensor method.
 TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
-_TABLE_ENTRIES = 1 << 20
 
 #: Monte Carlo points per batch, each batch drawn from its own child stream,
 #: and the most points of a tensor-grid chunk (unless one grid row is longer).
 MC_BATCH = 1 << 14
 
-#: Most phases (terms x points, or coordinates x points) that one step of
-#: ``TorusEvaluator`` holds.
+#: Most complex entries one step holds: phases (terms or coordinates x
+#: points) of ``TorusEvaluator``, or root-table entries of a tensor block.
 _EVAL_ENTRIES = 1 << 20
 
 #: Below this torus dimension the exact lattice reduction is used (it gives
@@ -113,11 +111,7 @@ def _phase_space(polys: Sequence[APPoly]):
         if p.basis != basis:
             raise ValidationError("polynomials over different bases")
     all_freqs = [f for p in polys for f in p.terms]
-    support = {}  # nonzero symbol indices of each distinct frequency
-    for f in all_freqs:
-        if f not in support:
-            support[f] = list(compress(range(len(f.num)), f.num))
-    active = sorted({c for cs in support.values() for c in cs})
+    support, active = _support(all_freqs)
     if not active:
         return 0, [np.zeros((len(p.terms), 0), dtype=object) for p in polys]
     if len(active) <= _EXACT_REDUCE_DIM:
@@ -136,19 +130,29 @@ def _phase_space(polys: Sequence[APPoly]):
     return dim, np.split(E, np.cumsum([len(p.terms) for p in polys])[:-1])
 
 
-def affinely_independent(freqs: Sequence[Frequency]) -> bool:
-    """Whether the differences f_j - f_0 of distinct frequencies are
-    rationally independent.
+def _support(freqs):
+    """Nonzero symbol indices of each distinct frequency, and active symbols."""
+    support = {}
+    for f in freqs:
+        if f not in support:
+            support[f] = list(compress(range(len(f.num)), f.num))
+    return support, sorted({c for cs in support.values() for c in cs})
 
-    More differences than active symbols are dependent; otherwise the rank
-    is tested exactly, over at most _EXACT_REDUCE_DIM active symbols (above
-    that the answer is False).
+
+def affinely_independent(freqs: Sequence[Frequency]) -> bool:
+    """Whether the differences f_j - f_0 of the distinct frequencies are
+    rationally independent: True for one frequency, False for more
+    differences than active symbols, else an exact rank test over at most
+    _EXACT_REDUCE_DIM active symbols.  Above that it is True when
+    ``_identity_columns`` certifies the nonzero frequencies independent
+    (their differences are then independent, with or without 0).
     """
-    f0, *rest = freqs
-    active = {i for f in freqs for i, v in enumerate(f.num) if v}
-    if len(rest) > len(active) or len(active) > _EXACT_REDUCE_DIM:
-        return False
-    return rational_rank([f - f0 for f in rest]) == len(rest)
+    support, active = _support(freqs)
+    if len(active) > _EXACT_REDUCE_DIM:
+        return _identity_columns(freqs, support) is not None
+    f0, *rest = support
+    return not rest or (len(rest) <= len(active)
+                        and rational_rank([f - f0 for f in rest]) == len(rest))
 
 
 def _identity_columns(freqs, support) -> list[int] | None:
@@ -251,7 +255,7 @@ class TorusEvaluator:
     headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
     points needs one.  When every exponent row is zero or a unit vector,
     as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
-    (``unit`` holds A and a0) and one level is exact: a batch costs one
+    (``_unit`` holds A and a0) and one level is exact: a batch costs one
     ``_cis`` of the coordinates and one matmul.  Otherwise the phases are
     summed from integer limbs of the exponents and go through the same
     ``_cis``.  Either way a step holds about _EVAL_ENTRIES phases: the
@@ -269,13 +273,13 @@ class TorusEvaluator:
         limbs = [_signed_limbs(E) for E in emats]
         if all(len(ls) == 1 and _unit_rows(ls[0]) for ls in limbs):
             units = [ls[0] for ls in limbs]
-            self.unit = (
+            self._unit = (
                 np.array([c @ L for c, L in zip(coeffs, units)]).reshape(len(polys), dim),
                 np.array([c @ (1.0 - L.sum(axis=1)) for c, L in zip(coeffs, units)]),
             )
             self.levels = 1
             return
-        self.unit = None
+        self._unit = None
         self._coeffs = coeffs
         self._width = max(1, _EVAL_ENTRIES // sum(len(c) for c in coeffs))
         # All-zero limbs are None, so they cost no product.
@@ -291,7 +295,7 @@ class TorusEvaluator:
     def __call__(self, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Values of each polynomial at the points of the level arrays."""
         n = levels[0].shape[1]
-        if self.unit is not None:
+        if self._unit is not None:
             return self._unit_values(n, lambda lo, hi: levels[0][lo:hi])
         out = np.empty((len(self._coeffs), n), dtype=complex)
         for lo in range(0, n, self._width):
@@ -314,14 +318,14 @@ class TorusEvaluator:
     def sample(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Values at n random points: the draws of ``rng.random((dim, n))``
         once per level (in the unit form, one row block at a time)."""
-        if self.unit is not None:
+        if self._unit is not None:
             return self._unit_values(n, lambda lo, hi: rng.random((hi - lo, n)))
         return self([rng.random((self.dim, n)) for _ in range(self.levels)])
 
     def _unit_values(self, n: int, block) -> list[np.ndarray]:
         """a0 + A . e^{2 pi i x} at n points; ``block(lo, hi)`` gives rows
         lo:hi of x, asked for in order."""
-        A, a0 = self.unit
+        A, a0 = self._unit
         z = np.zeros((len(A), n), dtype=complex)
         rows = max(1, _EVAL_ENTRIES // n)
         for lo in range(0, self.dim, rows):
@@ -396,7 +400,7 @@ def _term_blocks(coeffs, E, ns):
     Each term is separable: with per-axis root tables F[t, k], the grid in C
     order, cut into rows of n_last / hi points, is U^T F_last for U = c times
     the row-wise Kronecker product of the other tables.  A block of terms
-    holds about _TABLE_ENTRIES table entries; a few terms are one block, and
+    holds about _EVAL_ENTRIES table entries; a few terms are one block, and
     no terms give one empty block.  The 0-torus is a grid of one node.
     """
     if not ns:
@@ -410,7 +414,7 @@ def _term_blocks(coeffs, E, ns):
     axes = ([(i, m, 1) for i, m in enumerate(ns[:-1])]
             + [(d - 1, hi, n // hi), (d - 1, n // hi, 1)])
     roots = [np.exp((2j * np.pi / m) * np.arange(m)) for m in ns]
-    step = max(1, _TABLE_ENTRIES // (points * hi // n + sum(m for _, m, _ in axes)))
+    step = max(1, _EVAL_ENTRIES // (points * hi // n + sum(m for _, m, _ in axes)))
     for s in range(0, max(1, len(coeffs)), step):
         F = [roots[i][np.outer(E[s:s + step, i] * st % ns[i], np.arange(m)) % ns[i]]
              for i, m, st in axes]
@@ -592,7 +596,6 @@ class QuadratureResult:
     value: float
     refinement_delta: float
     nodes: int
-
 
 
 def interval_l1_distortion(p: APPoly, a: float, b: float,

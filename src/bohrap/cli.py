@@ -27,7 +27,8 @@ from .criteria import (bourgain_scan, fejer_factorization_check, guenais_sum,
                        kac_clt_diagnostics, kac_moment_identity)
 from .errors import BohrapError, ValidationError, json_int
 from .flatness import (PolyFamilySpec, build_family, flatness_ratio,
-                       local_vs_global_flatness, ultraflat_deviation)
+                       local_vs_global_flatness, ultraflat_deviation,
+                       ultraflat_exact)
 from .riesz import (RankOneParams, abs2_polynomial, degree_report,
                     make_independent_params, riesz_property_check)
 
@@ -205,7 +206,8 @@ def _cmd_flatness(args, doc: dict, seed: int) -> int:
     ratio = flatness_ratio(p, _budget(args, seed))
     dev = ultraflat_deviation(p, seed=seed)
     result = {"kind": spec.kind, "n": spec.n,
-              "flatness_ratio": ratio.to_json(), "ultraflat_deviation": dev}
+              "flatness_ratio": ratio.to_json(), "ultraflat_deviation": dev,
+              "ultraflat_exact": ultraflat_exact(p)}
     rows = [(spec.n, "flatness_ratio", ratio.value, ratio.std_error),
             (spec.n, "ultraflat_deviation", dev, 0.0)]
     _emit(args, "flatness", result, seed, doc, rows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -160,60 +160,55 @@ def flatness_ratio(p: APPoly, budget: Budget = Budget()) -> IntegralEstimate:
     if l2 == 0.0:
         raise ValidationError("flatness ratio of the zero polynomial is undefined")
     est = mean_abs(p, budget)
-    return IntegralEstimate(
-        value=est.value / l2, std_error=est.std_error / l2,
-        method=est.method, nodes_or_samples=est.nodes_or_samples,
-        seed=est.seed, torus_dim=est.torus_dim,
-        refinement_delta=est.refinement_delta / l2,
-    )
+    return replace(est, value=est.value / l2, std_error=est.std_error / l2,
+                   refinement_delta=est.refinement_delta / l2)
 
 
 def _stable_max(sample, n0: int, tol: float, cap: int) -> float:
-    n = n0
-    prev = sample(n)
-    while True:
-        n *= 2
-        if n > cap:
-            return prev
+    prev, n = sample(n0), 2 * n0
+    while n <= cap:
         cur = sample(n)
         if abs(cur - prev) < tol:
             return cur
-        prev = cur
+        prev, n = cur, 2 * n
+    return prev
 
 
 def _polygon_deviation(coeffs: np.ndarray, l2: float) -> float:
-    """The deviation of a0 + sum_j c_j e^{i theta_j} over the whole torus:
+    """The deviation of sum_j c_j e^{i theta_j} over the whole torus:
     sup |P| = S = sum |c| and, by the polygon inequality, inf |P| =
-    max(0, 2 max |c| - S) over the c_j and a0."""
+    max(0, 2 max |c| - S)."""
     c = np.abs(coeffs)
-    top = float(c.sum())
+    top = math.fsum(c)
     low = max(0.0, 2.0 * float(c.max()) - top)
     return max(top / l2 - 1.0, 1.0 - low / l2)
+
+
+def ultraflat_exact(p: APPoly) -> bool:
+    """Whether ``ultraflat_deviation`` of p is exact, not a sampled maximum
+    (a lower bound): it is when the differences f_j - f_0 are independent,
+    since |P| = |P e^{-i f_0 t}| and by Kronecker's theorem the phases of
+    the terms then fill the torus."""
+    return affinely_independent(list(p.terms))
 
 
 def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
                         max_points: int = 1 << 22, seed: int = 0) -> float:
     """max over t of | |P(t)| / |P|_2 - 1 |.
 
-    It is exact when the phases of the terms are independent: in the unit
-    form of ``TorusEvaluator`` (over its folded coefficients and constant),
-    and when the differences f_j - f_0 of the frequencies are rationally
-    independent, since |P| = |P e^{-i f_0 t}|.  Kronecker's theorem then
-    makes the phases fill the torus densely (``_polygon_deviation``).
-    Other polynomials are scanned on their reduced torus (a midpoint grid
-    in one dimension once it has more points than twice the largest
-    exponent, seeded uniform points in full phase precision otherwise),
-    doubling the point count until the maximum is stable to ``tol``.
+    When ``ultraflat_exact`` holds it is ``_polygon_deviation`` over the
+    term coefficients, with no sampling.  Other polynomials are scanned on
+    their reduced torus (a midpoint grid in one dimension once it has more
+    points than twice the largest exponent, seeded uniform points in full
+    phase precision otherwise), doubling the point count until the maximum
+    is stable to ``tol``.
     """
     l2 = p.l2_norm()
     if l2 == 0.0:
         raise ValidationError("the zero polynomial has no flatness deviation")
-    ev = TorusEvaluator.of([p])
-    if ev.unit is not None:
-        A, a0 = ev.unit
-        return _polygon_deviation(np.append(A[0], a0), l2)
-    if affinely_independent(list(p.terms)):
+    if ultraflat_exact(p):
         return _polygon_deviation(np.array(list(p.terms.values()), dtype=complex), l2)
+    ev = TorusEvaluator.of([p])
 
     def sample(n):
         # The midpoint grid aliases exponents of size n/2 or more.

@@ -10,7 +10,7 @@ import pytest
 from bohrap import bohrint
 from bohrap.appoly import APPoly
 from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
-                            _phase_space,
+                            _phase_space, affinely_independent,
                             _signed_limbs, _tensor_values, bohr_integral,
                             bohr_integral_multi,
                             interval_l1_distortion, mean_abs, real_line_mean,
@@ -140,7 +140,7 @@ class TestTensorGrid:
     @pytest.mark.parametrize("ns", [(2048,), (8, 16, 4)])
     def test_blocks_of_terms(self, monkeypatch, ns):
         # Tables of 2^9 entries split 40 terms into many blocks.
-        monkeypatch.setattr(bohrint, "_TABLE_ENTRIES", 1 << 9)
+        monkeypatch.setattr(bohrint, "_EVAL_ENTRIES", 1 << 9)
         c, E = _random_terms(40, len(ns), np.random.default_rng(5))
         np.testing.assert_allclose(_tensor_values(c, E * 25, list(ns)),
                                    _meshgrid_sum(c, E * 25, ns), rtol=0, atol=1e-12)
@@ -259,7 +259,7 @@ class TestTensorChunks:
         # 6001 terms over 2^16 nodes: the factors of every block of terms at
         # once hold 6001 x 512 entries (49 MB), 48 times the grid, so the
         # grid is built once, one block of 85 terms at a time, and sliced.
-        monkeypatch.setattr(bohrint, "_TABLE_ENTRIES", 1 << 16)
+        monkeypatch.setattr(bohrint, "_EVAL_ENTRIES", 1 << 16)
         a = B.symbol("a")
         rng = np.random.default_rng(4)
         p = APPoly.from_terms(B, [(a, 1.0)] + [
@@ -481,6 +481,19 @@ class TestIdentityCoordinates:
             c = np.array(list(p.terms.values()), dtype=complex)
             want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
             np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
+
+    def test_affine_rule_above_eight_symbols(self):
+        # Above eight active symbols the echelon certificate decides: a
+        # stage's 15 nonzero frequencies are certified independent, and so
+        # are their differences; |P|^2 holds e_i - e_j and is not.  One
+        # frequency, as in a constant, is independent.
+        params = make_independent_params([16], seed=3)
+        p = build_polynomial(params, 0)
+        q = abs2_polynomial(params, 0)
+        assert affinely_independent(list(p.terms))
+        assert affinely_independent([f for f in p.terms if any(f.num)])
+        assert not affinely_independent(list(q.terms))
+        assert affinely_independent([params.basis.zero()])
 
     def test_long_two_cut_stage_uses_grid(self):
         # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with

@@ -158,6 +158,21 @@ class TestSubcommands:
         assert 0 < doc["flatness_ratio"]["value"] <= 1.05
         assert doc["ultraflat_deviation"] > 0
 
+    @pytest.mark.parametrize("family, exact", [
+        ({"kind": "littlewood", "n": 3, "coefficients": [1, -1, 1]}, False),
+        ({**_FAMILY, "n": 3, "frequencies": ["0", "a", "a + b"],
+          "coefficients": [0.0, 0.5, 1.0]}, True)])
+    def test_flatness_labels_exact_deviation(self, tmp_path, family, exact):
+        # Frequencies 0, alpha, 2 alpha have dependent differences, so the
+        # deviation is a sampled maximum; 0, a, a + b give the exact value.
+        out = tmp_path / "r"
+        assert _run(["flatness", *_config(tmp_path, {"family": family, "seed": 4}),
+                     "--samples", "4096", "--out", str(out)]) == 0
+        doc = json.loads((out / "flatness.json").read_text())
+        assert doc["ultraflat_exact"] is exact
+        csv_text = (out / "flatness.csv").read_text()
+        assert "ultraflat_exact" not in csv_text
+
     def test_prikhodko(self, tmp_path):
         out = tmp_path / "r"
         assert _run(["prikhodko", "--sizes", "8,16", "--m-n", "4",

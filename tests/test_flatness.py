@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bohrap import flatness
 from bohrap.appoly import APPoly
 from bohrap.bohrint import Budget, affinely_independent
 from bohrap.errors import ValidationError
@@ -116,6 +117,14 @@ class TestUltraflat:
         dev = ultraflat_deviation(APPoly.character(b.symbol("w")))
         assert dev == pytest.approx(0.0, abs=1e-12)
 
+    def test_single_character_at_negative_frequency_is_zero(self):
+        # e^{-ia} has one frequency and no differences; its reduced exponent
+        # -1 is not a unit row, and the rank test of no differences raised.
+        b = SymbolBasis.make(("a", 1.0))
+        for k in (-1, -2):
+            dev = ultraflat_deviation(APPoly.character(b.symbol("a").scale(k)))
+            assert dev == pytest.approx(0.0, abs=1e-12)
+
     def test_two_terms_deviation_is_one(self):
         # |P| sweeps [0, 2] while |P|_2 = sqrt(2): the deviation below the
         # mean (down to 0) dominates the deviation above (sqrt(2) - 1).
@@ -200,6 +209,30 @@ class TestUltraflat:
         # the polygon value would be 1.
         p = APPoly.from_terms(b, [(a.scale(e), 1 / math.sqrt(3)) for e in (0, 1, 43)])
         assert ultraflat_deviation(p) == pytest.approx(0.97517, abs=1e-5)
+
+    def test_independent_family_not_scanned(self, monkeypatch):
+        # 1024 declared symbols, above the exact-rank cap: the echelon
+        # certificate gives the exact 32 - 1 without building an evaluator.
+        p = build_family(PolyFamilySpec(kind="prikhodko", n=1024))
+
+        def refuse(polys):
+            raise AssertionError("the evaluator was built")
+
+        monkeypatch.setattr(flatness.TorusEvaluator, "of", refuse)
+        assert ultraflat_deviation(p) == 31.0
+
+    def test_independent_family_memory(self):
+        # An evaluator held a 1024 x 1024 exponent matrix and its limbs
+        # (32 MB under tracemalloc).
+        p = build_family(PolyFamilySpec(kind="prikhodko", n=1024))
+        tracemalloc.start()
+        try:
+            dev = ultraflat_deviation(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev == 31.0
+        assert peak < 4 * 2 ** 20
 
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
