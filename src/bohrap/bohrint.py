@@ -12,6 +12,8 @@ orthogonality) and seeded batch Monte Carlo.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -41,9 +43,16 @@ TENSOR_POINT_CAP = 1 << 22
 #: and the most points of a tensor-grid chunk (unless one grid row is longer).
 MC_BATCH = 1 << 14
 
-#: Most complex entries one step holds: phases (terms or coordinates x
-#: points) of ``TorusEvaluator``, or root-table entries of a tensor block.
+#: Most complex entries one step holds: root-table entries of a tensor
+#: block, or the phases (terms or coordinates x points) of all
+#: ``TorusEvaluator`` steps in flight together.
 _EVAL_ENTRIES = 1 << 20
+
+#: Most Monte Carlo batches in flight at once: the calling thread's and one
+#: per helper thread.  A ``TorusEvaluator`` step holds _EVAL_ENTRIES //
+#: _MAX_WORKERS phases, a size (and so a summation order) that does not
+#: depend on the machine.
+_MAX_WORKERS = 4
 
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
@@ -258,9 +267,10 @@ class TorusEvaluator:
     (``_unit`` holds A and a0) and one level is exact: a batch costs one
     ``_cis`` of the coordinates and one matmul.  Otherwise the phases are
     summed from integer limbs of the exponents and go through the same
-    ``_cis``.  Either way a step holds about _EVAL_ENTRIES phases: the
-    limb form evaluates column slices of _EVAL_ENTRIES // terms points,
-    the unit form row blocks of _EVAL_ENTRIES // n coordinates.
+    ``_cis``.  Either way a step holds about _EVAL_ENTRIES // _MAX_WORKERS
+    phases: the limb form evaluates column slices of that many // terms
+    points, the unit form row blocks of that many // n coordinates.
+    Evaluation reads no state it writes, so threads may share one.
     """
 
     def __init__(self, polys: Sequence[APPoly], dim: int, emats):
@@ -281,7 +291,8 @@ class TorusEvaluator:
             return
         self._unit = None
         self._coeffs = coeffs
-        self._width = max(1, _EVAL_ENTRIES // sum(len(c) for c in coeffs))
+        self._width = max(1, _EVAL_ENTRIES // _MAX_WORKERS
+                          // sum(len(c) for c in coeffs))
         # All-zero limbs are None, so they cost no product.
         self._limbs = [[l if np.any(l) else None for l in ls] for ls in limbs]
         self._n_limbs = max(len(ls) for ls in self._limbs)
@@ -327,7 +338,7 @@ class TorusEvaluator:
         lo:hi of x, asked for in order."""
         A, a0 = self._unit
         z = np.zeros((len(A), n), dtype=complex)
-        rows = max(1, _EVAL_ENTRIES // n)
+        rows = max(1, _EVAL_ENTRIES // _MAX_WORKERS // n)
         for lo in range(0, self.dim, rows):
             hi = min(lo + rows, self.dim)
             z += A[:, lo:hi] @ _cis(block(lo, hi))
@@ -342,20 +353,117 @@ def _finite(y) -> np.ndarray:
     return y
 
 
+def _workers() -> int:
+    """Threads that run Monte Carlo batches: the usable CPUs, at most
+    _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
+
+
+#: (executor of _workers() - 1 helper threads, glibc ``malloc_trim`` or
+#: None), made by the first call with more than one batch;
+#: ``_in_helper.active`` marks the helper threads.
+_pool = None
+_pool_lock = threading.Lock()
+_in_helper = threading.local()
+
+
+def _mark_helper():
+    _in_helper.active = True
+
+
+def _helper_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            import ctypes
+            from concurrent.futures import ThreadPoolExecutor
+            try:
+                trim = ctypes.CDLL(None).malloc_trim
+            except (AttributeError, OSError, TypeError):
+                trim = None
+            _pool = (ThreadPoolExecutor(_workers() - 1, thread_name_prefix="bohrap-mc",
+                                        initializer=_mark_helper), trim)
+        return _pool
+
+
+def _run_batches(run: Callable[[int], object], n: int) -> list:
+    """[run(b) for b in range(n)] on this thread and _workers() - 1 helpers.
+
+    Each thread claims the next batch in order and runs one at a time, so
+    at most _workers() batches are in flight.  The first failure stops the
+    claims; the claimed batches are then a prefix, and the exception of the
+    lowest failed batch, the one a loop would raise, reaches the caller.
+    Calls from a helper thread (nested integrals) run their batches inline.
+    """
+    workers = min(_workers(), n)
+    if workers == 1 or getattr(_in_helper, "active", False):
+        return [run(b) for b in range(n)]
+    out = [None] * n
+    errors = {}
+    lock = threading.Lock()
+    claimed = 0
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                if claimed >= n:
+                    return
+                b, claimed = claimed, claimed + 1
+            try:
+                out[b] = run(b)
+            except BaseException as exc:
+                with lock:
+                    errors[b], claimed = exc, n
+                return
+
+    pool, trim = _helper_pool()
+    futures = [pool.submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        with lock:
+            claimed = n
+        # A helper that has not started is not waited for.
+        for f in futures:
+            if not f.cancel():
+                f.result()
+        # Each helper allocates from its own malloc arena, which keeps up to
+        # twice the mmap threshold of freed memory that this thread cannot
+        # reuse; give those pages back.
+        if trim is not None:
+            trim(0)
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
     """Seeded batch Monte Carlo of the integrands at ``ev``'s polynomials."""
     n_batches = -(-budget.samples // MC_BATCH)
     total = n_batches * MC_BATCH
+    children = np.random.SeedSequence(budget.seed).spawn(n_batches)
+
+    def batch(b):
+        vals = ev.sample(np.random.default_rng(children[b]), MC_BATCH)
+        sums = []
+        for g in gs:
+            y = _finite(g(*vals))
+            sums.append((y.sum(), float((y.real * y.real).sum())))
+        return sums
+
     sums = np.zeros(len(gs), dtype=complex)
     sumsq = np.zeros(len(gs))
-    # Fixed batch order and per-batch child streams keep the estimate
-    # bit-identical regardless of any outer parallel schedule.
-    for child in np.random.SeedSequence(budget.seed).spawn(n_batches):
-        vals = ev.sample(np.random.default_rng(child), MC_BATCH)
-        for i, g in enumerate(gs):
-            y = _finite(g(*vals))
-            sums[i] += y.sum()
-            sumsq[i] += float((y.real * y.real).sum())
+    # Per-batch child streams and sums added in batch order keep the
+    # estimate bit-identical for any number of threads.
+    for batch_sums in _run_batches(batch, n_batches):
+        for i, (s, sq) in enumerate(batch_sums):
+            sums[i] += s
+            sumsq[i] += sq
     out = []
     for i in range(len(gs)):
         m = sums[i] / total
@@ -507,9 +615,12 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
 
     Sharing the sample set makes the errors of the returned estimates
     correlate, which is exactly what inequality checks want.  Integrands
-    must be pointwise: each is called once per Monte Carlo batch or grid
-    chunk, on every polynomial's values at its points (at most MC_BATCH,
-    unless one grid row is longer).  "auto" takes
+    must be pointwise and pure: each is called once per Monte Carlo batch
+    or grid chunk, on every polynomial's values at its points (at most
+    MC_BATCH, unless one grid row is longer).  Monte Carlo batches run on
+    the calling thread and on helper threads, so an integrand may be called
+    from any thread, several at once; batch sums are added in batch order,
+    so the estimate does not depend on the thread count.  "auto" takes
     the tensor grid when the torus dimension and grid size are within
     ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """

@@ -194,20 +194,28 @@ def ultraflat_exact(p: APPoly) -> bool:
 
 def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
                         max_points: int = 1 << 22, seed: int = 0) -> float:
-    """max over t of | |P(t)| / |P|_2 - 1 |.
+    """max over t of | |P(t)| / |P|_2 - 1 |, as given by ``ultraflat``."""
+    return ultraflat(p, tol, max_points, seed)[0]
 
-    When ``ultraflat_exact`` holds it is ``_polygon_deviation`` over the
+
+def ultraflat(p: APPoly, tol: float = 1e-3, max_points: int = 1 << 22,
+              seed: int = 0) -> tuple[float, bool]:
+    """The ultraflat deviation of p and whether it is exact, deciding
+    ``ultraflat_exact`` once.
+
+    When the rule holds the deviation is ``_polygon_deviation`` over the
     term coefficients, with no sampling.  Other polynomials are scanned on
     their reduced torus (a midpoint grid in one dimension once it has more
     points than twice the largest exponent, seeded uniform points in full
     phase precision otherwise), doubling the point count until the maximum
-    is stable to ``tol``.
+    is stable to ``tol``; that maximum is a lower bound on the supremum.
     """
     l2 = p.l2_norm()
     if l2 == 0.0:
         raise ValidationError("the zero polynomial has no flatness deviation")
     if ultraflat_exact(p):
-        return _polygon_deviation(np.array(list(p.terms.values()), dtype=complex), l2)
+        coeffs = np.array(list(p.terms.values()), dtype=complex)
+        return _polygon_deviation(coeffs, l2), True
     ev = TorusEvaluator.of([p])
 
     def sample(n):
@@ -219,7 +227,7 @@ def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
             (vals,) = ev.sample(rng, n)
         return float(np.abs(np.abs(vals) / l2 - 1.0).max())
 
-    return _stable_max(sample, 64 * len(p), tol, max_points)
+    return _stable_max(sample, 64 * len(p), tol, max_points), False
 
 
 @dataclass(frozen=True)

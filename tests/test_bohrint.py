@@ -1,6 +1,7 @@
 """Integration engine: tensor exactness, Monte Carlo accuracy, real-line means."""
 
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -338,7 +339,7 @@ class TestMonteCarlo:
     def test_limb_form_memory_bounded(self):
         # |P_0|^2 of a 32-cut stage has 993 terms over 31 columns (limb
         # form).  A batch of 2^14 points held 993 x 2^14 phases at once
-        # (506 MB); column slices of 2^20 / 993 points hold about 2^20.
+        # (506 MB); column slices of 2^18 / 993 points hold about 2^18.
         params = make_independent_params([32], seed=1)
         q = APPoly.from_terms(params.basis, [
             (f, complex(c)) for f, c in abs2_polynomial(params, 0).terms.items()])
@@ -400,6 +401,117 @@ class TestMonteCarlo:
         (vals,) = ev([theta[None, :]])
         want = 0.5 + np.exp(2j * np.pi * theta) + 2j * np.exp(-6j * np.pi * theta)
         assert np.allclose(vals, want, atol=1e-13)
+
+
+def _kac_stage(p=128):
+    """Stage 0 of a p-cut independent family: p - 1 unit-form coordinates."""
+    return build_polynomial(make_independent_params([p], seed=1), 0)
+
+
+def _dependent_huge():
+    """Three differences over two symbols, exponents past 2^53: limb form."""
+    a, b = B.symbol("a"), B.symbol("b")
+    N = (1 << 60) + 1
+    return APPoly.from_terms(B, [(a, 1.0), (a.scale(N), 1.0),
+                                 (a.scale(N) + b, 0.5), (a.scale(2 * N) + b, 0.5)])
+
+
+def _shared_integrands():
+    params = make_independent_params([16, 8], seed=5)
+    polys = [build_polynomial(params, 0), build_polynomial(params, 1)]
+    gs = [lambda u, v: np.abs(u) * np.abs(v), lambda u, v: np.abs(u) ** 2,
+          lambda u, v: np.abs(v) ** 4]
+    return gs, polys, Budget(samples=5 * MC_BATCH, seed=8)
+
+
+def _call_with_deadline(fn, seconds=120):
+    """fn() on a daemon thread; fails instead of hanging on a deadlock."""
+    box = {}
+    t = threading.Thread(target=lambda: box.update(out=fn()), daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "Monte Carlo call did not finish"
+    return box["out"]
+
+
+class TestThreadedBatches:
+    """Monte Carlo batches on the calling thread and helper threads."""
+
+    @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3"])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, case):
+        if case == "unit-127":
+            p = _kac_stage()
+            assert TorusEvaluator.of([p]).dim == 127
+            run = lambda: [mean_abs(p, Budget(samples=1 << 16, seed=5))]
+        elif case == "limb-huge":
+            p = _dependent_huge()
+            ev = TorusEvaluator.of([p])
+            assert ev._unit is None and ev.max_exponent > 1 << 53
+            run = lambda: [mean_abs(p, Budget(method="monte-carlo",
+                                              samples=1 << 16, seed=6))]
+        else:
+            gs, polys, budget = _shared_integrands()
+            run = lambda: bohr_integral_multi(gs, polys, budget)
+        got = {}
+        for w in (1, 2, 4):
+            monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
+            monkeypatch.setattr(bohrint, "_pool", None)
+            got[w] = run()
+            assert (bohrint._pool is None) == (w == 1)
+        assert got[1] == got[2] == got[4]
+        assert got[1][0].method == "monte-carlo"
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failure_in_one_batch_reaches_caller(self, monkeypatch, workers):
+        # P = e^{ia} takes the value _cis(x) at the first draw x of batch 3,
+        # and nowhere else among the 8 batches.
+        monkeypatch.setattr(bohrint, "_workers", lambda: workers)
+        monkeypatch.setattr(bohrint, "_pool", None)
+        p = APPoly.character(B.symbol("a"))
+        budget = Budget(method="monte-carlo", samples=8 * MC_BATCH, seed=12)
+        child = np.random.SeedSequence(budget.seed).spawn(8)[3]
+        mark = _cis(np.random.default_rng(child).random(1))[0]
+
+        def g(v):
+            y = np.abs(v)
+            return y * np.nan if v[0] == mark else y
+
+        with pytest.raises(ValidationError):
+            bohr_integral(g, [p], budget)
+        est = bohr_integral(np.abs, [p], budget)
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_nested_integral_finishes(self, monkeypatch, workers):
+        # An integrand that integrates itself runs its inner batches inline
+        # on a helper thread, or through the pool on the calling thread.
+        q = _kac_stage(16)
+        inner = Budget(method="monte-carlo", samples=3 * MC_BATCH, seed=2)
+
+        def g(v):
+            return np.abs(v) * mean_abs(q, inner).value
+
+        outer = Budget(samples=4 * MC_BATCH, seed=3)
+        monkeypatch.setattr(bohrint, "_workers", lambda: 1)
+        want = bohr_integral(g, [q], outer)
+        monkeypatch.setattr(bohrint, "_workers", lambda: workers)
+        monkeypatch.setattr(bohrint, "_pool", None)
+        assert _call_with_deadline(lambda: bohr_integral(g, [q], outer)) == want
+
+    def test_peak_memory_not_above_parent(self, monkeypatch):
+        # Two workers, as on a 2-CPU machine: each step holds 2^18 phases,
+        # where one thread held 2^20 before (26.0 MB under tracemalloc).
+        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+        monkeypatch.setattr(bohrint, "_pool", None)
+        p = _kac_stage()
+        mean_abs(p, Budget(samples=1 << 15, seed=0))  # helpers started
+        tracemalloc.start()
+        try:
+            mean_abs(p, Budget(samples=1 << 16, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26_006_625
 
 
 class TestIdentityCoordinates:
@@ -468,7 +580,7 @@ class TestIdentityCoordinates:
 
     def test_sample_draws_row_blocks_in_turn(self):
         # At 2^14 points the unit form takes the 94 coordinates in row
-        # blocks of 64.  ``sample`` draws the blocks in turn: the numbers of
+        # blocks of 16.  ``sample`` draws the blocks in turn: the numbers of
         # one (dim, n) draw, and the same values as evaluating that draw.
         params = make_independent_params([64, 32], seed=9)
         polys = [build_polynomial(params, k) for k in (0, 1)]

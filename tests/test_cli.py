@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import bohrap
+from bohrap import flatness as flatness_module
 from bohrap.appoly import APPoly
 from bohrap.cli import main
 
@@ -173,6 +174,17 @@ class TestSubcommands:
         csv_text = (out / "flatness.csv").read_text()
         assert "ultraflat_exact" not in csv_text
 
+    def test_flatness_decides_exactness_once(self, tmp_path, monkeypatch):
+        # The deviation and its label come from one exactness decision.
+        calls = []
+        rule = flatness_module.affinely_independent
+        monkeypatch.setattr(flatness_module, "affinely_independent",
+                            lambda freqs: calls.append(1) or rule(freqs))
+        out = tmp_path / "r"
+        assert _run(["flatness", *_config(tmp_path, {"family": _FAMILY, "seed": 4}),
+                     "--samples", "4096", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
     def test_prikhodko(self, tmp_path):
         out = tmp_path / "r"
         assert _run(["prikhodko", "--sizes", "8,16", "--m-n", "4",
@@ -211,6 +223,27 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == "False"
+
+
+    def test_import_and_one_batch_start_no_thread(self):
+        # Monte Carlo helper threads start on the first call with more than
+        # one batch; importing the CLI loads no thread pool, and a one-batch
+        # integral starts no thread.
+        src = os.path.dirname(os.path.dirname(bohrap.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, threading\n"
+                "import bohrap.cli\n"
+                "print('concurrent.futures' in sys.modules)\n"
+                "import numpy as np\n"
+                "from bohrap.bohrint import MC_BATCH, Budget, bohr_integral_multi\n"
+                "from bohrap.riesz import build_polynomial, make_independent_params\n"
+                "p = build_polynomial(make_independent_params([16], seed=1), 0)\n"
+                "n = threading.active_count()\n"
+                "bohr_integral_multi([np.abs], [p], Budget(samples=MC_BATCH))\n"
+                "print(threading.active_count() - n)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False", "0"]
 
 
 class TestExitCodes:
