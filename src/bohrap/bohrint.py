@@ -11,6 +11,7 @@ orthogonality) and seeded batch Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -43,16 +44,24 @@ TENSOR_POINT_CAP = 1 << 22
 #: and the most points of a tensor-grid chunk (unless one grid row is longer).
 MC_BATCH = 1 << 14
 
-#: Most complex entries one step holds: root-table entries of a tensor
-#: block, or the phases (terms or coordinates x points) of all
-#: ``TorusEvaluator`` steps in flight together.
+#: Most root-table entries of one tensor block of terms.
 _EVAL_ENTRIES = 1 << 20
 
-#: Most Monte Carlo batches in flight at once: the calling thread's and one
-#: per helper thread.  A ``TorusEvaluator`` step holds _EVAL_ENTRIES //
-#: _MAX_WORKERS phases, a size (and so a summation order) that does not
-#: depend on the machine.
-_MAX_WORKERS = 4
+#: Most phases of one ``TorusEvaluator`` step (terms or coordinates x
+#: points), chosen for cache use: against 2^20, 2^18-phase steps ran the
+#: ``kac`` benchmark about 10% faster on one thread and held less memory
+#: with a helper thread; 2^16 caused tens of thousands of minor page faults
+#: per operation.  A fixed size keeps every bit independent of the machine.
+_STEP_PHASES = 1 << 18
+
+#: Most threads that run the batches of one Monte Carlo call: the calling
+#: thread and one helper.  Each holds a batch with its own step, draws and
+#: ``_cis`` temporaries: two stay below the peak of one thread with 2^20-phase
+#: steps, four did not.
+_MAX_WORKERS = 2
+
+#: Name of the Monte Carlo helper threads.
+_HELPER = "bohrap-mc"
 
 #: Below this torus dimension the exact lattice reduction is used (it gives
 #: the minimal dimension and small exponents for tensor grids); above it the
@@ -267,9 +276,9 @@ class TorusEvaluator:
     (``_unit`` holds A and a0) and one level is exact: a batch costs one
     ``_cis`` of the coordinates and one matmul.  Otherwise the phases are
     summed from integer limbs of the exponents and go through the same
-    ``_cis``.  Either way a step holds about _EVAL_ENTRIES // _MAX_WORKERS
-    phases: the limb form evaluates column slices of that many // terms
-    points, the unit form row blocks of that many // n coordinates.
+    ``_cis``.  Either way a step holds about _STEP_PHASES phases: the limb
+    form evaluates column slices of that many // terms points, the unit
+    form row blocks of that many // n coordinates.
     Evaluation reads no state it writes, so threads may share one.
     """
 
@@ -291,8 +300,7 @@ class TorusEvaluator:
             return
         self._unit = None
         self._coeffs = coeffs
-        self._width = max(1, _EVAL_ENTRIES // _MAX_WORKERS
-                          // sum(len(c) for c in coeffs))
+        self._width = max(1, _STEP_PHASES // sum(len(c) for c in coeffs))
         # All-zero limbs are None, so they cost no product.
         self._limbs = [[l if np.any(l) else None for l in ls] for ls in limbs]
         self._n_limbs = max(len(ls) for ls in self._limbs)
@@ -338,7 +346,7 @@ class TorusEvaluator:
         lo:hi of x, asked for in order."""
         A, a0 = self._unit
         z = np.zeros((len(A), n), dtype=complex)
-        rows = max(1, _EVAL_ENTRIES // _MAX_WORKERS // n)
+        rows = max(1, _STEP_PHASES // n)
         for lo in range(0, self.dim, rows):
             hi = min(lo + rows, self.dim)
             z += A[:, lo:hi] @ _cis(block(lo, hi))
@@ -363,79 +371,61 @@ def _workers() -> int:
     return max(1, min(cpus, _MAX_WORKERS))
 
 
-#: (executor of _workers() - 1 helper threads, glibc ``malloc_trim`` or
-#: None), made by the first call with more than one batch;
-#: ``_in_helper.active`` marks the helper threads.
-_pool = None
-_pool_lock = threading.Lock()
-_in_helper = threading.local()
-
-
-def _mark_helper():
-    _in_helper.active = True
-
-
-def _helper_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            import ctypes
-            from concurrent.futures import ThreadPoolExecutor
-            try:
-                trim = ctypes.CDLL(None).malloc_trim
-            except (AttributeError, OSError, TypeError):
-                trim = None
-            _pool = (ThreadPoolExecutor(_workers() - 1, thread_name_prefix="bohrap-mc",
-                                        initializer=_mark_helper), trim)
-        return _pool
+@functools.cache
+def _malloc_trim():
+    """glibc ``malloc_trim``, or None where the C library has none."""
+    import ctypes
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
 
 
 def _run_batches(run: Callable[[int], object], n: int) -> list:
-    """[run(b) for b in range(n)] on this thread and _workers() - 1 helpers.
+    """[run(b) for b in range(n)] on this thread and up to _workers() - 1
+    helper threads, started for this call and joined before it returns.
 
-    Each thread claims the next batch in order and runs one at a time, so
-    at most _workers() batches are in flight.  The first failure stops the
-    claims; the claimed batches are then a prefix, and the exception of the
-    lowest failed batch, the one a loop would raise, reaches the caller.
-    Calls from a helper thread (nested integrals) run their batches inline.
+    With w threads, thread t runs batches t, t + w, t + 2w, ... one at a
+    time (this thread is t = 0), and each result goes to its own slot.  A
+    thread stops at its first failure and before any batch above the lowest
+    failure seen so far.  Every batch below the lowest failure still runs,
+    so the exception of the lowest failed batch, the one a loop would raise,
+    reaches the caller.  Calls from a helper thread (nested integrals) run
+    their batches inline.
     """
-    workers = min(_workers(), n)
-    if workers == 1 or getattr(_in_helper, "active", False):
+    w = min(_workers(), n)
+    if w == 1 or threading.current_thread().name == _HELPER:
         return [run(b) for b in range(n)]
     out = [None] * n
     errors = {}
-    lock = threading.Lock()
-    claimed = 0
+    lowest = n  # lowest failed batch seen so far
 
-    def work():
-        nonlocal claimed
-        while True:
-            with lock:
-                if claimed >= n:
-                    return
-                b, claimed = claimed, claimed + 1
+    def work(t):
+        nonlocal lowest
+        for b in range(t, n, w):
+            if b > lowest:
+                return
             try:
                 out[b] = run(b)
             except BaseException as exc:
-                with lock:
-                    errors[b], claimed = exc, n
+                errors[b] = exc
+                lowest = min(lowest, b)  # a lost race only runs more batches
                 return
 
-    pool, trim = _helper_pool()
-    futures = [pool.submit(work) for _ in range(workers - 1)]
+    helpers = []
     try:
-        work()
+        for t in range(1, w):
+            h = threading.Thread(target=work, args=(t,), name=_HELPER)
+            h.start()
+            helpers.append(h)
+        work(0)
     finally:
-        with lock:
-            claimed = n
-        # A helper that has not started is not waited for.
-        for f in futures:
-            if not f.cancel():
-                f.result()
+        for h in helpers:
+            h.join()
         # Each helper allocates from its own malloc arena, which keeps up to
         # twice the mmap threshold of freed memory that this thread cannot
         # reuse; give those pages back.
-        if trim is not None:
+        if (trim := _malloc_trim()) is not None:
             trim(0)
     if errors:
         raise errors[min(errors)]
@@ -617,10 +607,11 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     correlate, which is exactly what inequality checks want.  Integrands
     must be pointwise and pure: each is called once per Monte Carlo batch
     or grid chunk, on every polynomial's values at its points (at most
-    MC_BATCH, unless one grid row is longer).  Monte Carlo batches run on
-    the calling thread and on helper threads, so an integrand may be called
-    from any thread, several at once; batch sums are added in batch order,
-    so the estimate does not depend on the thread count.  "auto" takes
+    MC_BATCH, unless one grid row is longer).  Monte Carlo batches are
+    split by index between the calling thread and at most one helper
+    thread that lives for this call, so an integrand may be called from
+    either, both at once; batch sums are added in batch order, so the
+    estimate does not depend on the thread count.  "auto" takes
     the tensor grid when the torus dimension and grid size are within
     ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """

@@ -1,6 +1,8 @@
 """Integration engine: tensor exactness, Monte Carlo accuracy, real-line means."""
 
 import math
+import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -434,30 +436,44 @@ def _call_with_deadline(fn, seconds=120):
     return box["out"]
 
 
+def _helpers_alive():
+    return any(t.name == "bohrap-mc" for t in threading.enumerate())
+
+
 class TestThreadedBatches:
     """Monte Carlo batches on the calling thread and helper threads."""
 
     @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3"])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, case):
+        names = set()
+
+        def seen(g):
+            def h(*vals):
+                names.add(threading.current_thread().name)
+                return g(*vals)
+            return h
+
         if case == "unit-127":
             p = _kac_stage()
             assert TorusEvaluator.of([p]).dim == 127
-            run = lambda: [mean_abs(p, Budget(samples=1 << 16, seed=5))]
+            run = lambda: [bohr_integral(seen(np.abs), [p],
+                                         Budget(samples=1 << 16, seed=5))]
         elif case == "limb-huge":
             p = _dependent_huge()
             ev = TorusEvaluator.of([p])
             assert ev._unit is None and ev.max_exponent > 1 << 53
-            run = lambda: [mean_abs(p, Budget(method="monte-carlo",
-                                              samples=1 << 16, seed=6))]
+            run = lambda: [bohr_integral(seen(np.abs), [p], Budget(
+                method="monte-carlo", samples=1 << 16, seed=6))]
         else:
             gs, polys, budget = _shared_integrands()
-            run = lambda: bohr_integral_multi(gs, polys, budget)
+            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
         got = {}
         for w in (1, 2, 4):
             monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
-            monkeypatch.setattr(bohrint, "_pool", None)
+            names.clear()
             got[w] = run()
-            assert (bohrint._pool is None) == (w == 1)
+            assert ("bohrap-mc" in names) == (w > 1)
+            assert not _helpers_alive()
         assert got[1] == got[2] == got[4]
         assert got[1][0].method == "monte-carlo"
 
@@ -466,7 +482,6 @@ class TestThreadedBatches:
         # P = e^{ia} takes the value _cis(x) at the first draw x of batch 3,
         # and nowhere else among the 8 batches.
         monkeypatch.setattr(bohrint, "_workers", lambda: workers)
-        monkeypatch.setattr(bohrint, "_pool", None)
         p = APPoly.character(B.symbol("a"))
         budget = Budget(method="monte-carlo", samples=8 * MC_BATCH, seed=12)
         child = np.random.SeedSequence(budget.seed).spawn(8)[3]
@@ -478,13 +493,41 @@ class TestThreadedBatches:
 
         with pytest.raises(ValidationError):
             bohr_integral(g, [p], budget)
+        assert not _helpers_alive()
         est = bohr_integral(np.abs, [p], budget)
         assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_lowest_failed_batch_is_raised(self, monkeypatch):
+        # Batches 9, 10 and 37 of 64 fail with different errors.  With more
+        # workers than CPUs and thread switches forced often, the caller
+        # gets batch 9's, as from a loop, after batches 0-8 ran; without a
+        # failure every slot holds its own batch's result.
+        def run(b):
+            ran.add(b)
+            if b in (9, 10, 37):
+                raise ValueError(b)
+            return b * b
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(bohrint, "_workers", lambda w=workers: w)
+                for _ in range(20):
+                    ran = set()
+                    with pytest.raises(ValueError) as info:
+                        bohrint._run_batches(run, 64)
+                    assert info.value.args == (9,) and set(range(10)) <= ran
+                    assert (bohrint._run_batches(lambda b: b * b, 64)
+                            == [b * b for b in range(64)])
+                    assert not _helpers_alive()
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_nested_integral_finishes(self, monkeypatch, workers):
         # An integrand that integrates itself runs its inner batches inline
-        # on a helper thread, or through the pool on the calling thread.
+        # on a helper thread, and on its own helpers on the calling thread.
         q = _kac_stage(16)
         inner = Budget(method="monte-carlo", samples=3 * MC_BATCH, seed=2)
 
@@ -495,16 +538,17 @@ class TestThreadedBatches:
         monkeypatch.setattr(bohrint, "_workers", lambda: 1)
         want = bohr_integral(g, [q], outer)
         monkeypatch.setattr(bohrint, "_workers", lambda: workers)
-        monkeypatch.setattr(bohrint, "_pool", None)
         assert _call_with_deadline(lambda: bohr_integral(g, [q], outer)) == want
 
     def test_peak_memory_not_above_parent(self, monkeypatch):
-        # Two workers, as on a 2-CPU machine: each step holds 2^18 phases,
-        # where one thread held 2^20 before (26.0 MB under tracemalloc).
-        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
-        monkeypatch.setattr(bohrint, "_pool", None)
+        # Four usable CPUs still give two workers, each step holding 2^18
+        # phases, where one thread held 2^20 before (26.0 MB under
+        # tracemalloc); four workers peaked near 31 MB.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        assert bohrint._workers() == 2
         p = _kac_stage()
-        mean_abs(p, Budget(samples=1 << 15, seed=0))  # helpers started
+        mean_abs(p, Budget(samples=1 << 15, seed=0))  # warm-up: lazy lookups
         tracemalloc.start()
         try:
             mean_abs(p, Budget(samples=1 << 16, seed=5))

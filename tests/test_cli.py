@@ -226,24 +226,26 @@ class TestStartup:
 
 
     def test_import_and_one_batch_start_no_thread(self):
-        # Monte Carlo helper threads start on the first call with more than
-        # one batch; importing the CLI loads no thread pool, and a one-batch
-        # integral starts no thread.
+        # Importing the CLI loads no thread pool, a one-batch integral starts
+        # no thread, and a four-batch integral joins its helper threads
+        # before it returns.
         src = os.path.dirname(os.path.dirname(bohrap.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, threading\n"
                 "import bohrap.cli\n"
-                "print('concurrent.futures' in sys.modules)\n"
                 "import numpy as np\n"
                 "from bohrap.bohrint import MC_BATCH, Budget, bohr_integral_multi\n"
                 "from bohrap.riesz import build_polynomial, make_independent_params\n"
                 "p = build_polynomial(make_independent_params([16], seed=1), 0)\n"
                 "n = threading.active_count()\n"
                 "bohr_integral_multi([np.abs], [p], Budget(samples=MC_BATCH))\n"
-                "print(threading.active_count() - n)")
+                "print(threading.active_count() - n)\n"
+                "bohr_integral_multi([np.abs], [p], Budget(samples=4 * MC_BATCH))\n"
+                "print(threading.active_count() - n)\n"
+                "print('concurrent.futures' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["False", "0"]
+        assert out.stdout.split() == ["0", "0", "False"]
 
 
 class TestExitCodes:
