@@ -63,9 +63,12 @@ _MAX_WORKERS = 2
 #: Name of the Monte Carlo helper threads.
 _HELPER = "bohrap-mc"
 
-#: Below this torus dimension the exact lattice reduction is used (it gives
-#: the minimal dimension and small exponents for tensor grids); above it the
-#: cheap column reduction is used and Monte Carlo takes over anyway.
+#: Most active symbols for the exact lattice reduction of ``_phase_space``
+#: (the minimal dimension and small exponents for tensor grids) and the
+#: exact rank test of ``affinely_independent``.  Above it the identity
+#: certificate is tried first and the active symbol columns after it; an
+#: identity torus of at most ``TENSOR_DIM_CAP`` coordinates still takes the
+#: tensor grid.
 _EXACT_REDUCE_DIM = 8
 
 
@@ -116,14 +119,17 @@ class IntegralEstimate:
 def _phase_space(polys: Sequence[APPoly]):
     """Per-poly integer exponent matrices over one shared phase space.
 
-    Returns (dim, [E_i]) where E_i has one row per term of poly i.  For small
-    ranks the exact lattice reduction is used.  Otherwise, when the nonzero
-    frequencies are certified independent (``_identity_columns``), each is
-    its own coordinate and every row is zero or a unit vector; failing that,
-    the active basis columns themselves serve as phase coordinates (valid
-    because declared symbols are independent by assumption, after a global
-    denominator clearing).  Both avoid the exact elimination cost.
+    Returns (dim, [E_i]) where E_i has one row per term of poly i.  Over at
+    most _EXACT_REDUCE_DIM active symbols the exact lattice reduction is
+    used.  Otherwise, when the nonzero frequencies are certified independent
+    (``_identity_columns``), each is its own coordinate and every row is zero
+    or a unit vector; failing that, the active basis columns themselves serve
+    as phase coordinates (valid because declared symbols are independent by
+    assumption, after a global denominator clearing).  Both avoid the exact
+    elimination cost.
     """
+    if not polys:
+        raise ValidationError("need at least one polynomial")
     basis = polys[0].basis
     for p in polys[1:]:
         if p.basis != basis:
@@ -166,6 +172,8 @@ def affinely_independent(freqs: Sequence[Frequency]) -> bool:
     (their differences are then independent, with or without 0).
     """
     support, active = _support(freqs)
+    if not support:
+        raise ValidationError("frequency set must be nonempty")
     if len(active) > _EXACT_REDUCE_DIM:
         return _identity_columns(freqs, support) is not None
     f0, *rest = support
@@ -615,8 +623,6 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     the tensor grid when the torus dimension and grid size are within
     ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """
-    if not polys:
-        raise ValidationError("need at least one polynomial")
     dim, emats = _phase_space(polys)
     if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(

@@ -285,44 +285,13 @@ def _integer_rows(freqs: Sequence[Frequency]):
     return [[a * (L // f.den) for a in f.num] for f in freqs], L
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pval = m[rank][col]
-        for r in range(rank + 1, nrows):
-            rv = m[r][col]
-            row = m[r]
-            top = m[rank]
-            # Standard Bareiss update; the division by the previous pivot is exact.
-            m[r] = [(row[c] * pval - rv * top[c]) // prev for c in range(ncols)]
-        prev = pval
-        rank += 1
-        col += 1
-    return rank
-
-
 def rational_rank(freqs: Iterable[Frequency]) -> int:
-    """Rank over the rationals of the coefficient matrix of the given frequencies."""
+    """Rank over the rationals of the coefficient matrix of the given
+    frequencies: the row count of their lattice echelon (``torus_reduce``)."""
     freqs = list(freqs)
     _shared_basis(freqs)
     # Each row's own numerators: clearing a row's denominator keeps the rank.
-    return _bareiss_rank([list(f.num) for f in freqs])
+    return len(_lattice_echelon([list(f.num) for f in freqs]))
 
 
 def is_rationally_independent(freqs: Iterable[Frequency]) -> bool:

@@ -651,6 +651,15 @@ class TestIdentityCoordinates:
         assert not affinely_independent(list(q.terms))
         assert affinely_independent([params.basis.zero()])
 
+    def test_empty_inputs_rejected(self):
+        # No frequency, or no polynomial, is malformed input.
+        with pytest.raises(ValidationError):
+            affinely_independent([])
+        with pytest.raises(ValidationError, match="need at least one polynomial"):
+            TorusEvaluator.of([])
+        with pytest.raises(ValidationError, match="need at least one polynomial"):
+            bohr_integral_multi([np.abs], [])
+
     def test_long_two_cut_stage_uses_grid(self):
         # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with
         # h over 281 symbols and coefficients near 2^139: one coordinate,

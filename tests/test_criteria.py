@@ -104,6 +104,11 @@ class TestSubsequenceBound:
         with pytest.raises(ValidationError):
             cs_subsequence_bound(params, 1, [5], FAST)
 
+    def test_no_stage_rejected(self):
+        params = make_independent_params([4, 4], seed=8)
+        with pytest.raises(ValidationError, match="need at least one polynomial"):
+            cs_subsequence_bound(params, -1, [], FAST)
+
 
 class TestKlemes:
     def test_holds_with_empty_q(self):

@@ -112,6 +112,13 @@ class TestFlatnessRatio:
 
 
 class TestUltraflat:
+    def test_zero_polynomial_rejected(self):
+        b = SymbolBasis.make(("w", 1.0))
+        with pytest.raises(ValidationError):
+            flatness.ultraflat_exact(APPoly.zero(b))
+        with pytest.raises(ValidationError):
+            ultraflat_deviation(APPoly.zero(b))
+
     def test_single_character_is_zero(self):
         b = SymbolBasis.make(("w", 2.0))
         dev = ultraflat_deviation(APPoly.character(b.symbol("w")))

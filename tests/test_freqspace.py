@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bohrap.errors import BasisMismatchError, ValidationError
 from bohrap.freqspace import (Frequency, SymbolBasis, is_rationally_independent,
                               rational_rank, torus_reduce)
+from bohrap.riesz import heights, make_independent_params
 
 B3 = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.pi))
 
@@ -191,6 +192,23 @@ class TestParsing:
         assert Frequency.parse(str(f), B3) == f
 
 
+def fraction_rank(fs):
+    """Reference rank: Gaussian elimination over Fractions."""
+    rows = [list(f.coeffs) for f in fs]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            q = rows[r][c] / top[c]
+            rows[r] = [a - q * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
 class TestRank:
     def test_single_nonzero(self):
         assert rational_rank([B3.symbol("a")]) == 1
@@ -218,6 +236,31 @@ class TestRank:
     def test_rank_bounds(self, fs):
         r = rational_rank(fs)
         assert 0 <= r <= min(len(fs), 3)
+
+    @given(st.lists(freqs3, min_size=1, max_size=6),
+           st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                    max_size=3))
+    @settings(max_examples=80)
+    def test_rank_matches_fraction_elimination(self, fs, combos):
+        # Up to six rows over three symbols, plus integer combinations of
+        # them, so lists longer than the basis and rank-deficient lists.
+        for ks in combos:
+            acc = B3.zero()
+            for k, f in zip(ks, fs):
+                acc = acc + f.scale(k)
+            fs = fs + [acc]
+        assert rational_rank(fs) == fraction_rank(fs)
+
+    def test_fixed_sets_match_fraction_elimination(self):
+        a, b, c = (B3.symbol(n) for n in ("a", "b", "c"))
+        assert rational_rank([a, b, a + b]) == fraction_rank([a, b, a + b]) == 2
+        # Heights and spacers of every stage of four 16-cut stages: 64
+        # frequencies over 65 symbols, with heights up to 16^3 times the unit.
+        params = make_independent_params([16] * 4)
+        fs = [f for m, st in enumerate(params.stages)
+              for f in [heights(params, m)] + list(st.spacers[1:st.p])]
+        assert len(fs) == 64
+        assert rational_rank(fs) == fraction_rank(fs) == 64
 
     @given(st.lists(freqs3, min_size=1, max_size=4), rationals)
     @settings(max_examples=60)
