@@ -41,7 +41,8 @@ TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
 
 #: Monte Carlo points per batch, each batch drawn from its own child stream,
-#: and the most points of a tensor-grid chunk (unless one grid row is longer).
+#: and the most points of a tensor-grid chunk (unless one grid row is longer),
+#: the span of each tensor sum; a threaded tensor unit holds two chunks.
 MC_BATCH = 1 << 14
 
 #: Most root-table entries of one tensor block of terms.
@@ -54,13 +55,13 @@ _EVAL_ENTRIES = 1 << 20
 #: per operation.  A fixed size keeps every bit independent of the machine.
 _STEP_PHASES = 1 << 18
 
-#: Most threads that run the batches of one Monte Carlo call: the calling
-#: thread and one helper.  Each holds a batch with its own step, draws and
-#: ``_cis`` temporaries: two stay below the peak of one thread with 2^20-phase
-#: steps, four did not.
+#: Most threads that run the batches of one Monte Carlo call or the units of
+#: one tensor grid: the calling thread and one helper.  Each holds a batch
+#: with its own step, draws and ``_cis`` temporaries: two stay below the peak
+#: of one thread with 2^20-phase steps, four did not.
 _MAX_WORKERS = 2
 
-#: Name of the Monte Carlo helper threads.
+#: Name of the helper threads of Monte Carlo calls and tensor grids.
 _HELPER = "bohrap-mc"
 
 #: Most active symbols for the exact lattice reduction of ``_phase_space``
@@ -370,8 +371,8 @@ def _finite(y) -> np.ndarray:
 
 
 def _workers() -> int:
-    """Threads that run Monte Carlo batches: the usable CPUs, at most
-    _MAX_WORKERS."""
+    """Threads that run Monte Carlo batches and tensor units: the usable
+    CPUs, at most _MAX_WORKERS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -399,7 +400,8 @@ def _run_batches(run: Callable[[int], object], n: int) -> list:
     failure seen so far.  Every batch below the lowest failure still runs,
     so the exception of the lowest failed batch, the one a loop would raise,
     reaches the caller.  Calls from a helper thread (nested integrals) run
-    their batches inline.
+    their batches inline.  Monte Carlo batches and tensor-grid units both
+    run here.
     """
     w = min(_workers(), n)
     if w == 1 or threading.current_thread().name == _HELPER:
@@ -530,11 +532,14 @@ def _term_blocks(coeffs, E, ns):
         yield U.T, F[-1]
 
 
-def _block_sum(blocks, rows=slice(None)):
-    """Rows ``rows`` of the grid of ``_term_blocks``."""
+def _block_sum(blocks, rows=slice(None), out=None):
+    """Rows ``rows`` of the grid of ``_term_blocks``, written to ``out`` if
+    given."""
     for b, (Ut, F) in enumerate(blocks):
-        part = Ut[rows] @ F
-        grid = part if b == 0 else np.add(grid, part, out=grid)
+        if b == 0:
+            grid = np.matmul(Ut[rows], F, out=out)
+        else:
+            np.add(grid, Ut[rows] @ F, out=grid)
     return grid
 
 
@@ -547,11 +552,21 @@ def _tensor(gs, polys, emats, ns):
     """Means on the uniform grid of ``ns`` nodes and on its every-other-node
     subgrid, whose difference is the refinement delta.
 
-    The grid is walked in C-order chunks of whole rows of ``_term_blocks``,
-    at most MC_BATCH points or else one row, and each integrand is called
-    once per chunk, on every polynomial's values there.  A polynomial's
-    factors are kept when they hold fewer entries than the grid; otherwise
-    its whole grid, built one block of terms at a time, is kept instead.
+    The grid is cut into C-order chunks of whole rows of ``_term_blocks``,
+    at most MC_BATCH points or else one row.  Units of two chunks run
+    through ``_run_batches``, so on the Monte Carlo threads: each integrand
+    is called once per unit, on every polynomial's values there, and its
+    sums are still taken per chunk.  So the estimate has the same bits for
+    any thread count, and the bits of a walk over single chunks, except
+    where an integrand's own arithmetic rounds differently on larger
+    arrays (numpy reuses temporaries of 256 KiB or more in place, which
+    can swap the factors of a complex product, so chunks of fewer than
+    2^14 points, as ``nodes`` overrides give, may move in the last bit).
+    Two-chunk units take the interpreter lock half as often as one-chunk
+    units, which gained about a third less on two CPUs.  A
+    polynomial's factors are kept when they hold fewer entries than the
+    grid; otherwise its whole grid, built one block of terms at a time, is
+    kept instead.
     """
     full, hi = _layout(ns)
     width = full[-1] // hi
@@ -561,9 +576,10 @@ def _tensor(gs, polys, emats, ns):
         coeffs = np.array(list(p.terms.values()), dtype=complex)
         if len(coeffs) * (rows + width) < rows * width:
             blocks = list(_term_blocks(coeffs, E, ns))
-            row_values.append(lambda r, blocks=blocks: _block_sum(blocks, r))
+            row_values.append(lambda r, out, blocks=blocks: _block_sum(blocks, r, out))
         else:
-            row_values.append(_tensor_values(coeffs, E, ns).reshape(rows, width).__getitem__)
+            grid = _tensor_values(coeffs, E, ns).reshape(rows, width)
+            row_values.append(lambda r, out, grid=grid: np.copyto(out, grid[r]))
     # Row r holds the nodes (k_0, ..., k_{d-2}, q width + j), j < width, for
     # the C-order index (k_0, ..., k_{d-2}, q) of r.  Row sums over the
     # columns of even and of odd j lie on the subgrid when every k_i and
@@ -575,21 +591,37 @@ def _tensor(gs, polys, emats, ns):
     parity = np.zeros((width, 2))
     parity[0::2, 0] = parity[1::2, 1] = 1.0
     step = max(1, MC_BATCH // width)
-    # Real parts of the sums of each chunk, added exactly at the end.
-    sums = [[] for _ in gs]
-    half = [[] for _ in gs]
-    for r0 in range(0, rows, step):
-        r = slice(r0, r0 + step)
-        grids = [values(r) for values in row_values]
-        vals = [v.ravel() for v in grids]
-        for i, g in enumerate(gs):
-            s = (_finite(g(*vals)).reshape(grids[0].shape) @ parity).real
-            sums[i].append(s.sum())
-            half[i].append(s[on[r]].sum())
+    unit = 2 * step
+
+    def run(u):
+        # Per integrand, the real parts of the sums over the whole grid and
+        # over the subgrid of each chunk in unit u.  Every matrix product
+        # takes one chunk, as BLAS may round a row of a taller product
+        # differently.
+        r0 = u * unit
+        n = min(unit, rows - r0)
+        chunks = [slice(c, min(c + step, n)) for c in range(0, n, step)]
+        vals = [np.empty((n, width), dtype=complex) for _ in row_values]
+        for values, v in zip(row_values, vals):
+            for c in chunks:
+                values(slice(r0 + c.start, r0 + c.stop), v[c])
+        vals = [v.ravel() for v in vals]
+        here = on[r0:r0 + n]
+        sums = []
+        for g in gs:
+            y = _finite(g(*vals)).reshape(n, width)
+            s = [(y[c] @ parity).real for c in chunks]
+            del y  # freed before the next integrand runs
+            sums.append([(sc.sum(), sc[here[c]].sum()) for sc, c in zip(s, chunks)])
+        return sums
+
+    # Chunk sums in row order, added exactly.
+    units = _run_batches(run, -(-rows // unit))
     points = math.prod(ns)
     half_points = math.prod((m + 1) // 2 for m in ns)
     out = []
-    for total, sub in zip(sums, half):
+    for i in range(len(gs)):
+        total, sub = zip(*(span for sums in units for span in sums[i]))
         value = math.fsum(total) / points
         out.append(IntegralEstimate(
             value=value,
@@ -614,14 +646,15 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     Sharing the sample set makes the errors of the returned estimates
     correlate, which is exactly what inequality checks want.  Integrands
     must be pointwise and pure: each is called once per Monte Carlo batch
-    or grid chunk, on every polynomial's values at its points (at most
-    MC_BATCH, unless one grid row is longer).  Monte Carlo batches are
-    split by index between the calling thread and at most one helper
-    thread that lives for this call, so an integrand may be called from
-    either, both at once; batch sums are added in batch order, so the
-    estimate does not depend on the thread count.  "auto" takes
-    the tensor grid when the torus dimension and grid size are within
-    ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
+    of MC_BATCH points or grid unit of two chunks (each at most MC_BATCH
+    points, unless one grid row is longer), on every polynomial's values
+    there.  On both routes batches or units are split by index between the
+    calling thread and at most one helper thread that lives for this call,
+    so an integrand may be called from either, both at once; sums per batch
+    or per chunk are added in order, so the estimate does not depend on the
+    thread count.  "auto" takes the tensor grid when the torus dimension
+    and grid size are within ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``,
+    and Monte Carlo otherwise.
     """
     dim, emats = _phase_space(polys)
     if budget.method == "tensor" and dim > TENSOR_DIM_CAP:

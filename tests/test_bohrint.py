@@ -21,8 +21,8 @@ from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
 from bohrap.errors import BudgetError, ValidationError
 from bohrap.flatness import PolyFamilySpec, build_family
 from bohrap.freqspace import SymbolBasis
-from bohrap.riesz import (abs2_polynomial, build_polynomial,
-                          make_independent_params)
+from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
+                          build_polynomial, make_independent_params)
 
 B = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
 
@@ -237,7 +237,8 @@ class TestTensorChunks:
     def test_bounded_chunks_and_memory(self):
         # Three polynomials on a 2^21-point grid: whole grids and integrand
         # temporaries of 32 MB each peaked at 144 MB under tracemalloc;
-        # chunks of MC_BATCH points peak near 6 MB.
+        # chunks of MC_BATCH points peaked near 6 MB, and units of two chunks
+        # on two threads peak near 9 MB.
         a, b, c = (B.symbol(n) for n in ("a", "b", "c"))
         polys = [APPoly.from_terms(B, [(B.zero(), 1.0), (a, 1.0), (b, 1.0),
                                        (c, 1.0), (f.scale(40), 0.5)])
@@ -255,7 +256,7 @@ class TestTensorChunks:
         finally:
             tracemalloc.stop()
         assert est.nodes_or_samples == 1 << 21
-        assert sum(sizes) == 1 << 21 and max(sizes) <= MC_BATCH
+        assert sum(sizes) == 1 << 21 and max(sizes) <= 2 * MC_BATCH
         assert peak < 16 * 2 ** 20
 
     def test_many_terms_keep_one_grid(self, monkeypatch):
@@ -440,10 +441,52 @@ def _helpers_alive():
     return any(t.name == "bohrap-mc" for t in threading.enumerate())
 
 
-class TestThreadedBatches:
-    """Monte Carlo batches on the calling thread and helper threads."""
+def _chunk_walk(gs, polys, ns):
+    """(value, refinement delta) of each integrand from one thread walking
+    the grid in chunks of at most MC_BATCH points, one integrand call per
+    chunk: the loop whose bits the threaded units of ``_tensor`` keep."""
+    full, hi = bohrint._layout(ns)
+    width = full[-1] // hi
+    rows = math.prod(full) // width
+    _, emats = _phase_space(polys)
+    row_values = []
+    for p, E in zip(polys, emats):
+        c = np.array(list(p.terms.values()), dtype=complex)
+        if len(c) * (rows + width) < rows * width:
+            blocks = list(bohrint._term_blocks(c, E, ns))
+            row_values.append(lambda r, blocks=blocks: bohrint._block_sum(blocks, r))
+        else:
+            row_values.append(_tensor_values(c, E, ns).reshape(rows, width).__getitem__)
+    *index, q = np.unravel_index(np.arange(rows), (*full[:-1], hi))
+    on = np.stack([(q * width + j) % 2 == 0 for j in (0, 1)], axis=1)
+    for k in index:
+        on &= (k % 2 == 0)[:, None]
+    parity = np.zeros((width, 2))
+    parity[0::2, 0] = parity[1::2, 1] = 1.0
+    step = max(1, MC_BATCH // width)
+    sums = [([], []) for _ in gs]
+    for r0 in range(0, rows, step):
+        r = slice(r0, r0 + step)
+        grids = [values(r) for values in row_values]
+        for g, (total, sub) in zip(gs, sums):
+            s = (g(*[v.ravel() for v in grids]).reshape(grids[0].shape) @ parity).real
+            total.append(s.sum())
+            sub.append(s[on[r]].sum())
+    points = math.prod(ns)
+    half_points = math.prod((m + 1) // 2 for m in ns)
+    out = []
+    for total, sub in sums:
+        value = math.fsum(total) / points
+        out.append((value, abs(value - math.fsum(sub) / half_points)))
+    return out
 
-    @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3"])
+
+class TestThreadedBatches:
+    """Monte Carlo batches and tensor units on the calling thread and helper
+    threads."""
+
+    @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3",
+                                      "tensor-300"])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, case):
         names = set()
 
@@ -464,8 +507,15 @@ class TestThreadedBatches:
             assert ev._unit is None and ev.max_exponent > 1 << 53
             run = lambda: [bohr_integral(seen(np.abs), [p], Budget(
                 method="monte-carlo", samples=1 << 16, seed=6))]
-        else:
+        elif case == "shared-3":
             gs, polys, budget = _shared_integrands()
+            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
+        else:
+            # Rows of 300 nodes: chunks of 54 rows, units of 108, and a last
+            # unit of 54 + 30 rows.
+            gs = TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3]
+            polys = _random_polys(2, np.random.default_rng(9))
+            budget = Budget(method="tensor", nodes=300)
             run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
         got = {}
         for w in (1, 2, 4):
@@ -475,7 +525,8 @@ class TestThreadedBatches:
             assert ("bohrap-mc" in names) == (w > 1)
             assert not _helpers_alive()
         assert got[1] == got[2] == got[4]
-        assert got[1][0].method == "monte-carlo"
+        method = "tensor-quadrature" if case == "tensor-300" else "monte-carlo"
+        assert got[1][0].method == method
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failure_in_one_batch_reaches_caller(self, monkeypatch, workers):
@@ -493,6 +544,45 @@ class TestThreadedBatches:
 
         with pytest.raises(ValidationError):
             bohr_integral(g, [p], budget)
+        assert not _helpers_alive()
+        est = bohr_integral(np.abs, [p], budget)
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ns", [(300, 300), (20002,), (64, 64, 64)], ids=str)
+    def test_units_keep_chunk_walk_bits(self, monkeypatch, ns):
+        # Units of two chunks give the bits of a walk over single chunks.
+        # Rows of 300 nodes hold no power of two.  20002 nodes are two rows
+        # of 10001, one chunk each, whose parity sums BLAS rounds
+        # differently in one two-row product than in two one-row ones.
+        # Integrands built from real arithmetic after np.abs keep their
+        # bits on larger arrays.
+        gs = TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3]
+        polys = _random_polys(len(ns), np.random.default_rng(9))
+        monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
+        want = _chunk_walk(gs, polys, list(ns))
+        for w in (1, 2):
+            monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
+            ests = bohr_integral_multi(gs, polys, Budget(method="tensor"))
+            assert [(e.value, e.refinement_delta) for e in ests] == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failure_in_one_tensor_chunk_reaches_caller(self, monkeypatch, workers):
+        # P = e^{ia} on 2^17 nodes: rows of 256 nodes, four units of 2^15
+        # points.  Only the last unit holds phases in (-0.01, 0).
+        monkeypatch.setattr(bohrint, "_workers", lambda: workers)
+        p = APPoly.character(B.symbol("a"))
+        budget = Budget(method="tensor", nodes=1 << 17)
+        units = []
+
+        def g(v):
+            units.append(v.size)
+            y = np.abs(v)
+            y[(np.angle(v) > -0.01) & (np.angle(v) < 0)] = np.nan
+            return y
+
+        with pytest.raises(ValidationError):
+            bohr_integral(g, [p], budget)
+        assert units == [2 * MC_BATCH] * 4
         assert not _helpers_alive()
         est = bohr_integral(np.abs, [p], budget)
         assert est.value == pytest.approx(1.0, abs=1e-12)
@@ -556,6 +646,42 @@ class TestThreadedBatches:
         finally:
             tracemalloc.stop()
         assert peak <= 26_006_625
+
+    def test_shared_grid_peak_memory(self, monkeypatch):
+        # Three stages whose spacers combine 1, sqrt 2 and sqrt 3 reduce to a
+        # 256 x 128 x 64 grid.  Under tracemalloc one thread walking chunks
+        # peaked at 8.26 MB; two threads, each holding a unit of two chunks,
+        # peaked at 10.89-10.92 MB over 13 runs.
+        basis = SymbolBasis.make(("one", 1.0), ("r2", math.sqrt(2)),
+                                 ("r3", math.sqrt(3)))
+        syms = [basis.symbol(n) for n in basis.names]
+
+        def freq(vec):
+            f = basis.zero()
+            for sym, k in zip(syms, vec):
+                f = f + sym.scale(k)
+            return f
+
+        spacers = [[(2, 1, 2), (0, 1, 0), (2, 2, 0), (0, 1, 0)],
+                   [(1, 1, 0), (0, 2, 0), (0, 0, 2), (0, 2, 2)],
+                   [(1, 2, 1), (0, 0, 1), (2, 0, 0)]]
+        params = RankOneParams(basis=basis, unit=syms[0], stages=tuple(
+            Stage(p=len(sp), spacers=(basis.zero(),) + tuple(map(freq, sp)))
+            for sp in spacers))
+        polys = [build_polynomial(params, k) for k in range(3)]
+        gs = [lambda u, v, w: np.abs(u) ** 2 * np.abs(v) ** 2 * np.abs(w) ** 2,
+              lambda u, v, w: np.abs(u) * np.abs(v) * np.abs(w)]
+        gs += [lambda *v, k=k: np.abs(v[k]) ** 4 for k in range(3)]
+        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+        bohr_integral_multi(gs, polys)  # warm-up: lazy lookups
+        tracemalloc.start()
+        try:
+            ests = bohr_integral_multi(gs, polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ests[0].nodes_or_samples == 1 << 21
+        assert peak <= 11_000_000
 
 
 class TestIdentityCoordinates:

@@ -226,26 +226,38 @@ class TestStartup:
 
 
     def test_import_and_one_batch_start_no_thread(self):
-        # Importing the CLI loads no thread pool, a one-batch integral starts
-        # no thread, and a four-batch integral joins its helper threads
-        # before it returns.
+        # Importing the CLI loads no thread pool, a one-batch integral and a
+        # one-unit tensor grid (the 128 nodes of a Littlewood n = 64 flatness
+        # ratio) start no thread, and a four-batch integral joins its helper
+        # threads before it returns.
         src = os.path.dirname(os.path.dirname(bohrap.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, threading\n"
                 "import bohrap.cli\n"
                 "import numpy as np\n"
                 "from bohrap.bohrint import MC_BATCH, Budget, bohr_integral_multi\n"
+                "from bohrap.flatness import PolyFamilySpec, build_family, flatness_ratio\n"
                 "from bohrap.riesz import build_polynomial, make_independent_params\n"
+                "started = []\n"
+                "start = threading.Thread.start\n"
+                "def record(self):\n"
+                "    started.append(self.name)\n"
+                "    start(self)\n"
+                "threading.Thread.start = record\n"
                 "p = build_polynomial(make_independent_params([16], seed=1), 0)\n"
                 "n = threading.active_count()\n"
                 "bohr_integral_multi([np.abs], [p], Budget(samples=MC_BATCH))\n"
                 "print(threading.active_count() - n)\n"
+                "est = flatness_ratio(build_family(PolyFamilySpec('littlewood', 64)))\n"
+                "print(est.method, est.nodes_or_samples, threading.active_count() - n)\n"
+                "print(len(started))\n"
                 "bohr_integral_multi([np.abs], [p], Budget(samples=4 * MC_BATCH))\n"
                 "print(threading.active_count() - n)\n"
                 "print('concurrent.futures' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["0", "0", "False"]
+        assert out.stdout.split() == ["0", "tensor-quadrature", "128", "0", "0",
+                                      "0", "False"]
 
 
 class TestExitCodes:
