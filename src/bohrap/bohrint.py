@@ -66,10 +66,9 @@ _HELPER = "bohrap-mc"
 
 #: Most active symbols for the exact lattice reduction of ``_phase_space``
 #: (the minimal dimension and small exponents for tensor grids) and the
-#: exact rank test of ``affinely_independent``.  Above it the identity
-#: certificate is tried first and the active symbol columns after it; an
-#: identity torus of at most ``TENSOR_DIM_CAP`` coordinates still takes the
-#: tensor grid.
+#: exact rank test of ``affinely_independent``.  Both come after the
+#: identity certificate, at any symbol count; above this many symbols an
+#: uncertified set takes the active symbol columns.
 _EXACT_REDUCE_DIM = 8
 
 
@@ -118,16 +117,18 @@ class IntegralEstimate:
 
 
 def _phase_space(polys: Sequence[APPoly]):
-    """Per-poly integer exponent matrices over one shared phase space.
+    """Per-poly torus exponents over one shared phase space.
 
-    Returns (dim, [E_i]) where E_i has one row per term of poly i.  Over at
-    most _EXACT_REDUCE_DIM active symbols the exact lattice reduction is
-    used.  Otherwise, when the nonzero frequencies are certified independent
-    (``_identity_columns``), each is its own coordinate and every row is zero
-    or a unit vector; failing that, the active basis columns themselves serve
-    as phase coordinates (valid because declared symbols are independent by
-    assumption, after a global denominator clearing).  Both avoid the exact
-    elimination cost.
+    Returns (dim, [E_i]) with one entry of E_i per term of poly i.  When
+    ``_identity_columns`` certifies the distinct nonzero frequencies
+    independent, each is its own coordinate and E_i holds the term columns:
+    the coordinate of each term, -1 for the constant term (an all-zero set
+    certifies as dimension 0).  Otherwise E_i is an exponent matrix with one
+    row per term: from the exact lattice reduction over at most
+    _EXACT_REDUCE_DIM active symbols, else from the active basis columns
+    themselves (valid because declared symbols are independent by
+    assumption, after a global denominator clearing), which avoids the
+    exact elimination cost.
     """
     if not polys:
         raise ValidationError("need at least one polynomial")
@@ -137,22 +138,24 @@ def _phase_space(polys: Sequence[APPoly]):
             raise ValidationError("polynomials over different bases")
     all_freqs = [f for p in polys for f in p.terms]
     support, active = _support(all_freqs)
-    if not active:
-        return 0, [np.zeros((len(p.terms), 0), dtype=object) for p in polys]
-    if len(active) <= _EXACT_REDUCE_DIM:
+    if (cols := _identity_columns(all_freqs, support)) is not None:
+        dim, E = max(cols, default=-1) + 1, np.array(cols, dtype=np.intp)
+    elif len(active) <= _EXACT_REDUCE_DIM:
         red = torus_reduce(all_freqs)
         dim, E = red.dim, np.array(red.exponents, dtype=object)
-    elif (cols := _identity_columns(all_freqs, support)) is not None:
-        dim, cols = max(cols) + 1, np.array(cols)
-        E = np.zeros((len(all_freqs), dim), dtype=np.int64)
-        rows = np.flatnonzero(cols >= 0)
-        E[rows, cols[rows]] = 1
     else:
         scaled, _ = _integer_rows(all_freqs)
         dim = len(active)
         E = np.array([[r[c] for c in active] for r in scaled], dtype=object)
-    E = E.reshape(len(all_freqs), dim)
     return dim, np.split(E, np.cumsum([len(p.terms) for p in polys])[:-1])
+
+
+def _exponent_rows(dim: int, emats):
+    """``_phase_space`` exponents as matrices: term columns become unit rows
+    (zero for the constant term), for the few coordinates of a grid."""
+    if emats[0].ndim == 2:
+        return emats
+    return [np.eye(dim + 1, dim, dtype=np.int64)[cols] for cols in emats]
 
 
 def _support(freqs):
@@ -166,20 +169,21 @@ def _support(freqs):
 
 def affinely_independent(freqs: Sequence[Frequency]) -> bool:
     """Whether the differences f_j - f_0 of the distinct frequencies are
-    rationally independent: True for one frequency, False for more
-    differences than active symbols, else an exact rank test over at most
-    _EXACT_REDUCE_DIM active symbols.  Above that it is True when
+    rationally independent, decided in ``_phase_space``'s order: True when
     ``_identity_columns`` certifies the nonzero frequencies independent
-    (their differences are then independent, with or without 0).
+    (their differences are then independent, with or without 0, and one
+    frequency always certifies); otherwise False for more differences than
+    active symbols or above _EXACT_REDUCE_DIM active symbols, else an exact
+    rank test.
     """
     support, active = _support(freqs)
     if not support:
         raise ValidationError("frequency set must be nonempty")
-    if len(active) > _EXACT_REDUCE_DIM:
-        return _identity_columns(freqs, support) is not None
+    if _identity_columns(freqs, support) is not None:
+        return True
     f0, *rest = support
-    return not rest or (len(rest) <= len(active)
-                        and rational_rank([f - f0 for f in rest]) == len(rest))
+    return (len(active) <= _EXACT_REDUCE_DIM and len(rest) <= len(active)
+            and rational_rank([f - f0 for f in rest]) == len(rest))
 
 
 def _identity_columns(freqs, support) -> list[int] | None:
@@ -269,56 +273,52 @@ def _cis(x: np.ndarray) -> np.ndarray:
     return z.reshape(np.shape(x))
 
 
-def _unit_rows(L: np.ndarray) -> bool:
-    """Whether every row of the limb matrix L is zero or a 0/1 unit vector."""
-    return bool(np.all((L == 0) | (L == 1)) and np.all(L.sum(axis=1) <= 1))
-
-
 class TorusEvaluator:
-    """Values of polynomials at points of their shared reduced torus.
+    """Values of polynomials at points of their shared reduced torus, from
+    each polynomial's coefficient array and ``_phase_space`` exponents.
 
     A point is theta = sum_j x_j * 2^(-53 j), given as level arrays x_j of
     shape (dim, n) in [0, 1).  ``levels`` levels keep _GUARD_BITS of phase
     headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
-    points needs one.  When every exponent row is zero or a unit vector,
-    as for independent frequencies, each polynomial is a0 + A . e^{2 pi i x}
-    (``_unit`` holds A and a0) and one level is exact: a batch costs one
-    ``_cis`` of the coordinates and one matmul.  Otherwise the phases are
-    summed from integer limbs of the exponents and go through the same
-    ``_cis``.  Either way a step holds about _STEP_PHASES phases: the limb
-    form evaluates column slices of that many // terms points, the unit
-    form row blocks of that many // n coordinates.
+    points needs one.  Given term columns, as for independent frequencies,
+    each polynomial is a0 + A . e^{2 pi i x} (``_unit`` holds A and a0,
+    added up from the columns in O(terms)) and one level is exact: a batch
+    costs one ``_cis`` of the coordinates and one matmul.  Given exponent
+    matrices, the phases are summed from integer limbs of the exponents and
+    go through the same ``_cis``.  Either way a step holds about
+    _STEP_PHASES phases: the limb form evaluates column slices of that many
+    // terms points, the unit form row blocks of that many // n coordinates.
     Evaluation reads no state it writes, so threads may share one.
     """
 
-    def __init__(self, polys: Sequence[APPoly], dim: int, emats):
+    def __init__(self, coeffs: Sequence[np.ndarray], dim: int, emats):
         self.dim = dim
+        if emats[0].ndim == 1:
+            # Column -1 adds the constant term into the extra slot dim.
+            u = np.zeros((len(coeffs), dim + 1), dtype=complex)
+            for row, c, cols in zip(u, coeffs, emats):
+                np.add.at(row, cols, c)
+            self._unit = (u[:, :dim].copy(), u[:, dim].copy())
+            self.max_exponent = min(dim, 1)
+            self.levels = 1
+            return
         self.max_exponent = int(max((np.abs(E).max() for E in emats if E.size),
                                     default=0))
         if self.max_exponent >= _MAX_EXPONENT:
             raise BudgetError("torus exponents exceed the supported magnitude")
-        coeffs = [np.array(list(p.terms.values()), dtype=complex) for p in polys]
-        limbs = [_signed_limbs(E) for E in emats]
-        if all(len(ls) == 1 and _unit_rows(ls[0]) for ls in limbs):
-            units = [ls[0] for ls in limbs]
-            self._unit = (
-                np.array([c @ L for c, L in zip(coeffs, units)]).reshape(len(polys), dim),
-                np.array([c @ (1.0 - L.sum(axis=1)) for c, L in zip(coeffs, units)]),
-            )
-            self.levels = 1
-            return
         self._unit = None
         self._coeffs = coeffs
         self._width = max(1, _STEP_PHASES // sum(len(c) for c in coeffs))
         # All-zero limbs are None, so they cost no product.
-        self._limbs = [[l if np.any(l) else None for l in ls] for ls in limbs]
+        self._limbs = [[l if np.any(l) else None for l in _signed_limbs(E)]
+                       for E in emats]
         self._n_limbs = max(len(ls) for ls in self._limbs)
         self.levels = -(-(_LIMB * self._n_limbs + _GUARD_BITS) // 53)
 
     @classmethod
     def of(cls, polys: Sequence[APPoly]) -> "TorusEvaluator":
         """Reduce the phase space of ``polys`` and build their evaluator."""
-        return cls(polys, *_phase_space(polys))
+        return cls(_coefficients(polys), *_phase_space(polys))
 
     def __call__(self, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Values of each polynomial at the points of the level arrays."""
@@ -361,6 +361,11 @@ class TorusEvaluator:
             z += A[:, lo:hi] @ _cis(block(lo, hi))
         z += a0[:, None]
         return list(z)
+
+
+def _coefficients(polys: Sequence[APPoly]) -> list[np.ndarray]:
+    """Each polynomial's coefficients in term order, as a complex array."""
+    return [np.array(list(p.terms.values()), dtype=complex) for p in polys]
 
 
 def _finite(y) -> np.ndarray:
@@ -548,7 +553,7 @@ def _tensor_values(coeffs, E, ns):
     return _block_sum(_term_blocks(coeffs, E, ns)).reshape(ns)
 
 
-def _tensor(gs, polys, emats, ns):
+def _tensor(gs, coeffs, emats, ns):
     """Means on the uniform grid of ``ns`` nodes and on its every-other-node
     subgrid, whose difference is the refinement delta.
 
@@ -572,13 +577,12 @@ def _tensor(gs, polys, emats, ns):
     width = full[-1] // hi
     rows = math.prod(full) // width
     row_values = []
-    for p, E in zip(polys, emats):
-        coeffs = np.array(list(p.terms.values()), dtype=complex)
-        if len(coeffs) * (rows + width) < rows * width:
-            blocks = list(_term_blocks(coeffs, E, ns))
+    for c, E in zip(coeffs, emats):
+        if len(c) * (rows + width) < rows * width:
+            blocks = list(_term_blocks(c, E, ns))
             row_values.append(lambda r, out, blocks=blocks: _block_sum(blocks, r, out))
         else:
-            grid = _tensor_values(coeffs, E, ns).reshape(rows, width)
+            grid = _tensor_values(c, E, ns).reshape(rows, width)
             row_values.append(lambda r, out, grid=grid: np.copyto(out, grid[r]))
     # Row r holds the nodes (k_0, ..., k_{d-2}, q width + j), j < width, for
     # the C-order index (k_0, ..., k_{d-2}, q) of r.  Row sums over the
@@ -657,21 +661,23 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     and Monte Carlo otherwise.
     """
     dim, emats = _phase_space(polys)
+    coeffs = _coefficients(polys)
     if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(
             f"tensor quadrature supports at most {TENSOR_DIM_CAP} torus "
             f"dimensions, got {dim}; use monte-carlo"
         )
     if budget.method != "monte-carlo" and dim <= TENSOR_DIM_CAP:
-        ns = _grid_sizes(emats, dim, budget.nodes)
+        rows = _exponent_rows(dim, emats)
+        ns = _grid_sizes(rows, dim, budget.nodes)
         points = math.prod(ns)
         if points <= TENSOR_POINT_CAP:
-            return _tensor(gs, polys, emats, ns)
+            return _tensor(gs, coeffs, rows, ns)
         if budget.method == "tensor":
             raise BudgetError(
                 f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
             )
-    return _monte_carlo(gs, TorusEvaluator(polys, dim, emats), budget)
+    return _monte_carlo(gs, TorusEvaluator(coeffs, dim, emats), budget)
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],
@@ -683,18 +689,6 @@ def bohr_integral(g: Callable, polys: Sequence[APPoly],
 def mean_abs(p: APPoly, budget: Budget = Budget()) -> IntegralEstimate:
     """The L1 norm of p over the Bohr group."""
     return bohr_integral(np.abs, [p], budget)
-
-
-def unit_phase_sum(rng: np.random.Generator, q: int, n: int) -> np.ndarray:
-    """n draws of the sum of q independent uniform unit phases.
-
-    Drawn and summed one row of n phases at a time: the same draws and the
-    same sums as a (q, n) array summed over axis 0, in O(n) memory.
-    """
-    z = np.zeros(n, dtype=complex)
-    for _ in range(q):
-        z += _cis(rng.random(n))
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .appoly import APPoly, ExactComplex
-from .bohrint import (Budget, IntegralEstimate, bohr_integral_multi,
-                      unit_phase_sum)
+from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
+                      bohr_integral_multi)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError)
 from .freqspace import SymbolBasis, rational_rank
@@ -437,8 +437,9 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     """
     if q < 1 or n_samples < 2:
         raise ValidationError("need q >= 1 and at least two samples")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    z = unit_phase_sum(rng, q, n_samples)
+    # sqrt(q) Z is the unit form with coefficient 1 on each of q coordinates.
+    ev = TorusEvaluator([np.ones(q, dtype=complex)], q, [np.arange(q)])
+    (z,) = ev.sample(np.random.default_rng(np.random.SeedSequence(seed)), n_samples)
     z /= math.sqrt(q)
     sigma = math.sqrt(0.5)
     ks_re = _ks_normal(z.real, sigma)

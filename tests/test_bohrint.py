@@ -13,14 +13,14 @@ import pytest
 from bohrap import bohrint
 from bohrap.appoly import APPoly
 from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
-                            _phase_space, affinely_independent,
-                            _signed_limbs, _tensor_values, bohr_integral,
+                            _coefficients, _exponent_rows, _phase_space,
+                            affinely_independent, _signed_limbs,
+                            _tensor_values, bohr_integral,
                             bohr_integral_multi,
-                            interval_l1_distortion, mean_abs, real_line_mean,
-                            unit_phase_sum)
+                            interval_l1_distortion, mean_abs, real_line_mean)
 from bohrap.errors import BudgetError, ValidationError
 from bohrap.flatness import PolyFamilySpec, build_family
-from bohrap.freqspace import SymbolBasis
+from bohrap.freqspace import SymbolBasis, torus_reduce
 from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
                           build_polynomial, make_independent_params)
 
@@ -209,8 +209,8 @@ class TestTensorChunks:
         ests = bohr_integral_multi(TestTensorChunks.GS, polys, Budget(method="tensor"))
         dim, emats = _phase_space(polys)
         assert dim == len(ns)
-        grids = [_tensor_values(np.array(list(p.terms.values()), dtype=complex), E, list(ns))
-                 for p, E in zip(polys, emats)]
+        grids = [_tensor_values(c, E, list(ns))
+                 for c, E in zip(_coefficients(polys), _exponent_rows(dim, emats))]
         half = tuple(slice(None, None, 2) for _ in ns)
         for g, est in zip(TestTensorChunks.GS, ests):
             y = g(*grids)
@@ -367,19 +367,13 @@ class TestMonteCarlo:
         )
         assert e1.value == e2.value
 
-    def test_unit_phase_sum_matches_array_draw(self):
-        # Row-at-a-time draws and sums equal one (q, n) draw summed over
-        # axis 0, bit for bit.
-        z = unit_phase_sum(np.random.default_rng(7), 16, 1000)
-        theta = np.random.default_rng(7).random((16, 1000))
-        assert np.array_equal(z, _cis(theta).sum(axis=0))
-
     def test_phases_match_exp_sum(self):
         # Both phase paths through ``_cis`` stay within 1e-13 of an
         # ``np.exp`` sum.  A limb phase just below 0 wraps to 1.0 under
         # np.mod, the last entry of the root tables.
         rng = np.random.default_rng(8)
-        z = unit_phase_sum(rng, 16, 1000)
+        kac = TorusEvaluator([np.ones(16, dtype=complex)], 16, [np.arange(16)])
+        (z,) = kac.sample(rng, 1000)
         theta = np.random.default_rng(8).random((16, 1000))
         np.testing.assert_allclose(
             z, np.exp((2j * np.pi) * theta).sum(axis=0), rtol=0, atol=1e-13)
@@ -448,10 +442,9 @@ def _chunk_walk(gs, polys, ns):
     full, hi = bohrint._layout(ns)
     width = full[-1] // hi
     rows = math.prod(full) // width
-    _, emats = _phase_space(polys)
+    dim, emats = _phase_space(polys)
     row_values = []
-    for p, E in zip(polys, emats):
-        c = np.array(list(p.terms.values()), dtype=complex)
+    for c, E in zip(_coefficients(polys), _exponent_rows(dim, emats)):
         if len(c) * (rows + width) < rows * width:
             blocks = list(bohrint._term_blocks(c, E, ns))
             row_values.append(lambda r, blocks=blocks: bohrint._block_sum(blocks, r))
@@ -685,8 +678,8 @@ class TestThreadedBatches:
 
 
 class TestIdentityCoordinates:
-    """Independent frequencies over more than eight symbols: each distinct
-    nonzero frequency is its own torus coordinate."""
+    """Certified independent frequencies: each distinct nonzero frequency is
+    its own torus coordinate, given as term columns."""
 
     def test_one_frequency_one_coordinate(self):
         # The same P passed twice shares its coordinates, so the functional
@@ -701,10 +694,13 @@ class TestIdentityCoordinates:
     def test_unit_rows(self):
         params = make_independent_params([16, 16], seed=2)
         polys = [build_polynomial(params, k) for k in (0, 1)]
-        dim, (E0, E1) = _phase_space(polys)
-        E = np.vstack([E0, E1])
+        dim, emats = _phase_space(polys)
         assert dim == 30
-        # One zero row per stage, then one column per nonzero frequency.
+        # Term columns: one constant term (-1) per stage, then one
+        # coordinate per nonzero frequency.  As unit rows: one zero row per
+        # stage and one unit row per coordinate.
+        assert sorted(np.concatenate(emats).tolist()) == [-1, -1] + list(range(30))
+        E = np.vstack(_exponent_rows(dim, emats))
         assert sorted(E.sum(axis=1).tolist()) == [0, 0] + [1] * 30
         assert E.sum(axis=0).tolist() == [1] * 30
 
@@ -728,7 +724,8 @@ class TestIdentityCoordinates:
         polys = [build_polynomial(params, 1), build_polynomial(params, 0),
                  APPoly.constant(params.basis, 0.5j)]
         dim, emats = _phase_space(polys)
-        ev = TorusEvaluator(polys, dim, emats)
+        ev = TorusEvaluator(_coefficients(polys), dim, emats)
+        emats = _exponent_rows(dim, emats)
         assert (ev.dim, ev.levels) == (22, 1)
         x = np.random.default_rng(8).random((dim, 500))
         for p, E, vals in zip(polys, emats, ev([x])):
@@ -740,7 +737,8 @@ class TestIdentityCoordinates:
         params = make_independent_params([64, 32], seed=9)
         polys = [build_polynomial(params, k) for k in (0, 1)]
         dim, emats = _phase_space(polys)
-        ev = TorusEvaluator(polys, dim, emats)
+        ev = TorusEvaluator(_coefficients(polys), dim, emats)
+        emats = _exponent_rows(dim, emats)
         assert (ev.dim, ev.levels) == (94, 1)
         x = np.random.default_rng(10).random((dim, 4096))
         for p, E, vals in zip(polys, emats, ev([x])):
@@ -755,7 +753,8 @@ class TestIdentityCoordinates:
         params = make_independent_params([64, 32], seed=9)
         polys = [build_polynomial(params, k) for k in (0, 1)]
         dim, emats = _phase_space(polys)
-        ev = TorusEvaluator(polys, dim, emats)
+        ev = TorusEvaluator(_coefficients(polys), dim, emats)
+        emats = _exponent_rows(dim, emats)
         got = ev.sample(np.random.default_rng(4), MC_BATCH)
         x = np.random.default_rng(4).random((dim, MC_BATCH))
         for p, E, vals, direct in zip(polys, emats, got, ev([x])):
@@ -795,6 +794,75 @@ class TestIdentityCoordinates:
         assert (est.method, est.torus_dim) == ("tensor-quadrature", 1)
         want = 2 * math.sqrt(2) / math.pi
         assert abs(est.value - want) <= 3 * est.std_error + est.refinement_delta
+
+    @pytest.mark.parametrize("cuts, stages", [([16], (0,)), ([128], (0,)),
+                                              ([16] * 6, (2, 3))], ids=str)
+    def test_unit_form_bits_match_dense_product(self, cuts, stages):
+        # The unit form added up from term columns has the bytes of the
+        # dense reference: c @ L and c @ (1 - row sums of L) for the 0/1
+        # exponent matrix L with one unit row per nonconstant term.
+        polys = [build_polynomial(make_independent_params(cuts, seed=1), k)
+                 for k in stages]
+        dim, emats = _phase_space(polys)
+        coeffs = _coefficients(polys)
+        ev = TorusEvaluator(coeffs, dim, emats)
+        assert ev.levels == 1
+        want_A, want_a0 = [], []
+        for c, cols in zip(coeffs, emats):
+            L = np.zeros((len(cols), dim))
+            rows = np.flatnonzero(cols >= 0)
+            L[rows, cols[rows]] = 1.0
+            want_A.append(c @ L)
+            want_a0.append(c @ (1.0 - L.sum(axis=1)))
+        A, a0 = ev._unit
+        assert A.tobytes() == np.array(want_A).reshape(len(polys), dim).tobytes()
+        assert a0.tobytes() == np.array(want_a0).tobytes()
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_certified_small_sets_take_identity_path(self, p):
+        # Stage 0 of a p-cut family: p - 1 nonzero frequencies over at most
+        # eight symbols, certified, so term columns and no lattice
+        # reduction.  Its reduction's exponents are unimodular, so the same
+        # 64^d grid gives the column means.
+        poly = build_polynomial(make_independent_params([p], seed=1), 0)
+        dim, (cols,) = _phase_space([poly])
+        assert cols.ndim == 1 and dim == p - 1
+        red = torus_reduce(list(poly.terms))
+        E = np.array(red.exponents, dtype=object).reshape(len(cols), dim)
+        assert abs(round(np.linalg.det(E[cols >= 0].astype(float)))) == 1
+        coeffs = _coefficients([poly])
+        ns = [64] * dim
+        got = bohrint._tensor([np.abs], coeffs, _exponent_rows(dim, [cols]), ns)
+        want = bohrint._tensor([np.abs], coeffs, [E], ns)
+        assert got[0].value == pytest.approx(want[0].value, rel=0, abs=1e-15)
+        assert got[0].refinement_delta == pytest.approx(
+            want[0].refinement_delta, rel=0, abs=1e-15)
+
+    def test_uncertified_independent_set_keeps_lattice_path(self):
+        # b and a + b end in the same symbol: no certificate, so exponent
+        # rows from the lattice reduction, though the exact rank test finds
+        # the set independent.
+        a, b = B.symbol("a"), B.symbol("b")
+        p = APPoly.from_terms(B, [(b, 1.0), (a + b, 0.5)])
+        dim, (E,) = _phase_space([p])
+        assert (dim, E.shape) == (2, (2, 2))
+        assert affinely_independent(list(p.terms))
+
+    def test_prikhodko_mean_abs_memory(self):
+        # 1024 independent frequencies: term columns and a 1 x 1024 unit
+        # form.  A dense identity exponent matrix with its limbs peaked at
+        # 32.1 MiB here; the batch's phases and draws take about 8.3 MiB.
+        p = build_family(PolyFamilySpec(kind="prikhodko", n=1024, m_n=4,
+                                        eps_n=Fraction(1, 4)))
+        tracemalloc.start()
+        try:
+            ev = TorusEvaluator.of([p])
+            est = mean_abs(p, Budget(samples=MC_BATCH, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ev.dim, ev.levels, est.torus_dim) == (1024, 1, 1024)
+        assert peak < 16 * 2 ** 20
 
 
 class TestCis:

@@ -9,7 +9,7 @@ import pytest
 
 import bohrap.criteria
 
-from bohrap.bohrint import Budget, unit_phase_sum
+from bohrap.bohrint import Budget, TorusEvaluator
 from bohrap.criteria import (GAUSS_MEAN_ABS, bourgain_scan,
                              cs_subsequence_bound, fejer_factorization_check,
                              guenais_sum, haar_weak_limit_check,
@@ -185,8 +185,9 @@ class TestKacClt:
 
         sigma = math.sqrt(0.5)
         for q, n, seed in ((1, 5000, 0), (8, 40000, 1), (128, 100_000, 31)):
-            z = unit_phase_sum(np.random.default_rng(np.random.SeedSequence(seed)),
-                               q, n) / math.sqrt(q)
+            ev = TorusEvaluator([np.ones(q, dtype=complex)], q, [np.arange(q)])
+            (z,) = ev.sample(np.random.default_rng(np.random.SeedSequence(seed)), n)
+            z = z / math.sqrt(q)
             rec = kac_clt_diagnostics(q, n, seed)
             for x, got in ((z.real, rec.ks_distance_re),
                            (z.imag, rec.ks_distance_im)):
