@@ -20,7 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import BasisMismatchError, ValidationError
-from .freqspace import Frequency, SymbolBasis
+from .freqspace import Frequency, SymbolBasis, mul_terms
 
 #: Relative magnitude below which a floating coefficient is pruned.
 PRUNE_REL = 1e-15
@@ -157,18 +157,7 @@ class APPoly:
 
     def __mul__(self, other: "APPoly") -> "APPoly":
         self._compat(other)
-        if not self.terms or not other.terms:
-            return APPoly.zero(self.basis, self.exact)
-        acc: dict[Frequency, Coeff] = {}
-        # Deterministic accumulation order: both operands are stored sorted.
-        for fa, ca in self.terms.items():
-            for fb, cb in other.terms.items():
-                f = fa + fb
-                c = ca * cb
-                if f in acc:
-                    acc[f] = acc[f] + c
-                else:
-                    acc[f] = c
+        acc = mul_terms(self.terms, other.terms)
         return APPoly(self.basis, _canonical(acc, self.exact), self.exact)
 
     def conj(self) -> "APPoly":

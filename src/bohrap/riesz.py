@@ -25,7 +25,8 @@ import numpy as np
 from .appoly import APPoly, EXACT_ONE, ExactComplex, _canonical
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      json_array, json_int, json_number)
-from .freqspace import Frequency, SymbolBasis, is_rationally_independent
+from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
+                        mul_terms)
 
 DEFAULT_SUPPORT_CAP = 1_000_000
 
@@ -175,23 +176,7 @@ def _abs2_counts(params: RankOneParams, k: int) -> dict[Frequency, int]:
     """p_k |P_k|^2: frequency -> number of exponent pairs (i, j) with
     e_i - e_j at that frequency."""
     exps = stage_exponents(params, k)
-    counts: dict[Frequency, int] = {}
-    for ei in exps:
-        for ej in exps:
-            d = ei - ej
-            counts[d] = counts.get(d, 0) + 1
-    return counts
-
-
-def _mul(a: dict[Frequency, int], b: dict[Frequency, int]) -> dict[Frequency, int]:
-    """Product of two polynomials with integer coefficients."""
-    out: dict[Frequency, int] = {}
-    get = out.get
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            f = fa + fb
-            out[f] = get(f, 0) + ca * cb
-    return out
+    return mul_terms(dict.fromkeys(exps, 1), {-e: 1 for e in exps})
 
 
 def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
@@ -202,7 +187,7 @@ def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
     if len(counts) * p * p > cap:
         raise SupportCapError(
             f"folding in stage {k} would exceed the support cap {cap}")
-    return _mul(counts, _abs2_counts(params, k))
+    return mul_terms(counts, _abs2_counts(params, k))
 
 
 def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:

@@ -1,16 +1,22 @@
 """Exact frequency arithmetic, rank computation and torus reduction."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrap import freqspace
+from bohrap.appoly import APPoly, ExactComplex, _canonical
 from bohrap.errors import BasisMismatchError, ValidationError
 from bohrap.freqspace import (Frequency, SymbolBasis, is_rationally_independent,
-                              rational_rank, torus_reduce)
-from bohrap.riesz import heights, make_independent_params
+                              mul_terms, rational_rank, torus_reduce)
+from bohrap.riesz import (RankOneParams, Stage, _abs2_counts, _product_mean,
+                          extend, heights, initial_state, make_independent_params,
+                          stage_exponents)
 
 B3 = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.pi))
 
@@ -299,3 +305,191 @@ class TestTorusReduce:
         assert red.dim == rational_rank(fs)
         for i, f in enumerate(fs):
             assert red.reconstruct(i) == f
+
+
+# The per-pair loops that ``mul_terms`` replaced, kept as its reference.
+
+
+def _loop_mul(a, b):
+    """The integer-coefficient product loop of ``riesz._mul``."""
+    out = {}
+    get = out.get
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            f = fa + fb
+            out[f] = get(f, 0) + ca * cb
+    return out
+
+
+def _loop_abs2_counts(params, k):
+    """The pair-count loop of ``riesz._abs2_counts``."""
+    exps = stage_exponents(params, k)
+    counts = {}
+    for ei in exps:
+        for ej in exps:
+            d = ei - ej
+            counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+def _loop_poly_mul(p, q):
+    """The product loop of ``APPoly.__mul__``."""
+    if not p.terms or not q.terms:
+        return APPoly.zero(p.basis, p.exact)
+    acc = {}
+    for fa, ca in p.terms.items():
+        for fb, cb in q.terms.items():
+            f = fa + fb
+            c = ca * cb
+            if f in acc:
+                acc[f] = acc[f] + c
+            else:
+                acc[f] = c
+    return APPoly(p.basis, _canonical(acc, p.exact), p.exact)
+
+
+def _loop_fold(params, ks):
+    """Folds of the stages ``ks`` into {0: 1} by the reference loops, with
+    the factors each fold multiplied."""
+    a, folds = {params.basis.zero(): 1}, []
+    for k in ks:
+        b = _loop_abs2_counts(params, k)
+        folds.append((a, b))
+        a = _loop_mul(a, b)
+    return a, folds
+
+
+def _bits(p: APPoly):
+    return [(f, c.real.hex(), c.imag.hex()) for f, c in p.terms.items()]
+
+
+class TestMulTerms:
+    """``mul_terms`` against the per-pair loops: the same items, values and
+    insertion order."""
+
+    @staticmethod
+    def _check_folds(params, ks):
+        want, folds = _loop_fold(params, ks)
+        for k, (a, b) in zip(ks, folds):
+            assert list(_abs2_counts(params, k).items()) == list(b.items())
+            assert list(mul_terms(a, b).items()) == list(_loop_mul(a, b).items())
+        return want, folds
+
+    def test_independent_stage_folds(self):
+        params = make_independent_params([3, 4, 2, 5], seed=2)
+        want, folds = self._check_folds(params, range(4))
+        # Independent stages repeat no sum.
+        assert all(len(_loop_mul(a, b)) == len(a) * len(b) for a, b in folds[1:])
+        st = initial_state(params)
+        for k in range(4):
+            st = extend(st, k)
+        assert list(st.counts.items()) == list(want.items())
+        a, b = folds[-1]
+        assert _product_mean(params, range(4)) == Fraction(
+            sum(c * a.get(-f, 0) for f, c in b.items()), math.prod([3, 4, 2, 5]))
+
+    def test_rational_spacers_over_shared_symbols(self):
+        # Denominators 2, 3 and 6 over shared symbols: equal sums repeat.
+        b = B3
+        u, v, w = (Frequency(b, t) for t in (
+            (Fraction(1, 2), Fraction(1, 3), 0), (0, 1, Fraction(1, 6)),
+            (Fraction(1, 3), 0, Fraction(1, 2))))
+        zero = b.zero()
+        params = RankOneParams(basis=b, unit=b.symbol("a"), stages=(
+            Stage(p=3, spacers=(zero, u, v, w)),
+            Stage(p=4, spacers=(zero, u, u, v, w)),
+            Stage(p=3, spacers=(zero, v, v, u)),
+        ))
+        want, folds = self._check_folds(params, range(3))
+        assert any(len(_loop_mul(a, b)) < len(a) * len(b) for a, b in folds)
+        assert any(f.den > 1 for f in want)
+
+    def test_numerators_past_int64(self):
+        # Heights of 2^k: the folds of stages 66-68 add 66- to 69-bit numerators.
+        params = make_independent_params([2] * 70)
+        want, folds = self._check_folds(params, range(62, 69))
+        for a, b in folds[4:]:
+            assert len(a) * len(b) >= freqspace._NUMPY_PAIRS
+            assert freqspace._int64_rows([f.num for f in (*a, *b)]) is None
+        assert max(abs(x) for f in want for x in f.num).bit_length() == 69
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("top, int64", [
+        (2 ** 62 - 1, True), (2 ** 62, False), (2 ** 62 + 1, False)])
+    def test_int64_boundary(self, top, int64, sign):
+        # The largest numerator, top in magnitude, has one sign; the sum of
+        # the two top rows is 2 * top in magnitude.
+        ba = {Frequency(B3, (sign * (top - j), -sign * j, j % 3)): j + 1 for j in range(6)}
+        bb = {Frequency(B3, (sign * (top - 2 * j), j, sign * (top - j))): 1 - j
+              for j in range(7)}
+        rows = [f.num for f in (*ba, *bb)]
+        assert (freqspace._int64_rows(rows) is not None) == int64
+        got = mul_terms(ba, bb)
+        assert list(got.items()) == list(_loop_mul(ba, bb).items())
+        assert max(abs(x) for f in got for x in f.num) == 2 * top
+
+    @pytest.mark.parametrize("entries", [None, 400])
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_poly_products_bit_for_bit(self, n, entries, monkeypatch):
+        # Frequencies on a small lattice of a and b, so many sums repeat;
+        # n = 40 takes the numpy pass, n = 3 the tuple sums.  Blocks of 400
+        # entries hold three rows of a 40-term product, so a sum repeats
+        # both within a block and across blocks.
+        if entries:
+            monkeypatch.setattr(freqspace, "_PAIR_ENTRIES", entries)
+        rng = np.random.default_rng(n)
+        grid = [Frequency(B3, (Fraction(int(i), 2), int(j), 0))
+                for i, j in rng.integers(-4, 5, size=(n, 2))]
+        coeffs = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+        p = APPoly.from_terms(B3, [(f, complex(*c)) for f, c in zip(grid, coeffs)])
+        q = p.conj() + APPoly.character(B3.symbol("b"), -0.0 - 1.5j)
+        for x, y in ((p, q), (q, p), (p, p)):
+            got, want = x * y, _loop_poly_mul(x, y)
+            assert _bits(got) == _bits(want)
+            assert len(got) < len(x) * len(y)
+        parts = rng.integers(-9, 10, size=(n, 4))
+        pe = APPoly.from_terms(B3, [
+            (f, ExactComplex(Fraction(int(w), int(x) or 1), Fraction(int(y), int(z) or 1)))
+            for f, (w, x, y, z) in zip(grid, parts)], exact=True)
+        qe = pe.conj() + APPoly.character(B3.symbol("b"), Fraction(-3, 2), exact=True)
+        for x, y in ((pe, qe), (qe, pe)):
+            got, want = x * y, _loop_poly_mul(x, y)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert len(got) < len(x) * len(y)
+
+    def test_empty_operand(self):
+        some = {B3.symbol("a"): 2, B3.zero(): 1}
+        assert mul_terms({}, some) == {} and mul_terms(some, {}) == {}
+        p = APPoly.from_terms(B3, [(f, 1.0) for f in some])
+        for x, y in ((APPoly.zero(B3), p), (p, APPoly.zero(B3))):
+            assert x * y == _loop_poly_mul(x, y) == APPoly.zero(B3)
+
+    def test_mixed_bases_raise(self):
+        other = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
+        mine = {B3.symbol("a"): 1, B3.symbol("b"): 2}
+        theirs = {other.symbol("a"): 1}
+        for a, b in ((mine, theirs), (theirs, mine), ({**mine, **theirs}, mine)):
+            with pytest.raises(BasisMismatchError):
+                mul_terms(a, b)
+        with pytest.raises(BasisMismatchError):
+            APPoly.from_terms(B3, [(f, 1.0) for f in mine]) * APPoly.one(other)
+
+    def test_fold_memory_is_blocked(self):
+        # One fold of 63 x 63 pairs over 1101 symbols: 4,369,869 numerator
+        # entries, 33.3 MiB as one int64 array.  Its tracemalloc peak was
+        # 21.4 MiB (17.6 MiB of it the result) in blocks of _PAIR_ENTRIES,
+        # and 69.1 MiB as one unblocked pair array.
+        basis = SymbolBasis.make(("one", 1.0), *((f"z{j}", 2.0 + j) for j in range(1100)))
+        zero = basis.zero()
+        params = RankOneParams(basis=basis, unit=basis.symbol("one"), stages=tuple(
+            Stage(p=32, spacers=(zero,) * 33) for _ in range(2)))
+        st = extend(initial_state(params), 0)
+        assert len(st.counts) * 63 * basis.size >= 1 << 22
+        tracemalloc.start()
+        try:
+            st = extend(st, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(st.counts) == 2047
+        assert peak < 32 * 2 ** 20
