@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .appoly import APPoly
-from .errors import BudgetError, ValidationError
+from .errors import BasisMismatchError, BudgetError, ValidationError
 from .freqspace import Frequency, _integer_rows, rational_rank, torus_reduce
 
 #: Torus phases are built from signed base-2^27 limbs of the integer
@@ -41,8 +41,8 @@ TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
 
 #: Monte Carlo points per batch, each batch drawn from its own child stream,
-#: and the most points of a tensor-grid chunk (unless one grid row is longer),
-#: the span of each tensor sum; a threaded tensor unit holds two chunks.
+#: and half the most points of a tensor-grid unit (unless one grid row is
+#: longer).
 MC_BATCH = 1 << 14
 
 #: Most root-table entries of one tensor block of terms.
@@ -135,7 +135,7 @@ def _phase_space(polys: Sequence[APPoly]):
     basis = polys[0].basis
     for p in polys[1:]:
         if p.basis != basis:
-            raise ValidationError("polynomials over different bases")
+            raise BasisMismatchError("polynomials over different bases")
     all_freqs = [f for p in polys for f in p.terms]
     support, active = _support(all_freqs)
     if (cols := _identity_columns(all_freqs, support)) is not None:
@@ -537,14 +537,13 @@ def _term_blocks(coeffs, E, ns):
         yield U.T, F[-1]
 
 
-def _block_sum(blocks, rows=slice(None), out=None):
-    """Rows ``rows`` of the grid of ``_term_blocks``, written to ``out`` if
-    given."""
+def _block_sum(blocks, rows=slice(None)):
+    """Rows ``rows`` of the grid of ``_term_blocks``."""
     for b, (Ut, F) in enumerate(blocks):
         if b == 0:
-            grid = np.matmul(Ut[rows], F, out=out)
+            grid = Ut[rows] @ F
         else:
-            np.add(grid, Ut[rows] @ F, out=grid)
+            grid += Ut[rows] @ F
     return grid
 
 
@@ -557,18 +556,15 @@ def _tensor(gs, coeffs, emats, ns):
     """Means on the uniform grid of ``ns`` nodes and on its every-other-node
     subgrid, whose difference is the refinement delta.
 
-    The grid is cut into C-order chunks of whole rows of ``_term_blocks``,
-    at most MC_BATCH points or else one row.  Units of two chunks run
-    through ``_run_batches``, so on the Monte Carlo threads: each integrand
-    is called once per unit, on every polynomial's values there, and its
-    sums are still taken per chunk.  So the estimate has the same bits for
-    any thread count, and the bits of a walk over single chunks, except
-    where an integrand's own arithmetic rounds differently on larger
-    arrays (numpy reuses temporaries of 256 KiB or more in place, which
-    can swap the factors of a complex product, so chunks of fewer than
-    2^14 points, as ``nodes`` overrides give, may move in the last bit).
-    Two-chunk units take the interpreter lock half as often as one-chunk
-    units, which gained about a third less on two CPUs.  A
+    The grid is cut into C-order units of whole rows of ``_term_blocks``,
+    at most 2 MC_BATCH points or else one row, which run through
+    ``_run_batches``, so on the Monte Carlo threads.  Per unit each
+    polynomial's values take one matrix product per block of terms, each
+    integrand is called once, and its sums over the unit and its subgrid
+    nodes come from one product with the row parities.  Unit sums are added
+    exactly in row order, so the estimate has the same bits for any thread
+    count.  Units of 2^15 points took the interpreter lock half as often as
+    units of 2^14, which gained about a third less on two CPUs.  A
     polynomial's factors are kept when they hold fewer entries than the
     grid; otherwise its whole grid, built one block of terms at a time, is
     kept instead.
@@ -580,10 +576,9 @@ def _tensor(gs, coeffs, emats, ns):
     for c, E in zip(coeffs, emats):
         if len(c) * (rows + width) < rows * width:
             blocks = list(_term_blocks(c, E, ns))
-            row_values.append(lambda r, out, blocks=blocks: _block_sum(blocks, r, out))
+            row_values.append(functools.partial(_block_sum, blocks))
         else:
-            grid = _tensor_values(c, E, ns).reshape(rows, width)
-            row_values.append(lambda r, out, grid=grid: np.copyto(out, grid[r]))
+            row_values.append(_tensor_values(c, E, ns).reshape(rows, width).__getitem__)
     # Row r holds the nodes (k_0, ..., k_{d-2}, q width + j), j < width, for
     # the C-order index (k_0, ..., k_{d-2}, q) of r.  Row sums over the
     # columns of even and of odd j lie on the subgrid when every k_i and
@@ -594,38 +589,27 @@ def _tensor(gs, coeffs, emats, ns):
         on &= (k % 2 == 0)[:, None]
     parity = np.zeros((width, 2))
     parity[0::2, 0] = parity[1::2, 1] = 1.0
-    step = max(1, MC_BATCH // width)
-    unit = 2 * step
+    unit = max(1, 2 * MC_BATCH // width)
 
     def run(u):
-        # Per integrand, the real parts of the sums over the whole grid and
-        # over the subgrid of each chunk in unit u.  Every matrix product
-        # takes one chunk, as BLAS may round a row of a taller product
-        # differently.
-        r0 = u * unit
-        n = min(unit, rows - r0)
-        chunks = [slice(c, min(c + step, n)) for c in range(0, n, step)]
-        vals = [np.empty((n, width), dtype=complex) for _ in row_values]
-        for values, v in zip(row_values, vals):
-            for c in chunks:
-                values(slice(r0 + c.start, r0 + c.stop), v[c])
-        vals = [v.ravel() for v in vals]
-        here = on[r0:r0 + n]
+        # Per integrand, the real parts of the sums over unit u and over
+        # its subgrid nodes.
+        r = slice(u * unit, (u + 1) * unit)
+        here = on[r]
+        vals = [values(r).ravel() for values in row_values]
         sums = []
         for g in gs:
-            y = _finite(g(*vals)).reshape(n, width)
-            s = [(y[c] @ parity).real for c in chunks]
-            del y  # freed before the next integrand runs
-            sums.append([(sc.sum(), sc[here[c]].sum()) for sc, c in zip(s, chunks)])
+            s = (_finite(g(*vals)).reshape(len(here), width) @ parity).real
+            sums.append((s.sum(), s[here].sum()))
         return sums
 
-    # Chunk sums in row order, added exactly.
+    # Unit sums in row order, added exactly.
     units = _run_batches(run, -(-rows // unit))
     points = math.prod(ns)
     half_points = math.prod((m + 1) // 2 for m in ns)
     out = []
     for i in range(len(gs)):
-        total, sub = zip(*(span for sums in units for span in sums[i]))
+        total, sub = zip(*(sums[i] for sums in units))
         value = math.fsum(total) / points
         out.append(IntegralEstimate(
             value=value,
@@ -650,13 +634,13 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     Sharing the sample set makes the errors of the returned estimates
     correlate, which is exactly what inequality checks want.  Integrands
     must be pointwise and pure: each is called once per Monte Carlo batch
-    of MC_BATCH points or grid unit of two chunks (each at most MC_BATCH
-    points, unless one grid row is longer), on every polynomial's values
-    there.  On both routes batches or units are split by index between the
-    calling thread and at most one helper thread that lives for this call,
-    so an integrand may be called from either, both at once; sums per batch
-    or per chunk are added in order, so the estimate does not depend on the
-    thread count.  "auto" takes the tensor grid when the torus dimension
+    of MC_BATCH points or grid unit of at most 2 MC_BATCH points (unless
+    one grid row is longer), on every polynomial's values there.  On both
+    routes batches or units are split by index between the calling thread
+    and at most one helper thread that lives for this call, so an integrand
+    may be called from either, both at once; sums per batch or per unit
+    are added in order, so the estimate does not depend on the thread
+    count.  "auto" takes the tensor grid when the torus dimension
     and grid size are within ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``,
     and Monte Carlo otherwise.
     """

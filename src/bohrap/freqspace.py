@@ -86,10 +86,6 @@ class SymbolBasis:
         return Frequency(self, tuple(vec))
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 _setattr = object.__setattr__
 
 
@@ -117,9 +113,7 @@ class Frequency:
                 f"basis has {basis.size} symbols"
             )
         qs = [Fraction(c) for c in coeffs]
-        den = 1
-        for q in qs:
-            den = _lcm(den, q.denominator)
+        den = math.lcm(*(q.denominator for q in qs))
         num = tuple(q.numerator * (den // q.denominator) for q in qs)
         _init(self, basis, num, den)
 
@@ -175,7 +169,7 @@ class Frequency:
         da, db = self.den, other.den
         if da == 1 and db == 1:
             return Frequency._make(self.basis, tuple(map(operator.add, self.num, other.num)), 1)
-        L = _lcm(da, db)
+        L = math.lcm(da, db)
         ma, mb = L // da, L // db
         num = tuple(a * ma + b * mb for a, b in zip(self.num, other.num))
         return Frequency._reduced(self.basis, num, L)
@@ -380,9 +374,7 @@ def _integer_rows(freqs: Sequence[Frequency]):
     A common scale preserves the generated lattice (needed by
     torus_reduce).  Returns (rows, L).
     """
-    L = 1
-    for f in freqs:
-        L = _lcm(L, f.den)
+    L = math.lcm(*(f.den for f in freqs))
     if L == 1:
         return [list(f.num) for f in freqs], 1
     return [[a * (L // f.den) for a in f.num] for f in freqs], L

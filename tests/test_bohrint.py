@@ -18,7 +18,7 @@ from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
                             _tensor_values, bohr_integral,
                             bohr_integral_multi,
                             interval_l1_distortion, mean_abs, real_line_mean)
-from bohrap.errors import BudgetError, ValidationError
+from bohrap.errors import BasisMismatchError, BudgetError, ValidationError
 from bohrap.flatness import PolyFamilySpec, build_family
 from bohrap.freqspace import SymbolBasis, torus_reduce
 from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
@@ -195,15 +195,15 @@ def _random_polys(d, rng, count=3, terms=5):
 
 
 class TestTensorChunks:
-    """``_tensor`` walks the grid in chunks of whole rows, at most MC_BATCH
-    points or else one row."""
+    """``_tensor`` walks the grid in units of whole rows, at most
+    2 MC_BATCH points or else one row."""
 
     GS = [lambda x, y, z: np.abs(x) * np.abs(y) ** 2 * np.abs(z) ** 3,
           lambda x, y, z: np.abs(x * np.conj(z) + y)]
 
     @staticmethod
     def _check(monkeypatch, ns, rel):
-        """Chunked means against means of whole grids and their subgrids."""
+        """Unit-walk means against means of whole grids and their subgrids."""
         polys = _random_polys(len(ns), np.random.default_rng(len(ns)))
         monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
         ests = bohr_integral_multi(TestTensorChunks.GS, polys, Budget(method="tensor"))
@@ -230,15 +230,15 @@ class TestTensorChunks:
         self._check(monkeypatch, ns, 1e-15)
 
     def test_row_longer_than_batch(self, monkeypatch):
-        # 20001 nodes on one axis are one row and one chunk; its sums over
+        # 20001 nodes on one axis are one row and one unit; its sums over
         # 10^4 nodes of one parity agree to 1e-13.
         self._check(monkeypatch, (20001,), 1e-13)
 
     def test_bounded_chunks_and_memory(self):
         # Three polynomials on a 2^21-point grid: whole grids and integrand
         # temporaries of 32 MB each peaked at 144 MB under tracemalloc;
-        # chunks of MC_BATCH points peaked near 6 MB, and units of two chunks
-        # on two threads peak near 9 MB.
+        # units of 2 MC_BATCH points peak at 6.8 MB on one thread and
+        # 8.6-9.1 MB on two.
         a, b, c = (B.symbol(n) for n in ("a", "b", "c"))
         polys = [APPoly.from_terms(B, [(B.zero(), 1.0), (a, 1.0), (b, 1.0),
                                        (c, 1.0), (f.scale(40), 0.5)])
@@ -435,51 +435,13 @@ def _helpers_alive():
     return any(t.name == "bohrap-mc" for t in threading.enumerate())
 
 
-def _chunk_walk(gs, polys, ns):
-    """(value, refinement delta) of each integrand from one thread walking
-    the grid in chunks of at most MC_BATCH points, one integrand call per
-    chunk: the loop whose bits the threaded units of ``_tensor`` keep."""
-    full, hi = bohrint._layout(ns)
-    width = full[-1] // hi
-    rows = math.prod(full) // width
-    dim, emats = _phase_space(polys)
-    row_values = []
-    for c, E in zip(_coefficients(polys), _exponent_rows(dim, emats)):
-        if len(c) * (rows + width) < rows * width:
-            blocks = list(bohrint._term_blocks(c, E, ns))
-            row_values.append(lambda r, blocks=blocks: bohrint._block_sum(blocks, r))
-        else:
-            row_values.append(_tensor_values(c, E, ns).reshape(rows, width).__getitem__)
-    *index, q = np.unravel_index(np.arange(rows), (*full[:-1], hi))
-    on = np.stack([(q * width + j) % 2 == 0 for j in (0, 1)], axis=1)
-    for k in index:
-        on &= (k % 2 == 0)[:, None]
-    parity = np.zeros((width, 2))
-    parity[0::2, 0] = parity[1::2, 1] = 1.0
-    step = max(1, MC_BATCH // width)
-    sums = [([], []) for _ in gs]
-    for r0 in range(0, rows, step):
-        r = slice(r0, r0 + step)
-        grids = [values(r) for values in row_values]
-        for g, (total, sub) in zip(gs, sums):
-            s = (g(*[v.ravel() for v in grids]).reshape(grids[0].shape) @ parity).real
-            total.append(s.sum())
-            sub.append(s[on[r]].sum())
-    points = math.prod(ns)
-    half_points = math.prod((m + 1) // 2 for m in ns)
-    out = []
-    for total, sub in sums:
-        value = math.fsum(total) / points
-        out.append((value, abs(value - math.fsum(sub) / half_points)))
-    return out
-
-
 class TestThreadedBatches:
     """Monte Carlo batches and tensor units on the calling thread and helper
     threads."""
 
     @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3",
-                                      "tensor-300"])
+                                      "tensor-300", "complex-300", (20002,),
+                                      (64, 64, 64)], ids=str)
     def test_bit_identical_for_any_worker_count(self, monkeypatch, case):
         names = set()
 
@@ -504,22 +466,29 @@ class TestThreadedBatches:
             gs, polys, budget = _shared_integrands()
             run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
         else:
-            # Rows of 300 nodes: chunks of 54 rows, units of 108, and a last
-            # unit of 54 + 30 rows.
-            gs = TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3]
-            polys = _random_polys(2, np.random.default_rng(9))
-            budget = Budget(method="tensor", nodes=300)
-            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
+            # Tensor grids: 300 x 300 nodes, whose rows hold no power of
+            # two, are units of 109 rows and a last one of 82; complex-300
+            # takes them through a product of complex temporaries, which
+            # numpy computes in place once they hold 256 KiB.  20002 nodes
+            # are two rows of 10001 in one unit, which runs inline, and
+            # 64^3 nodes eight units of 2^15 points.
+            ns = case if isinstance(case, tuple) else (300, 300)
+            gs = (TestTensorChunks.GS[1:] if case == "complex-300" else
+                  TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3])
+            polys = _random_polys(len(ns), np.random.default_rng(9))
+            monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
+            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys,
+                                              Budget(method="tensor"))
         got = {}
         for w in (1, 2, 4):
             monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
             names.clear()
             got[w] = run()
-            assert ("bohrap-mc" in names) == (w > 1)
+            assert ("bohrap-mc" in names) == (w > 1 and case != (20002,))
             assert not _helpers_alive()
         assert got[1] == got[2] == got[4]
-        method = "tensor-quadrature" if case == "tensor-300" else "monte-carlo"
-        assert got[1][0].method == method
+        mc = case in ("unit-127", "limb-huge", "shared-3")
+        assert got[1][0].method == ("monte-carlo" if mc else "tensor-quadrature")
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failure_in_one_batch_reaches_caller(self, monkeypatch, workers):
@@ -540,23 +509,6 @@ class TestThreadedBatches:
         assert not _helpers_alive()
         est = bohr_integral(np.abs, [p], budget)
         assert est.value == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("ns", [(300, 300), (20002,), (64, 64, 64)], ids=str)
-    def test_units_keep_chunk_walk_bits(self, monkeypatch, ns):
-        # Units of two chunks give the bits of a walk over single chunks.
-        # Rows of 300 nodes hold no power of two.  20002 nodes are two rows
-        # of 10001, one chunk each, whose parity sums BLAS rounds
-        # differently in one two-row product than in two one-row ones.
-        # Integrands built from real arithmetic after np.abs keep their
-        # bits on larger arrays.
-        gs = TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3]
-        polys = _random_polys(len(ns), np.random.default_rng(9))
-        monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
-        want = _chunk_walk(gs, polys, list(ns))
-        for w in (1, 2):
-            monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
-            ests = bohr_integral_multi(gs, polys, Budget(method="tensor"))
-            assert [(e.value, e.refinement_delta) for e in ests] == want
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failure_in_one_tensor_chunk_reaches_caller(self, monkeypatch, workers):
@@ -642,9 +594,9 @@ class TestThreadedBatches:
 
     def test_shared_grid_peak_memory(self, monkeypatch):
         # Three stages whose spacers combine 1, sqrt 2 and sqrt 3 reduce to a
-        # 256 x 128 x 64 grid.  Under tracemalloc one thread walking chunks
-        # peaked at 8.26 MB; two threads, each holding a unit of two chunks,
-        # peaked at 10.89-10.92 MB over 13 runs.
+        # 256 x 128 x 64 grid.  Under tracemalloc, units of 2^15 points
+        # peaked at 8.76 MB on one thread and at 10.87 MB on two, each
+        # holding a unit, over 13 runs.
         basis = SymbolBasis.make(("one", 1.0), ("r2", math.sqrt(2)),
                                  ("r3", math.sqrt(3)))
         syms = [basis.symbol(n) for n in basis.names]
@@ -784,6 +736,13 @@ class TestIdentityCoordinates:
             TorusEvaluator.of([])
         with pytest.raises(ValidationError, match="need at least one polynomial"):
             bohr_integral_multi([np.abs], [])
+
+    def test_polynomials_over_two_bases_rejected(self):
+        # Equal symbol names over different values are different bases.
+        other = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(3)), ("c", math.e))
+        polys = [APPoly.character(basis.symbol("a")) for basis in (B, other)]
+        with pytest.raises(BasisMismatchError, match="different bases"):
+            bohr_integral_multi([lambda x, y: np.abs(x * y)], polys)
 
     def test_long_two_cut_stage_uses_grid(self):
         # Stage 139 of 140 two-cut stages is (1 + e^{i h t}) / sqrt(2) with
