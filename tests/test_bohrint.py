@@ -440,8 +440,8 @@ class TestThreadedBatches:
     threads."""
 
     @pytest.mark.parametrize("case", ["unit-127", "limb-huge", "shared-3",
-                                      "tensor-300", "complex-300", (20002,),
-                                      (64, 64, 64)], ids=str)
+                                      "tensor-300", "complex-300", (300, 300),
+                                      (20002,), (64, 64, 64)], ids=str)
     def test_bit_identical_for_any_worker_count(self, monkeypatch, case):
         names = set()
 
@@ -467,18 +467,25 @@ class TestThreadedBatches:
             run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
         else:
             # Tensor grids: 300 x 300 nodes, whose rows hold no power of
-            # two, are units of 109 rows and a last one of 82; complex-300
-            # takes them through a product of complex temporaries, which
-            # numpy computes in place once they hold 256 KiB.  20002 nodes
-            # are two rows of 10001 in one unit, which runs inline, and
-            # 64^3 nodes eight units of 2^15 points.
+            # two, are units of 109 rows and a last one of 82; tensor-300
+            # and complex-300 reach that grid from nodes=300, and
+            # complex-300 takes it through a product of complex
+            # temporaries, which numpy computes in place once they hold
+            # 256 KiB.  Tuples fix the grid: 20002 nodes are two rows of
+            # 10001 in one unit, which runs inline, and 64^3 nodes eight
+            # units of 2^15 points.
             ns = case if isinstance(case, tuple) else (300, 300)
             gs = (TestTensorChunks.GS[1:] if case == "complex-300" else
                   TestTensorChunks.GS[:1] + [lambda x, y, z: np.abs(y + z) ** 3])
             polys = _random_polys(len(ns), np.random.default_rng(9))
-            monkeypatch.setattr(bohrint, "_grid_sizes", lambda emats, dim, nodes: list(ns))
-            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys,
-                                              Budget(method="tensor"))
+            if isinstance(case, tuple):
+                monkeypatch.setattr(bohrint, "_grid_sizes",
+                                    lambda emats, dim, nodes: list(ns))
+                budget = Budget(method="tensor")
+            else:
+                budget = Budget(method="tensor", nodes=300)
+                assert bohrint._grid_sizes(_phase_space(polys)[1], 2, 300) == [300, 300]
+            run = lambda: bohr_integral_multi([seen(g) for g in gs], polys, budget)
         got = {}
         for w in (1, 2, 4):
             monkeypatch.setattr(bohrint, "_workers", lambda w=w: w)
