@@ -368,8 +368,11 @@ def _coefficients(polys: Sequence[APPoly]) -> list[np.ndarray]:
     return [np.array(list(p.terms.values()), dtype=complex) for p in polys]
 
 
-def _finite(y) -> np.ndarray:
+def _finite(y, n: int) -> np.ndarray:
+    """An integrand's values at ``n`` points: one finite value per point."""
     y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValidationError(f"integrand returned shape {y.shape} for {n} points")
     if not np.all(np.isfinite(y)):
         raise ValidationError("integrand returned non-finite values")
     return y
@@ -457,7 +460,7 @@ def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
         vals = ev.sample(np.random.default_rng(children[b]), MC_BATCH)
         sums = []
         for g in gs:
-            y = _finite(g(*vals))
+            y = _finite(g(*vals), MC_BATCH)
             sums.append((y.sum(), float((y.real * y.real).sum())))
         return sums
 
@@ -597,9 +600,10 @@ def _tensor(gs, coeffs, emats, ns):
         r = slice(u * unit, (u + 1) * unit)
         here = on[r]
         vals = [values(r).ravel() for values in row_values]
+        n = len(here) * width
         sums = []
         for g in gs:
-            s = (_finite(g(*vals)).reshape(len(here), width) @ parity).real
+            s = (_finite(g(*vals), n).reshape(len(here), width) @ parity).real
             sums.append((s.sum(), s[here].sum()))
         return sums
 

@@ -15,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .appoly import APPoly, ExactComplex
+from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
                       bohr_integral_multi)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError)
-from .freqspace import SymbolBasis, rational_rank
+from .freqspace import SymbolBasis, mul_terms, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it through this name.
 from .riesz import (DEFAULT_SUPPORT_CAP, RankOneParams,  # noqa: F401
@@ -473,12 +473,12 @@ def kac_moment_formula(exponents: Sequence[int]) -> Fraction:
 
 
 def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
-    """The moment via the binomial formula, cross-checked symbolically.
+    """The moment via the binomial formula, cross-checked on integer counts.
 
-    The symbolic route expands prod cos^{l_j}(w_j t) as an exact-coefficient
-    polynomial over fresh independent symbols and reads off the mean; the
-    two routes must agree exactly.  The product holds prod (l_j + 1) terms,
-    refused past the support cap.
+    The cross-check multiplies out prod (e^{i w_j t} + e^{-i w_j t})^{l_j}
+    over fresh independent symbols and reads its count at zero over
+    2^{sum l_j}; the two routes must agree exactly.  The product holds
+    prod (l_j + 1) terms, refused past the support cap.
     """
     exponents = list(exponents)
     formula = kac_moment_formula(exponents)
@@ -487,19 +487,16 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
             f"the cosine product would exceed the support cap {DEFAULT_SUPPORT_CAP}")
     if exponents:
         basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
-        half = ExactComplex.of(Fraction(1, 2))
-        prod = APPoly.one(basis, exact=True)
+        prod = {basis.zero(): 1}
         for j, l in enumerate(exponents):
             w = basis.symbol(f"w{j}")
-            cos = (APPoly.character(w, half, exact=True)
-                   + APPoly.character(-w, half, exact=True))
+            power = {basis.zero(): 1}
             for _ in range(l):
-                prod = prod * cos
-        m = prod.mean()
-        if m.im != 0:
-            raise InternalInconsistencyError("cosine-product mean is not real")
-        if m.re != formula:
+                power = mul_terms(power, {w: 1, -w: 1})
+            prod = mul_terms(prod, power)
+        m = Fraction(prod.get(basis.zero(), 0), 2 ** sum(exponents))
+        if m != formula:
             raise InternalInconsistencyError(
-                f"moment identity mismatch: formula {formula}, symbolic {m.re}"
+                f"moment identity mismatch: formula {formula}, counts {m}"
             )
     return formula

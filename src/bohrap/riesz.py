@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .appoly import APPoly, EXACT_ONE, ExactComplex, _canonical
+from .appoly import APPoly, ExactComplex, _canonical
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      json_array, json_int, json_number)
 from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
@@ -63,13 +63,13 @@ class RankOneParams:
 
     def __post_init__(self):
         if self.unit.basis != self.basis:
-            raise ValidationError("unit frequency over a different basis")
+            raise BasisMismatchError("unit frequency over a different basis")
         if self.unit.real_value() != 1.0:
             raise ValidationError("the unit frequency must evaluate to exactly 1")
         for k, st in enumerate(self.stages):
             for s in st.spacers:
                 if s.basis != self.basis:
-                    raise ValidationError(f"stage {k} spacer over a different basis")
+                    raise BasisMismatchError(f"stage {k} spacer over a different basis")
 
     @property
     def n_stages(self) -> int:
@@ -157,14 +157,8 @@ def build_polynomial(params: RankOneParams, k: int) -> APPoly:
 
 
 def abs2_polynomial(params: RankOneParams, k: int) -> APPoly:
-    """|P_k|^2 with exact rational coefficients (multiples of 1/p_k)."""
-    st = params.stage(k)
-    unnorm = APPoly.from_terms(
-        params.basis,
-        [(f, EXACT_ONE) for f in stage_exponents(params, k)],
-        exact=True,
-    )
-    return unnorm.abs2().scale(Fraction(1, st.p))
+    """|P_k|^2 with exact rational coefficients: its pair counts over p_k."""
+    return _exact_poly(params.basis, _abs2_counts(params, k), params.stage(k).p)
 
 
 def delta(params: RankOneParams, k: int) -> APPoly:
@@ -177,6 +171,12 @@ def _abs2_counts(params: RankOneParams, k: int) -> dict[Frequency, int]:
     e_i - e_j at that frequency."""
     exps = stage_exponents(params, k)
     return mul_terms(dict.fromkeys(exps, 1), {-e: 1 for e in exps})
+
+
+def _exact_poly(basis: SymbolBasis, counts: dict[Frequency, int], den: int) -> APPoly:
+    """The exact ``APPoly`` with coefficients count / ``den``."""
+    terms = {f: ExactComplex(Fraction(c, den)) for f, c in counts.items()}
+    return APPoly(basis, _canonical(terms, exact=True), exact=True)
 
 
 def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
@@ -230,9 +230,7 @@ class RieszState:
     @cached_property
     def Q(self) -> APPoly:
         """Q as an exact ``APPoly``, built on first read."""
-        den = self.den
-        terms = {f: ExactComplex(Fraction(c, den)) for f, c in self.counts.items()}
-        return APPoly(self.params.basis, _canonical(terms, exact=True), exact=True)
+        return _exact_poly(self.params.basis, self.counts, self.den)
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
         if lam.basis != self.params.basis:

@@ -135,6 +135,11 @@ class TestFunctionals:
         p = APPoly.one(B)
         assert complex(p.fourier_coeff(B.symbol("b"))) == 0
 
+    def test_fourier_coeff_basis_mismatch(self):
+        other = SymbolBasis.make(("a", 2.0))
+        with pytest.raises(BasisMismatchError):
+            APPoly.one(B).fourier_coeff(other.symbol("a"))
+
     def test_degree(self):
         p = APPoly.from_terms(
             B, [(B.symbol("a"), 1.0), (B.symbol("b").scale(-2), 1.0)]

@@ -90,6 +90,13 @@ class TestTensorQuadrature:
             bohr_integral(lambda x, y, z: np.abs(x * y * z), polys,
                           Budget(method="tensor", nodes=512))
 
+    def test_tensor_dim_cap(self):
+        # Five independent symbols give a 5-dimensional torus.
+        basis = SymbolBasis.make(*[(f"x{j}", j + 1.5) for j in range(5)])
+        p = APPoly.from_terms(basis, [(basis.symbol(n), 1.0) for n in basis.names])
+        with pytest.raises(BudgetError, match="at most 4 torus dimensions"):
+            mean_abs(p, Budget(method="tensor"))
+
     def test_each_integrand_called_once(self):
         # The refinement delta comes from the subgrid of the one evaluation.
         calls = []
@@ -286,6 +293,16 @@ class TestMonteCarlo:
         m = mean_abs(p, Budget(method="monte-carlo", samples=1 << 16, seed=3))
         assert m.method == "monte-carlo"
         assert abs(m.value - t.value) <= 4 * m.std_error
+
+    @pytest.mark.parametrize("budget", [
+        Budget(method="monte-carlo", samples=1 << 16), Budget(method="tensor")],
+        ids=["monte-carlo", "tensor"])
+    @pytest.mark.parametrize("g", [
+        lambda v: 1.0, lambda v: np.abs(v)[:, None], lambda v: np.abs(v[::2])],
+        ids=["scalar", "column", "half"])
+    def test_non_pointwise_integrand_refused(self, budget, g):
+        with pytest.raises(ValidationError, match="integrand returned shape"):
+            bohr_integral(g, [APPoly.character(B.symbol("a"))], budget)
 
     def test_reproducible(self):
         p = _two_char_poly()

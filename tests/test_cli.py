@@ -30,8 +30,12 @@ _FAMILY = {"kind": "unimodular", "n": 4,
 
 
 def _config(tmp_path, doc):
+    return _text_config(tmp_path, json.dumps(doc))
+
+
+def _text_config(tmp_path, text):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(text)
     return ["--config", str(cfg)]
 
 
@@ -371,6 +375,10 @@ class TestExitCodes:
             t, {"basis": [{"name": "one", "value": 1.0},
                           {"name": "s", "value": 10 ** 400}],
                 "stages": [{"p": 2, "spacers": ["0", "s", "0"]}]})],
+        lambda t: ["riesz-check", "--config", str(t / "missing.json")],
+        lambda t: ["riesz-check", *_text_config(t, "{stages")],
+        lambda t: ["riesz-check", "--cuts", ","],
+        lambda t: ["flatness", *_config(t, {"seed": 3})],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
@@ -383,7 +391,8 @@ class TestExitCodes:
             "frequencies-text", "coefficients-text", "basis-value-text",
             "basis-value-bool", "littlewood-bool-float",
             "family-basis-value-text", "newman-bool", "unimodular-phase-bool",
-            "unimodular-phase-inf", "unimodular-phase-nan", "basis-value-huge"])
+            "unimodular-phase-inf", "unimodular-phase-nan", "basis-value-huge",
+            "config-missing", "config-not-json", "cuts-empty", "family-missing"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]

@@ -221,6 +221,7 @@ class TestKacMoments:
         assert kac_moment_identity([1]) == 0
         assert kac_moment_identity([2, 4]) == Fraction(3, 16)
         assert kac_moment_identity([]) == 1
+        assert kac_moment_identity([16, 16, 16, 16]) == Fraction(12870, 2 ** 16) ** 4
 
     def test_formula_matches_symbolic_exhaustively(self):
         # all tuples with up to 3 entries and total exponent at most 8
@@ -234,7 +235,7 @@ class TestKacMoments:
 
         for k in (1, 2, 3):
             for t in tuples(k, 8):
-                # kac_moment_identity raises on any formula/symbolic mismatch
+                # kac_moment_identity raises on any formula/count mismatch
                 v = kac_moment_identity(list(t))
                 if any(x % 2 for x in t):
                     assert v == 0

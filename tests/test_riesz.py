@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from bohrap.appoly import APPoly
-from bohrap.errors import SupportCapError, ValidationError
+from bohrap.appoly import EXACT_ONE, APPoly, ExactComplex
+from bohrap.errors import BasisMismatchError, SupportCapError, ValidationError
 from bohrap.freqspace import Frequency, SymbolBasis
 from bohrap.riesz import (RankOneParams, SigmaHatValue, Stage,
                           abs2_polynomial, build_polynomial, degree_report,
@@ -52,6 +52,19 @@ class TestValidation:
         b = SymbolBasis.make(("one", 1.0), ("s", 0.5))
         with pytest.raises(ValidationError):
             Stage(p=2, spacers=(b.zero(), -b.symbol("s"), b.zero()))
+
+    def test_unit_over_other_basis(self):
+        b = SymbolBasis.make(("one", 1.0))
+        other = SymbolBasis.make(("one", 1.0), ("s", 0.5))
+        with pytest.raises(BasisMismatchError):
+            RankOneParams(basis=b, unit=other.symbol("one"), stages=())
+
+    def test_spacer_over_other_basis(self):
+        b = SymbolBasis.make(("one", 1.0))
+        other = SymbolBasis.make(("one", 1.0), ("s", 0.5))
+        st = Stage(p=2, spacers=(other.zero(), other.symbol("s"), other.zero()))
+        with pytest.raises(BasisMismatchError):
+            RankOneParams(basis=b, unit=b.symbol("one"), stages=(st,))
 
     def test_unit_must_be_one(self):
         b = SymbolBasis.make(("one", 1.0), ("s", 0.5))
@@ -168,6 +181,12 @@ class TestPartialProducts:
                 nxt = cur.sigma_hat(lam)
                 assert nxt.value >= v
 
+    def test_sigma_hat_basis_mismatch(self):
+        st = extend(initial_state(_basic_params()), 0)
+        other = SymbolBasis.make(("one", 1.0))
+        with pytest.raises(BasisMismatchError):
+            st.sigma_hat(other.symbol("one"))
+
     def test_sigma_hat_off_support(self):
         params = _basic_params()
         st = extend(initial_state(params), 0)
@@ -227,11 +246,53 @@ _MIXED_DENOMINATORS = _rational_params([
 ])
 
 
+def _shared_params():
+    """Stages whose spacers repeat one symbol, so exponent differences
+    repeat: stage 0 has exponents 0, h_0, 2h_0 + s, 3h_0 + 2s."""
+    b = SymbolBasis.make(("one", 1.0), ("s", math.sqrt(2)))
+    zero, s = b.zero(), b.symbol("s")
+    return RankOneParams(basis=b, unit=b.symbol("one"), stages=(
+        Stage(p=4, spacers=(zero, s, s, s, zero)),
+        Stage(p=3, spacers=(zero, s, s, s)),
+    ))
+
+
+def _abs2_by_products(params: RankOneParams, k: int) -> APPoly:
+    """|P_k|^2 by exact ``APPoly`` products: the unit-coefficient stage
+    polynomial times its conjugate, scaled by 1/p_k."""
+    unnorm = APPoly.from_terms(
+        params.basis, [(f, EXACT_ONE) for f in stage_exponents(params, k)],
+        exact=True)
+    return unnorm.abs2().scale(Fraction(1, params.stage(k).p))
+
+
 def _fraction_fold(params: RankOneParams) -> APPoly:
     q = APPoly.one(params.basis, exact=True)
     for k in range(params.n_stages):
-        q = q * abs2_polynomial(params, k)
+        q = q * _abs2_by_products(params, k)
     return q
+
+
+class TestAbs2Counts:
+    """``abs2_polynomial`` from pair counts against exact ``APPoly`` products."""
+
+    @pytest.mark.parametrize("params", [
+        make_independent_params([3, 4, 2, 5], seed=3), _basic_params(),
+        _shared_params(), _MIXED_DENOMINATORS],
+        ids=["independent", "basic", "shared", "rational"])
+    def test_matches_exact_products(self, params):
+        for k in range(params.n_stages):
+            got = abs2_polynomial(params, k)
+            assert got.exact
+            assert list(got.terms.items()) == list(
+                _abs2_by_products(params, k).terms.items())
+
+    def test_repeated_differences_add(self):
+        # 2h_0 + s - h_0 and 3h_0 + 2s - (2h_0 + s) are both h_0 + s.
+        params = _shared_params()
+        lam = heights(params, 0) + params.basis.symbol("s")
+        assert (abs2_polynomial(params, 0).fourier_coeff(lam)
+                == ExactComplex.of(Fraction(2, 4)))
 
 
 class TestIntegerProducts:
