@@ -6,7 +6,7 @@ from rank-one flow parameters, and numerical singularity and flatness
 criteria.
 """
 
-from .appoly import APPoly, ExactComplex
+from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
                       bohr_integral, bohr_integral_multi,
                       interval_l1_distortion, mean_abs, real_line_mean)
@@ -24,7 +24,7 @@ from .flatness import (PolyFamilySpec, build_family, flatness_ratio,
 from .freqspace import (Frequency, SymbolBasis, TorusReduction,
                         is_rationally_independent, rational_rank, torus_reduce)
 from .riesz import (RankOneParams, RieszState, Stage, abs2_polynomial,
-                    build_polynomial, degree_report, delta, extend, heights,
+                    build_polynomial, degree_report, extend, heights,
                     initial_state, make_independent_params,
                     riesz_property_check, spacer_sum,
                     validate_main_hypothesis)

@@ -111,7 +111,6 @@ def _budget(args, seed: int) -> Budget:
 def _emit(args, name: str, result: dict, seed: int, doc: dict,
           csv_rows=None) -> None:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     resolved = dict(doc)
     resolved["seed"] = seed
     blob = _dump_json(resolved)
@@ -122,10 +121,14 @@ def _emit(args, name: str, result: dict, seed: int, doc: dict,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    _write_atomic(out / f"{name}.json", _dump_json(result))
-    _write_atomic(out / "manifest.json", _dump_json(manifest))
-    if csv_rows is not None:
-        _write_csv(out / f"{name}.csv", csv_rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_atomic(out / f"{name}.json", _dump_json(result))
+        _write_atomic(out / "manifest.json", _dump_json(manifest))
+        if csv_rows is not None:
+            _write_csv(out / f"{name}.csv", csv_rows)
+    except OSError as exc:
+        raise ValidationError(f"cannot write results: {exc}") from exc
     print(f"wrote {out / (name + '.json')}")
 
 
@@ -137,11 +140,12 @@ def _cmd_riesz_check(args, doc: dict, seed: int) -> int:
     params = _params(args, doc, seed)
     rows = []
     means = []
+    zero = params.basis.zero()
     for k in range(params.n_stages):
-        m = abs2_polynomial(params, k).mean()
-        means.append({"stage": k, "mean": [str(m.re), str(m.im)],
-                      "is_one": m.re == 1 and m.im == 0})
-        rows.append((k, "mean_abs2", float(m.re), 0.0))
+        # The mean of |P_k|^2 is its pair count at zero over p_k; it is real.
+        m = Fraction(abs2_polynomial(params, k).get(zero, 0), params.stage(k).p)
+        means.append({"stage": k, "mean": [str(m), "0"], "is_one": m == 1})
+        rows.append((k, "mean_abs2", float(m), 0.0))
     full = riesz_property_check(params, range(params.n_stages))
     result = {
         "stage_means": means,

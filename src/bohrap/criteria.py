@@ -462,10 +462,10 @@ def kac_moment_formula(exponents: Sequence[int]) -> Fraction:
     Each even l_j contributes binom(l_j, l_j/2) / 2^{l_j}; any odd exponent
     makes the whole mean vanish.
     """
+    if any(l < 0 for l in exponents):
+        raise ValidationError("exponents must be nonnegative")
     out = Fraction(1)
     for l in exponents:
-        if l < 0:
-            raise ValidationError("exponents must be nonnegative")
         if l % 2:
             return Fraction(0)
         out *= Fraction(math.comb(l, l // 2), 2 ** l)
@@ -477,14 +477,20 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
 
     The cross-check multiplies out prod (e^{i w_j t} + e^{-i w_j t})^{l_j}
     over fresh independent symbols and reads its count at zero over
-    2^{sum l_j}; the two routes must agree exactly.  The product holds
-    prod (l_j + 1) terms, refused past the support cap.
+    2^{sum l_j}; the two routes must agree exactly.  Its products add
+    sum l_j (l_j + 1) pairs for the powers and sum_j prod_{i<=j} (l_i + 1)
+    for the running product; past the support cap the call is refused.
     """
     exponents = list(exponents)
     formula = kac_moment_formula(exponents)
-    if math.prod(l + 1 for l in exponents) > DEFAULT_SUPPORT_CAP:
-        raise SupportCapError(
-            f"the cosine product would exceed the support cap {DEFAULT_SUPPORT_CAP}")
+    pairs, terms = 0, 1
+    for l in exponents:
+        terms *= l + 1
+        pairs += l * (l + 1) + terms
+        if pairs > DEFAULT_SUPPORT_CAP:
+            raise SupportCapError(
+                "the cosine product would add more pairs than the support cap "
+                f"{DEFAULT_SUPPORT_CAP}")
     if exponents:
         basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
         prod = {basis.zero(): 1}

@@ -6,10 +6,14 @@ and stage polynomials
 
     P_k(t) = (1/sqrt(p_k)) * sum_{j<p_k} e^{i t (j h_k + s_{k,0}+...+s_{k,j-1})}.
 
-Everything height- and frequency-shaped is exact; |P_k|^2 and the partial
-products Q_n carry exact rational coefficients, so sigma-hat values and the
-probability normalization are checked with exact equality.  The products
-themselves run on integer numerators over the product of the cut numbers.
+Everything height- and frequency-shaped is exact.  P_k itself is a float
+``APPoly``; |P_k|^2 and the partial products Q_n are held exactly, as integer
+counts per frequency over one denominator: ``abs2_polynomial(params, k)`` is
+p_k |P_k|^2, the number of exponent pairs (i, j) at each difference
+e_i - e_j, and a ``RieszState`` holds Q_n's counts over p_0 ... p_n.  So
+sigma-hat values and the probability normalization are checked with exact
+equality, and every product runs on integers through
+``freqspace.mul_terms``.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .appoly import APPoly, ExactComplex, _canonical
+from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      json_array, json_int, json_number)
 from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
@@ -156,27 +161,13 @@ def build_polynomial(params: RankOneParams, k: int) -> APPoly:
     )
 
 
-def abs2_polynomial(params: RankOneParams, k: int) -> APPoly:
-    """|P_k|^2 with exact rational coefficients: its pair counts over p_k."""
-    return _exact_poly(params.basis, _abs2_counts(params, k), params.stage(k).p)
-
-
-def delta(params: RankOneParams, k: int) -> APPoly:
-    """Delta_k = |P_k|^2 - 1, exactly; its mean is zero."""
-    return abs2_polynomial(params, k) - APPoly.one(params.basis, exact=True)
-
-
-def _abs2_counts(params: RankOneParams, k: int) -> dict[Frequency, int]:
-    """p_k |P_k|^2: frequency -> number of exponent pairs (i, j) with
-    e_i - e_j at that frequency."""
+def abs2_polynomial(params: RankOneParams, k: int) -> dict[Frequency, int]:
+    """p_k |P_k|^2 as integer pair counts: frequency -> number of exponent
+    pairs (i, j) with e_i - e_j at that frequency.  |P_k|^2 is these counts
+    over p_k; the count at zero is p_k.  The name is kept because
+    perfbench/tracing.py wraps this function through it."""
     exps = stage_exponents(params, k)
     return mul_terms(dict.fromkeys(exps, 1), {-e: 1 for e in exps})
-
-
-def _exact_poly(basis: SymbolBasis, counts: dict[Frequency, int], den: int) -> APPoly:
-    """The exact ``APPoly`` with coefficients count / ``den``."""
-    terms = {f: ExactComplex(Fraction(c, den)) for f, c in counts.items()}
-    return APPoly(basis, _canonical(terms, exact=True), exact=True)
 
 
 def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
@@ -187,7 +178,7 @@ def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
     if len(counts) * p * p > cap:
         raise SupportCapError(
             f"folding in stage {k} would exceed the support cap {cap}")
-    return mul_terms(counts, _abs2_counts(params, k))
+    return mul_terms(counts, abs2_polynomial(params, k))
 
 
 def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
@@ -203,7 +194,7 @@ def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
         a = _fold(a, params, k, DEFAULT_SUPPORT_CAP)
         den *= params.stage(k).p
     get = a.get
-    b = _abs2_counts(params, last)
+    b = abs2_polynomial(params, last)
     return Fraction(sum(c * get(-f, 0) for f, c in b.items()), den)
 
 
@@ -227,10 +218,17 @@ class RieszState:
     counts: dict[Frequency, int] = field(repr=False)
     den: int
 
-    @cached_property
-    def Q(self) -> APPoly:
-        """Q as an exact ``APPoly``, built on first read."""
-        return _exact_poly(self.params.basis, self.counts, self.den)
+    # perfbench/workloads.py reads ``states[-1].Q.mean().re``; ``Q`` and
+    # ``mean`` are the read-only surface that keeps that reader working.
+    @property
+    def Q(self) -> "RieszState":
+        """Q's counts and denominator: the state itself."""
+        return self
+
+    def mean(self) -> SimpleNamespace:
+        """The mean of Q, sigma-hat(0), as exact ``re`` and ``im`` parts."""
+        return SimpleNamespace(re=self.sigma_hat(self.params.basis.zero()).value,
+                               im=Fraction(0))
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
         if lam.basis != self.params.basis:
@@ -241,8 +239,7 @@ class RieszState:
         return SigmaHatValue(value=Fraction(c, self.den), on_support=True)
 
     def sigma_hat_table(self) -> dict[Frequency, Fraction]:
-        """Every sigma-hat value on the support, in ``Q``'s term order,
-        without building ``Q``."""
+        """Every sigma-hat value on the support, in frequency order."""
         den = self.den
         return {f: Fraction(self.counts[f], den)
                 for f in sorted(self.counts, key=Frequency.sort_key)}

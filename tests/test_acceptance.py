@@ -75,9 +75,11 @@ def test_criterion_01_exact_probability_normalization():
     exact = True
     for _ in range(50):
         params = _random_shared_params(rng)
+        zero = params.basis.zero()
         for k in range(params.n_stages):
-            m = abs2_polynomial(params, k).mean()
-            exact = exact and m.re == 1 and m.im == 0
+            # The mean of |P_k|^2 is its pair count at zero over p_k.
+            m = Fraction(abs2_polynomial(params, k).get(zero, 0), params.stage(k).p)
+            exact = exact and m == 1
     elapsed = time.perf_counter() - t0
     ok = exact and elapsed < 5.0
     _report(1, "exact-probability", ok,

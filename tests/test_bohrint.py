@@ -27,6 +27,13 @@ from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
 B = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)), ("c", math.e))
 
 
+def _abs2_float(params, k):
+    """|P_k|^2 as a float ``APPoly``: the pair counts over p_k."""
+    p = params.stage(k).p
+    return APPoly.from_terms(params.basis, [
+        (f, c / p) for f, c in abs2_polynomial(params, k).items()])
+
+
 def _two_char_poly():
     return APPoly.from_terms(
         B, [(B.zero(), 1.0), (B.symbol("a"), 1.0)]
@@ -361,8 +368,7 @@ class TestMonteCarlo:
         # form).  A batch of 2^14 points held 993 x 2^14 phases at once
         # (506 MB); column slices of 2^18 / 993 points hold about 2^18.
         params = make_independent_params([32], seed=1)
-        q = APPoly.from_terms(params.basis, [
-            (f, complex(c)) for f, c in abs2_polynomial(params, 0).terms.items()])
+        q = _abs2_float(params, 0)
         assert len(q) == 993 and TorusEvaluator.of([q]).levels == 2
         tracemalloc.start()
         try:
@@ -685,13 +691,13 @@ class TestIdentityCoordinates:
         # fails and the active columns are the coordinates (limb path).
         params = make_independent_params([12], seed=4)
         p = build_polynomial(params, 0)
-        q = abs2_polynomial(params, 0)
+        q = _abs2_float(params, 0)
         ev = TorusEvaluator.of([p, q])
         assert (ev.dim, ev.levels) == (11, 2)
         (est,) = bohr_integral_multi([lambda a, b: (a * a.conj() * b).real],
                                      [p, q], Budget(samples=1 << 14, seed=6))
         assert est.torus_dim == 11
-        want = float((q * q).mean().re)  # mean |P|^4 = 2 - 1/12
+        want = (q * q).mean().real  # mean |P|^4 = 2 - 1/12
         assert want == pytest.approx(2 - 1 / 12, abs=1e-12)
         assert abs(est.value - want) <= 5 * est.std_error
 
@@ -746,7 +752,7 @@ class TestIdentityCoordinates:
         # frequency, as in a constant, is independent.
         params = make_independent_params([16], seed=3)
         p = build_polynomial(params, 0)
-        q = abs2_polynomial(params, 0)
+        q = _abs2_float(params, 0)
         assert affinely_independent(list(p.terms))
         assert affinely_independent([f for f in p.terms if any(f.num)])
         assert not affinely_independent(list(q.terms))

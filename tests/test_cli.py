@@ -379,6 +379,7 @@ class TestExitCodes:
         lambda t: ["riesz-check", *_text_config(t, "{stages")],
         lambda t: ["riesz-check", "--cuts", ","],
         lambda t: ["flatness", *_config(t, {"seed": 3})],
+        lambda t: ["kac-moments", "--exponents", "1,-1"],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
@@ -392,12 +393,24 @@ class TestExitCodes:
             "basis-value-bool", "littlewood-bool-float",
             "family-basis-value-text", "newman-bool", "unimodular-phase-bool",
             "unimodular-phase-inf", "unimodular-phase-nan", "basis-value-huge",
-            "config-missing", "config-not-json", "cuts-empty", "family-missing"])
+            "config-missing", "config-not-json", "cuts-empty", "family-missing",
+            "exponent-negative-after-odd"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]
         assert _run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("out", [
+        lambda t: t / "file", lambda t: t / "file" / "sub"],
+        ids=["out-is-file", "out-under-file"])
+    def test_unwritable_out_is_2(self, tmp_path, out, capsys):
+        # An --out path that cannot be a directory is refused without a
+        # traceback, as an unreadable config is.
+        (tmp_path / "file").write_text("")
+        assert _run(["kac-moments", "--exponents", "2", "--seed", "1",
+                     "--out", str(out(tmp_path))]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write results: ")
 
     @pytest.mark.parametrize("argv", [
         ["bourgain-scan", "--cuts", "4,4", "--strategy", "greedy"],
@@ -435,12 +448,34 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_oversize_cosine_pair_count_is_3(self, tmp_path, capsys):
+        # cos^100000 has 100001 terms, within the support cap, but its power
+        # alone adds about 10^10 pairs; it is refused before any product.
+        start = time.perf_counter()
+        assert _run(["kac-moments", "--exponents", "100000", "--seed", "1",
+                     "--out", str(tmp_path / "r")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_support_cap_is_3(self, tmp_path, capsys):
         # The exact product of four 64-cut stages would hold about 10^13
         # terms; the fold at stage 1 is refused before it is formed.
         assert _run(["riesz-check", "--cuts", "64,64,64,64", "--seed", "1",
                      "--out", str(tmp_path / "r")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestReadme:
+    def test_python_example_runs(self):
+        # The README's one ```python block runs as written.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = text.split("```python\n")[1:]
+        assert len(blocks) == 1
+        code = blocks[0].split("```")[0]
+        src = os.path.dirname(os.path.dirname(bohrap.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True, text=True, timeout=120)
 
 
 class TestTracingTargets:

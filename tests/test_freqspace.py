@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrap import freqspace
-from bohrap.appoly import APPoly, ExactComplex, _canonical
+from bohrap.appoly import APPoly, _canonical
 from bohrap.errors import BasisMismatchError, ValidationError
 from bohrap.freqspace import (Frequency, SymbolBasis, is_rationally_independent,
                               mul_terms, rational_rank, torus_reduce)
-from bohrap.riesz import (RankOneParams, Stage, _abs2_counts, _product_mean,
+from bohrap.riesz import (RankOneParams, Stage, _product_mean, abs2_polynomial,
                           extend, heights, initial_state, make_independent_params,
                           stage_exponents)
 
@@ -311,7 +311,7 @@ class TestTorusReduce:
 
 
 def _loop_mul(a, b):
-    """The integer-coefficient product loop of ``riesz._mul``."""
+    """The per-pair product loop of two term dicts."""
     out = {}
     get = out.get
     for fa, ca in a.items():
@@ -322,7 +322,7 @@ def _loop_mul(a, b):
 
 
 def _loop_abs2_counts(params, k):
-    """The pair-count loop of ``riesz._abs2_counts``."""
+    """The pair-count loop of ``riesz.abs2_polynomial``."""
     exps = stage_exponents(params, k)
     counts = {}
     for ei in exps:
@@ -335,7 +335,7 @@ def _loop_abs2_counts(params, k):
 def _loop_poly_mul(p, q):
     """The product loop of ``APPoly.__mul__``."""
     if not p.terms or not q.terms:
-        return APPoly.zero(p.basis, p.exact)
+        return APPoly.zero(p.basis)
     acc = {}
     for fa, ca in p.terms.items():
         for fb, cb in q.terms.items():
@@ -345,7 +345,7 @@ def _loop_poly_mul(p, q):
                 acc[f] = acc[f] + c
             else:
                 acc[f] = c
-    return APPoly(p.basis, _canonical(acc, p.exact), p.exact)
+    return APPoly(p.basis, _canonical(acc))
 
 
 def _loop_fold(params, ks):
@@ -371,7 +371,7 @@ class TestMulTerms:
     def _check_folds(params, ks):
         want, folds = _loop_fold(params, ks)
         for k, (a, b) in zip(ks, folds):
-            assert list(_abs2_counts(params, k).items()) == list(b.items())
+            assert list(abs2_polynomial(params, k).items()) == list(b.items())
             assert list(mul_terms(a, b).items()) == list(_loop_mul(a, b).items())
         return want, folds
 
@@ -447,14 +447,14 @@ class TestMulTerms:
             got, want = x * y, _loop_poly_mul(x, y)
             assert _bits(got) == _bits(want)
             assert len(got) < len(x) * len(y)
-        parts = rng.integers(-9, 10, size=(n, 4))
-        pe = APPoly.from_terms(B3, [
-            (f, ExactComplex(Fraction(int(w), int(x) or 1), Fraction(int(y), int(z) or 1)))
-            for f, (w, x, y, z) in zip(grid, parts)], exact=True)
-        qe = pe.conj() + APPoly.character(B3.symbol("b"), Fraction(-3, 2), exact=True)
+        # The exact ring of mul_terms: Fraction coefficients.
+        parts = rng.integers(-9, 10, size=(n, 2))
+        pe = {f: Fraction(int(w), int(x) or 1) for f, (w, x) in zip(grid, parts)}
+        qe = {-f: c for f, c in pe.items()}
+        qe[B3.symbol("b")] = qe.get(B3.symbol("b"), 0) + Fraction(-3, 2)
         for x, y in ((pe, qe), (qe, pe)):
-            got, want = x * y, _loop_poly_mul(x, y)
-            assert list(got.terms.items()) == list(want.terms.items())
+            got = mul_terms(x, y)
+            assert list(got.items()) == list(_loop_mul(x, y).items())
             assert len(got) < len(x) * len(y)
 
     def test_empty_operand(self):
