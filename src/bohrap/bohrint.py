@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import threading
+from copy import deepcopy
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -55,10 +56,11 @@ _EVAL_ENTRIES = 1 << 20
 #: per operation.  A fixed size keeps every bit independent of the machine.
 _STEP_PHASES = 1 << 18
 
-#: Most threads that run the batches of one Monte Carlo call or the units of
-#: one tensor grid: the calling thread and one helper.  Each holds a batch
-#: with its own step, draws and ``_cis`` temporaries: two stay below the peak
-#: of one thread with 2^20-phase steps, four did not.
+#: Most threads that run the batches of one Monte Carlo call, the row steps
+#: of a one-batch call or the units of one tensor grid: the calling thread
+#: and one helper.  Each holds a batch or a step with its ``_cis``
+#: temporaries: two stay below the peak of one thread with 2^20-phase
+#: steps, four did not.
 _MAX_WORKERS = 2
 
 #: Name of the helper threads of Monte Carlo calls and tensor grids.
@@ -247,14 +249,16 @@ _CIS_COARSE, _CIS_FINE = (
 _CIS_BLOCK = 1 << 14
 
 
-def _cis(x: np.ndarray) -> np.ndarray:
-    """e^{2 pi i x} elementwise for x in [0, 1], within 2e-15 of ``np.exp``.
+def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{2 pi i x} elementwise for x in [0, 1], within 2e-15 of ``np.exp``,
+    written into ``out`` (a C-contiguous complex array of x's shape) when
+    given.
 
     Each value depends only on its own x, so slices of ``x`` give the same
     bits as the whole array.
     """
     flat = np.ravel(x)
-    z = np.empty(flat.shape, dtype=complex)
+    z = np.empty(flat.shape, dtype=complex) if out is None else out.reshape(-1)
     for lo in range(0, flat.size, _CIS_BLOCK):
         u = flat[lo:lo + _CIS_BLOCK] * (1 << _CIS_BITS)
         i = u.astype(np.intp)
@@ -267,10 +271,22 @@ def _cis(x: np.ndarray) -> np.ndarray:
         s = np.empty(len(u), dtype=complex)
         s.real = 1.0 - 0.5 * t2
         s.imag = u - u * t2 / 6.0
-        out = z[lo:lo + _CIS_BLOCK]
-        np.multiply(_CIS_COARSE.take(i), _CIS_FINE.take(j), out=out)
-        out *= s
+        block = z[lo:lo + _CIS_BLOCK]
+        np.multiply(_CIS_COARSE.take(i), _CIS_FINE.take(j), out=block)
+        block *= s
     return z.reshape(np.shape(x))
+
+
+def _drawn_cis(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write e^{2 pi i x} for x = rng.random(out.shape) into ``out``, of
+    shape (rows, n), drawing _CIS_BLOCK points (or one row) at a time
+    straight into ``_cis``: threaded steps hold no step of draws."""
+    rows, n = out.shape
+    step = max(1, _CIS_BLOCK // n)
+    x = np.empty((min(step, rows), n))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        _cis(rng.random(out=x[:hi - lo]), out=out[lo:hi])
 
 
 class TorusEvaluator:
@@ -324,7 +340,8 @@ class TorusEvaluator:
         """Values of each polynomial at the points of the level arrays."""
         n = levels[0].shape[1]
         if self._unit is not None:
-            return self._unit_values(n, lambda lo, hi: levels[0][lo:hi])
+            return self._unit_values(
+                n, lambda lo, hi, out: _cis(levels[0][lo:hi], out=out))
         out = np.empty((len(self._coeffs), n), dtype=complex)
         for lo in range(0, n, self._width):
             cols = [x[:, lo:lo + self._width] for x in levels]
@@ -343,22 +360,58 @@ class TorusEvaluator:
                 row[lo:lo + self._width] = c @ _cis(np.mod(t, 1.0))
         return list(out)
 
-    def sample(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    def sample(self, rng: np.random.Generator, n: int,
+               threads: bool = False) -> list[np.ndarray]:
         """Values at n random points: the draws of ``rng.random((dim, n))``
-        once per level (in the unit form, one row block at a time)."""
-        if self._unit is not None:
-            return self._unit_values(n, lambda lo, hi: rng.random((hi - lo, n)))
-        return self([rng.random((self.dim, n)) for _ in range(self.levels)])
+        once per level.
 
-    def _unit_values(self, n: int, block) -> list[np.ndarray]:
-        """a0 + A . e^{2 pi i x} at n points; ``block(lo, hi)`` gives rows
-        lo:hi of x, asked for in order."""
+        The unit form draws one row step at a time.  With ``threads`` its
+        steps run on the ``_run_batches`` threads, step lo:hi drawing its
+        rows a few at a time from a copy of rng's PCG64 stream advanced by
+        lo n draws, and rng is then advanced past all dim n draws, so
+        values and rng end as on one thread.
+        """
+        if self._unit is None:
+            return self([rng.random((self.dim, n)) for _ in range(self.levels)])
+        if not threads:
+            return self._unit_values(
+                n, lambda lo, hi, out: _cis(rng.random((hi - lo, n)), out=out))
+
+        def fill(lo, hi, out):
+            _drawn_cis(np.random.Generator(
+                deepcopy(rng.bit_generator).advance(lo * n)), out)
+
+        values = self._unit_values(n, fill, threads=True)
+        rng.bit_generator.advance(self.dim * n)
+        return values
+
+    def _unit_values(self, n: int, fill, threads: bool = False) -> list[np.ndarray]:
+        """a0 + A . e^{2 pi i x} at n points, one step of rows at a time;
+        ``fill(lo, hi, out)`` writes e^{2 pi i x} on rows lo:hi of x into
+        ``out``, a buffer that later steps reuse.  The steps run in order,
+        or with ``threads`` through ``_run_batches``; either way their
+        products are added in step order, so the bits are the same."""
         A, a0 = self._unit
         z = np.zeros((len(A), n), dtype=complex)
         rows = max(1, _STEP_PHASES // n)
-        for lo in range(0, self.dim, rows):
+        steps = -(-self.dim // rows)
+        spare = []  # step buffers not in use, at most one per thread
+
+        def step(s):
+            lo = s * rows
             hi = min(lo + rows, self.dim)
-            z += A[:, lo:hi] @ _cis(block(lo, hi))
+            buf = spare.pop() if spare else np.empty((min(rows, self.dim), n),
+                                                      dtype=complex)
+            fill(lo, hi, buf[:hi - lo])
+            product = A[:, lo:hi] @ buf[:hi - lo]
+            spare.append(buf)
+            return product
+
+        if threads:
+            _run_batches(step, steps, add=z.__iadd__)
+        else:
+            for s in range(steps):
+                z += step(s)
         z += a0[:, None]
         return list(z)
 
@@ -398,9 +451,12 @@ def _malloc_trim():
         return None
 
 
-def _run_batches(run: Callable[[int], object], n: int) -> list:
+def _run_batches(run: Callable[[int], object], n: int, add=None) -> list | None:
     """[run(b) for b in range(n)] on this thread and up to _workers() - 1
     helper threads, started for this call and joined before it returns.
+    With ``add``, add(run(b)) is called instead, in batch order, and None
+    is returned: a thread with a result waits until every lower batch was
+    added, then adds its own, so no thread holds more than one result.
 
     With w threads, thread t runs batches t, t + w, t + 2w, ... one at a
     time (this thread is t = 0), and each result goes to its own slot.  A
@@ -408,15 +464,32 @@ def _run_batches(run: Callable[[int], object], n: int) -> list:
     failure seen so far.  Every batch below the lowest failure still runs,
     so the exception of the lowest failed batch, the one a loop would raise,
     reaches the caller.  Calls from a helper thread (nested integrals) run
-    their batches inline.  Monte Carlo batches and tensor-grid units both
-    run here.
+    their batches inline.  Monte Carlo batches, the row steps of a one-batch
+    call and tensor-grid units all run here.
     """
     w = min(_workers(), n)
-    if w == 1 or threading.current_thread().name == _HELPER:
-        return [run(b) for b in range(n)]
+    if w <= 1 or threading.current_thread().name == _HELPER:
+        if add is None:
+            return [run(b) for b in range(n)]
+        for b in range(n):
+            add(run(b))
+        return None
     out = [None] * n
     errors = {}
     lowest = n  # lowest failed batch seen so far
+    added = 0  # batches added so far, with ``add``
+    turn = threading.Condition()
+
+    def hand_over(b, result):
+        # Add batch b's result once every lower batch was added; drop it
+        # when a lower batch failed.
+        nonlocal added
+        with turn:
+            turn.wait_for(lambda: added == b or lowest < b)
+            if lowest > b:
+                add(result)
+                added += 1
+                turn.notify_all()
 
     def work(t):
         nonlocal lowest
@@ -424,10 +497,15 @@ def _run_batches(run: Callable[[int], object], n: int) -> list:
             if b > lowest:
                 return
             try:
-                out[b] = run(b)
+                if add is None:
+                    out[b] = run(b)
+                else:
+                    hand_over(b, run(b))
             except BaseException as exc:
-                errors[b] = exc
-                lowest = min(lowest, b)  # a lost race only runs more batches
+                with turn:
+                    errors[b] = exc
+                    lowest = min(lowest, b)
+                    turn.notify_all()
                 return
 
     helpers = []
@@ -447,7 +525,7 @@ def _run_batches(run: Callable[[int], object], n: int) -> list:
             trim(0)
     if errors:
         raise errors[min(errors)]
-    return out
+    return out if add is None else None
 
 
 def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
@@ -457,7 +535,9 @@ def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
     children = np.random.SeedSequence(budget.seed).spawn(n_batches)
 
     def batch(b):
-        vals = ev.sample(np.random.default_rng(children[b]), MC_BATCH)
+        # One batch spreads its row steps over the threads instead.
+        vals = ev.sample(np.random.default_rng(children[b]), MC_BATCH,
+                         threads=n_batches == 1)
         sums = []
         for g in gs:
             y = _finite(g(*vals), MC_BATCH)
@@ -644,28 +724,47 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     and at most one helper thread that lives for this call, so an integrand
     may be called from either, both at once; sums per batch or per unit
     are added in order, so the estimate does not depend on the thread
-    count.  "auto" takes the tensor grid when the torus dimension
-    and grid size are within ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``,
-    and Monte Carlo otherwise.
+    count.  A Monte Carlo call of one batch in the unit form splits that
+    batch's row steps instead and adds their products in step order.
+    ``_grid`` makes the method choice: "auto" takes the tensor grid when
+    the torus dimension and grid size are within ``TENSOR_DIM_CAP`` and
+    ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
     """
     dim, emats = _phase_space(polys)
     coeffs = _coefficients(polys)
+    if (grid := _grid(dim, emats, budget)) is not None:
+        return _tensor(gs, coeffs, *grid)
+    return _monte_carlo(gs, TorusEvaluator(coeffs, dim, emats), budget)
+
+
+def _grid(dim: int, emats, budget: Budget):
+    """The method choice of ``bohr_integral_multi`` on a torus of ``dim``
+    coordinates with ``_phase_space`` exponents ``emats``: the tensor grid
+    as (exponent rows, nodes per axis), or None for Monte Carlo.  Raises
+    ``BudgetError`` where "tensor" cannot have its grid."""
     if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(
             f"tensor quadrature supports at most {TENSOR_DIM_CAP} torus "
             f"dimensions, got {dim}; use monte-carlo"
         )
-    if budget.method != "monte-carlo" and dim <= TENSOR_DIM_CAP:
-        rows = _exponent_rows(dim, emats)
-        ns = _grid_sizes(rows, dim, budget.nodes)
-        points = math.prod(ns)
-        if points <= TENSOR_POINT_CAP:
-            return _tensor(gs, coeffs, rows, ns)
-        if budget.method == "tensor":
-            raise BudgetError(
-                f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
-            )
-    return _monte_carlo(gs, TorusEvaluator(coeffs, dim, emats), budget)
+    if budget.method == "monte-carlo" or dim > TENSOR_DIM_CAP:
+        return None
+    rows = _exponent_rows(dim, emats)
+    ns = _grid_sizes(rows, dim, budget.nodes)
+    points = math.prod(ns)
+    if points <= TENSOR_POINT_CAP:
+        return rows, ns
+    if budget.method == "tensor":
+        raise BudgetError(
+            f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
+        )
+    return None
+
+
+def takes_grid(polys: Sequence[APPoly], budget: Budget) -> bool:
+    """Whether ``bohr_integral_multi`` over ``polys`` with ``budget`` takes
+    the tensor grid; raises where that call would refuse its method."""
+    return _grid(*_phase_space(polys), budget) is not None
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
-                      bohr_integral_multi)
+                      bohr_integral_multi, takes_grid)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError)
 from .freqspace import SymbolBasis, mul_terms, rational_rank
@@ -81,6 +81,7 @@ class ScanReport:
     indices: tuple[int, ...]
     estimates: tuple[IntegralEstimate, ...]  # I_0 = 1, then one per chosen stage
     decay_ratios: tuple[float, ...]
+    decay_ratio_errors: tuple[float, ...]
     candidates: tuple[tuple[tuple[int, float, float], ...], ...]
     verdict: str  # singularity-evidence | inconclusive
 
@@ -89,6 +90,7 @@ class ScanReport:
             "indices": list(self.indices),
             "estimates": [e.to_json() for e in self.estimates],
             "decay_ratios": list(self.decay_ratios),
+            "decay_ratio_errors": list(self.decay_ratio_errors),
             "candidates": [
                 [{"stage": s, "value": v, "std_error": e} for s, v, e in step]
                 for step in self.candidates
@@ -97,15 +99,35 @@ class ScanReport:
         }
 
 
+def _decay_ratios(estimates: Sequence[IntegralEstimate]):
+    """The ratios r = b/a of consecutive estimates a, b with a > 0, and
+    their errors r hypot(s_a/a, s_b/b), written hypot(r s_a/a, s_b/a) so
+    that b = 0 needs no division.  Consecutive estimates come from
+    different steps' seeds, so their errors are independent."""
+    ratios, errors = [], []
+    for a, b in zip(estimates, estimates[1:]):
+        if a.value > 0:
+            r = b.value / a.value
+            ratios.append(r)
+            errors.append(math.hypot(r * a.std_error / a.value,
+                                     b.std_error / a.value))
+    return tuple(ratios), tuple(errors)
+
+
 def bourgain_scan(params: RankOneParams, k_max: int = 5,
                   budget: Budget = Budget(), window: int = 3) -> ScanReport:
     """Drive I_k = mean of the product of |P_{n_j}| toward zero.
 
     The greedy scan mimics the inductive construction: at each step it
     tries the next ``window`` unused stages and keeps the one minimizing the
-    estimated integral, so ``window=1`` takes consecutive stages.  The
-    verdict is singularity-evidence when I_{k_max} is below
-    ``SCAN_THRESHOLD`` with 3 sigma to spare.
+    estimated integral, so ``window=1`` takes consecutive stages.  A step
+    integrates every candidate in one call over the chosen stages and all
+    candidates, on the step's seed: common random numbers, so candidates
+    are compared on the same points and each keeps its own law and
+    ``std_error``.  A step where some candidate's own integral would take
+    the tensor grid integrates each candidate in its own call instead, on
+    its own seed.  The verdict is singularity-evidence when I_{k_max} is
+    below ``SCAN_THRESHOLD`` with 3 sigma to spare.
     """
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
@@ -126,16 +148,21 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
                 f"scan step {step} has no candidate stages left "
                 f"({params.n_stages} stages available)"
             )
-        results = []
         for m in cands:
             if m not in stage_polys:
                 stage_polys[m] = build_polynomial(params, m)
-            polys = chosen_polys + [stage_polys[m]]
-            est = bohr_integral_multi(
-                [_abs_product([1] * len(polys))], polys,
-                _derived_budget(budget, step, m)
-            )[0]
-            results.append((m, est))
+        nc = len(chosen_polys)
+        if any(takes_grid(chosen_polys + [stage_polys[m]], budget) for m in cands):
+            ests = [bohr_integral_multi(
+                [_abs_product([1] * (nc + 1))], chosen_polys + [stage_polys[m]],
+                _derived_budget(budget, step, m))[0] for m in cands]
+        else:
+            ests = bohr_integral_multi(
+                [_abs_product([1] * nc + [int(i == j) for j in range(len(cands))])
+                 for i in range(len(cands))],
+                chosen_polys + [stage_polys[m] for m in cands],
+                _derived_budget(budget, step))
+        results = list(zip(cands, ests))
         all_candidates.append(
             tuple((m, e.value, e.std_error) for m, e in results)
         )
@@ -144,10 +171,7 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
         chosen_polys.append(stage_polys[best_m])
         estimates.append(best_est)
 
-    ratios = []
-    for a, b in zip(estimates, estimates[1:]):
-        if a.value > 0:
-            ratios.append(b.value / a.value)
+    ratios, ratio_errors = _decay_ratios(estimates)
     last = estimates[-1]
     verdict = (
         "singularity-evidence"
@@ -157,7 +181,8 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
     return ScanReport(
         indices=tuple(chosen),
         estimates=tuple(estimates),
-        decay_ratios=tuple(ratios),
+        decay_ratios=ratios,
+        decay_ratio_errors=ratio_errors,
         candidates=tuple(all_candidates),
         verdict=verdict,
     )
@@ -456,14 +481,18 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     )
 
 
+def _nonnegative(exponents: Sequence[int]) -> None:
+    if any(l < 0 for l in exponents):
+        raise ValidationError("exponents must be nonnegative")
+
+
 def kac_moment_formula(exponents: Sequence[int]) -> Fraction:
     """Mean of prod_j cos^{l_j} at rationally independent frequencies.
 
     Each even l_j contributes binom(l_j, l_j/2) / 2^{l_j}; any odd exponent
     makes the whole mean vanish.
     """
-    if any(l < 0 for l in exponents):
-        raise ValidationError("exponents must be nonnegative")
+    _nonnegative(exponents)
     out = Fraction(1)
     for l in exponents:
         if l % 2:
@@ -479,10 +508,11 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
     over fresh independent symbols and reads its count at zero over
     2^{sum l_j}; the two routes must agree exactly.  Its products add
     sum l_j (l_j + 1) pairs for the powers and sum_j prod_{i<=j} (l_i + 1)
-    for the running product; past the support cap the call is refused.
+    for the running product; past the support cap the call is refused,
+    after the sign check and before the formula is computed.
     """
     exponents = list(exponents)
-    formula = kac_moment_formula(exponents)
+    _nonnegative(exponents)
     pairs, terms = 0, 1
     for l in exponents:
         terms *= l + 1
@@ -491,6 +521,7 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
             raise SupportCapError(
                 "the cosine product would add more pairs than the support cap "
                 f"{DEFAULT_SUPPORT_CAP}")
+    formula = kac_moment_formula(exponents)
     if exponents:
         basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
         prod = {basis.zero(): 1}

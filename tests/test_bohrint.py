@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from copy import deepcopy
 from fractions import Fraction
 
 import numpy as np
@@ -657,6 +658,163 @@ class TestThreadedBatches:
             tracemalloc.stop()
         assert ests[0].nodes_or_samples == 1 << 21
         assert peak <= 11_000_000
+
+
+def _independent_stages(cuts, seed=2):
+    """Stage polynomials of independent spacers: sum(p - 1) coordinates."""
+    params = make_independent_params(cuts, seed=seed)
+    return [build_polynomial(params, k) for k in range(len(cuts))]
+
+
+def _pair_products(count):
+    """|v_0| |v_i| for i = 1 .. count - 1, as in a scan step."""
+    return [lambda *v, i=i: np.abs(v[0]) * np.abs(v[i]) for i in range(1, count)]
+
+
+class TestOneBatchSteps:
+    """A Monte Carlo call of one batch runs its unit-form row steps, of
+    2^18 // MC_BATCH = 16 coordinates each, on the calling thread and a
+    helper."""
+
+    @pytest.mark.parametrize("cuts", [[8, 8], [16, 16], [16] * 4, [64, 64, 16]],
+                             ids=["1-step", "2-steps", "4-steps", "9-steps"])
+    def test_bit_identical_at_one_and_two_workers(self, monkeypatch, cuts):
+        polys = _independent_stages(cuts)
+        dim = TorusEvaluator.of(polys).dim
+        assert dim == sum(p - 1 for p in cuts)
+        steps = -(-dim // 16)
+        filled = []
+        drawn_cis = bohrint._drawn_cis
+
+        def seen(rng, out):
+            filled.append(threading.current_thread().name)
+            drawn_cis(rng, out)
+
+        monkeypatch.setattr(bohrint, "_drawn_cis", seen)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        gs = _pair_products(len(polys))
+        got = {}
+        for w in (1, 2):
+            monkeypatch.setattr(bohrint, "_MAX_WORKERS", w)
+            filled.clear()
+            got[w] = bohr_integral_multi(gs, polys, Budget(samples=MC_BATCH, seed=3))
+            assert len(filled) == steps
+            assert ("bohrap-mc" in filled) == (w == 2 and steps > 1)
+            assert not _helpers_alive()
+        assert got[1] == got[2]
+        assert got[1][0].method == "monte-carlo" and got[1][0].torus_dim == dim
+
+    def test_advanced_copies_give_the_rows_of_one_draw(self):
+        # Rows lo:hi drawn from a copy of the stream advanced by lo n draws
+        # are rows lo:hi of one rng.random((dim, n)) call.
+        dim, n = 45, MC_BATCH
+        seq = np.random.SeedSequence(21)
+        want = np.random.default_rng(seq).random((dim, n))
+        bits = np.random.default_rng(seq).bit_generator
+        for lo, hi in [(0, 16), (16, 32), (32, 45), (7, 9)]:
+            copy = np.random.Generator(deepcopy(bits).advance(lo * n))
+            assert np.array_equal(copy.random((hi - lo, n)), want[lo:hi])
+            out = np.empty((hi - lo, n), dtype=complex)
+            copy = np.random.Generator(deepcopy(bits).advance(lo * n))
+            bohrint._drawn_cis(copy, out)
+            assert np.array_equal(out, _cis(want[lo:hi]))
+
+    @pytest.mark.parametrize("n", [MC_BATCH, 3000, 100_000])
+    def test_threaded_sample_matches_one_draw(self, monkeypatch, n):
+        # The values are those of the evaluator at one (dim, n) draw, and
+        # the generator ends past all dim n draws, as after that draw.
+        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+        ev = TorusEvaluator.of(_independent_stages([64, 32]))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = ev.sample(rng, n, threads=True)
+        x = ref.random((ev.dim, n))
+        for vals, direct, alone in zip(got, ev([x]), ev.sample(
+                np.random.default_rng(4), n)):
+            assert np.array_equal(vals, direct) and np.array_equal(vals, alone)
+        assert rng.random() == ref.random()
+
+    def test_steps_added_in_order_one_result_per_thread(self, monkeypatch):
+        # With ``add``, results are added in batch order, and a thread waits
+        # with its result until it is added: at most w results are held at
+        # once.  Batches 9, 10 and 37 fail: the caller gets batch 9's error
+        # after batches 0-8 were added.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(bohrint, "_workers", lambda w=workers: w)
+                for fail in ((), (9, 10, 37)):
+                    added, held = [], [0, 0]
+
+                    def run(b):
+                        if b in fail:
+                            raise ValueError(b)
+                        held[0] += 1
+                        held[1] = max(held[1], held[0])
+                        return b
+
+                    def add(b):
+                        held[0] -= 1
+                        added.append(b)
+
+                    for _ in range(10):
+                        added.clear()
+                        held[:] = [0, 0]
+                        if fail:
+                            with pytest.raises(ValueError) as info:
+                                bohrint._run_batches(run, 64, add)
+                            assert info.value.args == (9,)
+                            assert added == list(range(9))
+                        else:
+                            assert bohrint._run_batches(run, 64, add) is None
+                            assert added == list(range(64))
+                        assert held[1] <= workers
+                        assert not _helpers_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_step_reaches_caller(self, monkeypatch):
+        # A step that fails on the helper raises from the call, and the
+        # next call with the same seed gives the estimate of one thread.
+        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+        polys = _independent_stages([16] * 4)
+        gs, budget = _pair_products(4), Budget(samples=MC_BATCH, seed=5)
+        drawn_cis = bohrint._drawn_cis
+
+        def broken(rng, out):
+            if threading.current_thread().name == "bohrap-mc":
+                raise FloatingPointError("step failed")
+            drawn_cis(rng, out)
+
+        monkeypatch.setattr(bohrint, "_drawn_cis", broken)
+        with pytest.raises(FloatingPointError):
+            bohr_integral_multi(gs, polys, budget)
+        assert not _helpers_alive()
+        monkeypatch.setattr(bohrint, "_drawn_cis", drawn_cis)
+        got = bohr_integral_multi(gs, polys, budget)
+        monkeypatch.setattr(bohrint, "_workers", lambda: 1)
+        assert got == bohr_integral_multi(gs, polys, budget)
+
+    def test_two_thread_peak_memory(self, monkeypatch):
+        # Four 16-cut stages, 60 coordinates, as in a scan step: each
+        # thread holds one step of 16 coordinates x 2^14 points (4 MiB
+        # complex) while its rows are drawn one at a time into _cis.  Under
+        # tracemalloc the call peaked at 11.95-12.34 MB on two threads and
+        # at 6.70 MB on one, over 26 runs; with a whole step of draws each
+        # the two threads held 4 MiB more.
+        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+        polys = _independent_stages([16] * 4)
+        gs = _pair_products(4)
+        bohr_integral_multi(gs, polys, Budget(samples=MC_BATCH, seed=1))  # warm-up
+        tracemalloc.start()
+        try:
+            est = bohr_integral_multi(gs, polys, Budget(samples=MC_BATCH, seed=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est[0].torus_dim == 60
+        assert peak <= 13_000_000
 
 
 class TestIdentityCoordinates:

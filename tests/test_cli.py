@@ -7,12 +7,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import bohrap
+import bohrap.criteria
+from bohrap import bohrint
 from bohrap import flatness as flatness_module
 from bohrap.appoly import APPoly
 from bohrap.cli import main
@@ -380,6 +383,7 @@ class TestExitCodes:
         lambda t: ["riesz-check", "--cuts", ","],
         lambda t: ["flatness", *_config(t, {"seed": 3})],
         lambda t: ["kac-moments", "--exponents", "1,-1"],
+        lambda t: ["kac-moments", "--exponents", "100000,-1"],
     ], ids=["cuts", "sizes", "q-indices", "eps-n", "eps-n-zero-den",
             "exponents", "indices", "stage-p", "spacer-zero-den", "family-n",
             "config-not-object", "config-seed", "unimodular-phase",
@@ -394,7 +398,7 @@ class TestExitCodes:
             "family-basis-value-text", "newman-bool", "unimodular-phase-bool",
             "unimodular-phase-inf", "unimodular-phase-nan", "basis-value-huge",
             "config-missing", "config-not-json", "cuts-empty", "family-missing",
-            "exponent-negative-after-odd"])
+            "exponent-negative-after-odd", "exponent-negative-after-oversize"])
     def test_malformed_input_is_2(self, tmp_path, case, capsys):
         # No --seed: it would hide a malformed config seed.
         argv = case(tmp_path) + ["--out", str(tmp_path / "r")]
@@ -457,6 +461,16 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_cosine_cap_checked_before_formula(self, tmp_path, monkeypatch):
+        # The refusal comes before the binomial formula: with a formula that
+        # raises, --exponents 100000 still exits 3.
+        def formula(exponents):
+            raise AssertionError("formula computed before the cap check")
+
+        monkeypatch.setattr(bohrap.criteria, "kac_moment_formula", formula)
+        assert _run(["kac-moments", "--exponents", "100000", "--seed", "1",
+                     "--out", str(tmp_path / "r")]) == 3
+
     def test_support_cap_is_3(self, tmp_path, capsys):
         # The exact product of four 64-cut stages would hold about 10^13
         # terms; the fold at stage 1 is refused before it is formed.
@@ -476,6 +490,40 @@ class TestReadme:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        capture_output=True, text=True, timeout=120)
+
+
+class TestThreadCount:
+    """README commands write the same bytes on one thread and on two."""
+
+    @pytest.mark.parametrize("command", ["bourgain-scan", "kac-clt"])
+    def test_readme_command_same_bytes(self, tmp_path, monkeypatch, command):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (line,) = [l for l in text.splitlines() if l.startswith(f"bohrap {command} ")]
+        argv = line.split()[1:]
+        assert argv[-2:] == ["--out", "results"]
+        fills = []
+        drawn_cis = bohrint._drawn_cis
+
+        def seen(rng, out):
+            fills.append(threading.current_thread().name)
+            drawn_cis(rng, out)
+
+        monkeypatch.setattr(bohrint, "_drawn_cis", seen)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for w in (1, 2):
+            monkeypatch.setattr(bohrint, "_MAX_WORKERS", w)
+            fills.clear()
+            assert _run(argv[:-1] + [str(tmp_path / str(w))]) == 0
+            # Scan steps of one batch run on the helper too; kac-clt keeps
+            # to the calling thread.
+            assert ("bohrap-mc" in fills) == (w == 2 and command == "bourgain-scan")
+        names = sorted(f.name for f in (tmp_path / "1").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert ((tmp_path / "1" / name).read_bytes()
+                        == (tmp_path / "2" / name).read_bytes()), name
 
 
 class TestTracingTargets:

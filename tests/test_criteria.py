@@ -9,15 +9,18 @@ import pytest
 
 import bohrap.criteria
 
-from bohrap.bohrint import Budget, TorusEvaluator
-from bohrap.criteria import (GAUSS_MEAN_ABS, bourgain_scan,
+from bohrap.bohrint import (Budget, IntegralEstimate, TorusEvaluator,
+                            bohr_integral_multi)
+from bohrap.criteria import (GAUSS_MEAN_ABS, ScanReport, _decay_ratios,
+                             _derived_budget, _unit_estimate, bourgain_scan,
                              cs_subsequence_bound, fejer_factorization_check,
                              guenais_sum, haar_weak_limit_check,
                              kac_clt_diagnostics, kac_moment_formula,
                              kac_moment_identity, klemes_inequality_check)
 from bohrap.errors import ValidationError
 from bohrap.freqspace import SymbolBasis
-from bohrap.riesz import RankOneParams, Stage, make_independent_params
+from bohrap.riesz import (RankOneParams, Stage, build_polynomial,
+                          make_independent_params)
 
 FAST = Budget(samples=1 << 13, seed=17)
 
@@ -85,6 +88,76 @@ class TestBourgainScan:
         rep = bourgain_scan(params, k_max=3, budget=FAST, window=1)
         assert rep.indices == (0, 1, 2)
         assert all(len(step) == 1 for step in rep.candidates)
+
+    def test_shared_step_is_one_call_on_the_step_seed(self):
+        # Every candidate of a step comes from one call over the chosen
+        # stages and all candidates, on the step's seed: |chosen| |P_m|
+        # with the other candidates' values unused.
+        params = make_independent_params([8] * 6, seed=6)
+        rep = bourgain_scan(params, k_max=2, budget=FAST)
+        polys = {k: build_polynomial(params, k) for k in range(6)}
+        for step, cands in enumerate(rep.candidates):
+            chosen = [polys[k] for k in rep.indices[:step]]
+            stages = [m for m, _, _ in cands]
+            n = len(chosen)
+
+            def g(*v, i):
+                acc = None
+                for x in v[:n] + (v[n + i],):
+                    acc = np.abs(x) if acc is None else acc * np.abs(x)
+                return acc
+
+            ests = bohr_integral_multi(
+                [lambda *v, i=i: g(*v, i=i) for i in range(len(stages))],
+                chosen + [polys[m] for m in stages], _derived_budget(FAST, step))
+            assert cands == tuple((m, e.value, e.std_error) for m, e in zip(stages, ests))
+            assert all(e.method == "monte-carlo" and e.nodes_or_samples == 1 << 14
+                       for e in ests)
+            best = min(range(len(stages)), key=lambda i: ests[i].value)
+            assert rep.indices[step] == stages[best]
+            assert rep.estimates[step + 1] == ests[best]
+
+    @pytest.mark.parametrize("cuts", [[4, 4, 4], [2, 16, 16]])
+    def test_grid_step_keeps_per_candidate_calls(self, cuts):
+        # With cuts 4,4,4 each candidate alone is a 3-coordinate grid; with
+        # 2,16,16 only stage 0 is (one coordinate), and the step still
+        # integrates each candidate in its own call on its own seed.
+        params = make_independent_params(cuts, seed=1)
+        rep = bourgain_scan(params, k_max=1, budget=FAST)
+        methods = []
+        for m, value, err in rep.candidates[0]:
+            (est,) = bohr_integral_multi([np.abs], [build_polynomial(params, m)],
+                                         _derived_budget(FAST, 0, m))
+            methods.append(est.method)
+            assert (value, err) == (est.value, est.std_error)
+        assert methods[0] == "tensor-quadrature"
+        assert set(methods) == ({"tensor-quadrature"} if cuts[1] == 4
+                                else {"tensor-quadrature", "monte-carlo"})
+
+    def test_decay_ratio_errors_hand_computed(self):
+        # I_0 = 1 exactly, then 0.5 +- 0.01, 0.2 +- 0.004, 0 +- 0.001 and
+        # 0.1 +- 0.002: ratios 0.5, 0.4 and 0 (none after I_3 = 0), with
+        # errors 0.5 (0.01/0.5) = 0.01, 0.4 hypot(0.02, 0.02) = 0.008 sqrt 2
+        # and 0.001/0.2 = 0.005.
+        ests = [_unit_estimate()] + [
+            IntegralEstimate(value=v, std_error=e, method="monte-carlo",
+                             nodes_or_samples=16, seed=1, torus_dim=3)
+            for v, e in [(0.5, 0.01), (0.2, 0.004), (0.0, 0.001), (0.1, 0.002)]]
+        ratios, errors = _decay_ratios(ests)
+        assert ratios == pytest.approx([0.5, 0.4, 0.0], rel=1e-15)
+        assert errors == pytest.approx([0.01, 0.008 * math.sqrt(2), 0.005], rel=1e-15)
+        rep = ScanReport(indices=(0, 1, 2, 3), estimates=tuple(ests),
+                         decay_ratios=ratios, decay_ratio_errors=errors,
+                         candidates=(), verdict="inconclusive")
+        doc = rep.to_json()
+        assert doc["decay_ratio_errors"] == list(errors)
+        assert list(doc).index("decay_ratio_errors") == list(doc).index("decay_ratios") + 1
+
+    def test_report_has_decay_ratio_errors(self):
+        params = make_independent_params([8] * 6, seed=2)
+        rep = bourgain_scan(params, k_max=2, budget=FAST)
+        assert (rep.decay_ratios, rep.decay_ratio_errors) == _decay_ratios(rep.estimates)
+        assert rep.decay_ratio_errors[0] == rep.estimates[1].std_error
 
 
 class TestSubsequenceBound:
