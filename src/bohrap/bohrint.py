@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import threading
-from copy import deepcopy
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Callable, Sequence
@@ -41,9 +40,10 @@ _GUARD_BITS = 60
 TENSOR_DIM_CAP = 4
 TENSOR_POINT_CAP = 1 << 22
 
-#: Monte Carlo points per batch, each batch drawn from its own child stream,
-#: and half the most points of a tensor-grid unit (unless one grid row is
-#: longer).
+#: Monte Carlo points per batch, each batch drawn from its own child stream
+#: (a call of at most this many samples runs as two batches of half as
+#: many), and half the most points of a tensor-grid unit (unless one grid
+#: row is longer).
 MC_BATCH = 1 << 14
 
 #: Most root-table entries of one tensor block of terms.
@@ -56,11 +56,10 @@ _EVAL_ENTRIES = 1 << 20
 #: per operation.  A fixed size keeps every bit independent of the machine.
 _STEP_PHASES = 1 << 18
 
-#: Most threads that run the batches of one Monte Carlo call, the row steps
-#: of a one-batch call or the units of one tensor grid: the calling thread
-#: and one helper.  Each holds a batch or a step with its ``_cis``
-#: temporaries: two stay below the peak of one thread with 2^20-phase
-#: steps, four did not.
+#: Most threads that run the batches of one Monte Carlo call or the units of
+#: one tensor grid: the calling thread and one helper.  Each holds a batch
+#: with its own step and ``_cis`` temporaries: two stay below the peak of
+#: one thread with 2^20-phase steps, four did not.
 _MAX_WORKERS = 2
 
 #: Name of the helper threads of Monte Carlo calls and tensor grids.
@@ -279,10 +278,16 @@ def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _drawn_cis(rng: np.random.Generator, out: np.ndarray) -> None:
     """Write e^{2 pi i x} for x = rng.random(out.shape) into ``out``, of
-    shape (rows, n), drawing _CIS_BLOCK points (or one row) at a time
-    straight into ``_cis``: threaded steps hold no step of draws."""
+    shape (rows, n): the draws of that one call, taken 2 _CIS_BLOCK points
+    (or one row) at a time straight into ``_cis``, so a step never holds
+    all its draws.
+
+    One-row draws ran the ``kac`` benchmark about 5% slower; draws of a
+    whole step or of 4 _CIS_BLOCK points raised the tracemalloc peak of a
+    two-thread half-batch call over 60 coordinates from about 12.5 MB to
+    16.3 and 13.1 MB."""
     rows, n = out.shape
-    step = max(1, _CIS_BLOCK // n)
+    step = max(1, 2 * _CIS_BLOCK // n)
     x = np.empty((min(step, rows), n))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
@@ -360,58 +365,26 @@ class TorusEvaluator:
                 row[lo:lo + self._width] = c @ _cis(np.mod(t, 1.0))
         return list(out)
 
-    def sample(self, rng: np.random.Generator, n: int,
-               threads: bool = False) -> list[np.ndarray]:
+    def sample(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
         """Values at n random points: the draws of ``rng.random((dim, n))``
-        once per level.
-
-        The unit form draws one row step at a time.  With ``threads`` its
-        steps run on the ``_run_batches`` threads, step lo:hi drawing its
-        rows a few at a time from a copy of rng's PCG64 stream advanced by
-        lo n draws, and rng is then advanced past all dim n draws, so
-        values and rng end as on one thread.
-        """
+        once per level (in the unit form, one row step at a time through
+        ``_drawn_cis``)."""
         if self._unit is None:
             return self([rng.random((self.dim, n)) for _ in range(self.levels)])
-        if not threads:
-            return self._unit_values(
-                n, lambda lo, hi, out: _cis(rng.random((hi - lo, n)), out=out))
+        return self._unit_values(n, lambda lo, hi, out: _drawn_cis(rng, out))
 
-        def fill(lo, hi, out):
-            _drawn_cis(np.random.Generator(
-                deepcopy(rng.bit_generator).advance(lo * n)), out)
-
-        values = self._unit_values(n, fill, threads=True)
-        rng.bit_generator.advance(self.dim * n)
-        return values
-
-    def _unit_values(self, n: int, fill, threads: bool = False) -> list[np.ndarray]:
-        """a0 + A . e^{2 pi i x} at n points, one step of rows at a time;
-        ``fill(lo, hi, out)`` writes e^{2 pi i x} on rows lo:hi of x into
-        ``out``, a buffer that later steps reuse.  The steps run in order,
-        or with ``threads`` through ``_run_batches``; either way their
-        products are added in step order, so the bits are the same."""
+    def _unit_values(self, n: int, fill) -> list[np.ndarray]:
+        """a0 + A . e^{2 pi i x} at n points, one step of rows at a time, in
+        order; ``fill(lo, hi, out)`` writes e^{2 pi i x} on rows lo:hi of x
+        into ``out``, one buffer that every step reuses."""
         A, a0 = self._unit
         z = np.zeros((len(A), n), dtype=complex)
         rows = max(1, _STEP_PHASES // n)
-        steps = -(-self.dim // rows)
-        spare = []  # step buffers not in use, at most one per thread
-
-        def step(s):
-            lo = s * rows
+        buf = np.empty((min(rows, self.dim), n), dtype=complex)
+        for lo in range(0, self.dim, rows):
             hi = min(lo + rows, self.dim)
-            buf = spare.pop() if spare else np.empty((min(rows, self.dim), n),
-                                                      dtype=complex)
             fill(lo, hi, buf[:hi - lo])
-            product = A[:, lo:hi] @ buf[:hi - lo]
-            spare.append(buf)
-            return product
-
-        if threads:
-            _run_batches(step, steps, add=z.__iadd__)
-        else:
-            for s in range(steps):
-                z += step(s)
+            z += A[:, lo:hi] @ buf[:hi - lo]
         z += a0[:, None]
         return list(z)
 
@@ -451,12 +424,9 @@ def _malloc_trim():
         return None
 
 
-def _run_batches(run: Callable[[int], object], n: int, add=None) -> list | None:
+def _run_batches(run: Callable[[int], object], n: int) -> list:
     """[run(b) for b in range(n)] on this thread and up to _workers() - 1
     helper threads, started for this call and joined before it returns.
-    With ``add``, add(run(b)) is called instead, in batch order, and None
-    is returned: a thread with a result waits until every lower batch was
-    added, then adds its own, so no thread holds more than one result.
 
     With w threads, thread t runs batches t, t + w, t + 2w, ... one at a
     time (this thread is t = 0), and each result goes to its own slot.  A
@@ -464,32 +434,15 @@ def _run_batches(run: Callable[[int], object], n: int, add=None) -> list | None:
     failure seen so far.  Every batch below the lowest failure still runs,
     so the exception of the lowest failed batch, the one a loop would raise,
     reaches the caller.  Calls from a helper thread (nested integrals) run
-    their batches inline.  Monte Carlo batches, the row steps of a one-batch
-    call and tensor-grid units all run here.
+    their batches inline.  Monte Carlo batches and tensor-grid units both
+    run here.
     """
     w = min(_workers(), n)
-    if w <= 1 or threading.current_thread().name == _HELPER:
-        if add is None:
-            return [run(b) for b in range(n)]
-        for b in range(n):
-            add(run(b))
-        return None
+    if w == 1 or threading.current_thread().name == _HELPER:
+        return [run(b) for b in range(n)]
     out = [None] * n
     errors = {}
     lowest = n  # lowest failed batch seen so far
-    added = 0  # batches added so far, with ``add``
-    turn = threading.Condition()
-
-    def hand_over(b, result):
-        # Add batch b's result once every lower batch was added; drop it
-        # when a lower batch failed.
-        nonlocal added
-        with turn:
-            turn.wait_for(lambda: added == b or lowest < b)
-            if lowest > b:
-                add(result)
-                added += 1
-                turn.notify_all()
 
     def work(t):
         nonlocal lowest
@@ -497,15 +450,10 @@ def _run_batches(run: Callable[[int], object], n: int, add=None) -> list | None:
             if b > lowest:
                 return
             try:
-                if add is None:
-                    out[b] = run(b)
-                else:
-                    hand_over(b, run(b))
+                out[b] = run(b)
             except BaseException as exc:
-                with turn:
-                    errors[b] = exc
-                    lowest = min(lowest, b)
-                    turn.notify_all()
+                errors[b] = exc
+                lowest = min(lowest, b)  # a lost race only runs more batches
                 return
 
     helpers = []
@@ -525,22 +473,30 @@ def _run_batches(run: Callable[[int], object], n: int, add=None) -> list | None:
             trim(0)
     if errors:
         raise errors[min(errors)]
-    return out if add is None else None
+    return out
 
 
 def _monte_carlo(gs, ev: TorusEvaluator, budget: Budget):
-    """Seeded batch Monte Carlo of the integrands at ``ev``'s polynomials."""
+    """Seeded batch Monte Carlo of the integrands at ``ev``'s polynomials.
+
+    Batch b draws from the child stream SeedSequence(seed, spawn_key=(b,)),
+    the b-th of SeedSequence(seed).spawn(), made when the batch starts.
+    Samples that fit one MC_BATCH run as two batches of MC_BATCH // 2
+    points, so the ``_run_batches`` threads share them on any machine with
+    the same bits.
+    """
     n_batches = -(-budget.samples // MC_BATCH)
-    total = n_batches * MC_BATCH
-    children = np.random.SeedSequence(budget.seed).spawn(n_batches)
+    size = MC_BATCH
+    if n_batches == 1:
+        n_batches, size = 2, MC_BATCH // 2
+    total = n_batches * size
 
     def batch(b):
-        # One batch spreads its row steps over the threads instead.
-        vals = ev.sample(np.random.default_rng(children[b]), MC_BATCH,
-                         threads=n_batches == 1)
+        seq = np.random.SeedSequence(budget.seed, spawn_key=(b,))
+        vals = ev.sample(np.random.default_rng(seq), size)
         sums = []
         for g in gs:
-            y = _finite(g(*vals), MC_BATCH)
+            y = _finite(g(*vals), size)
             sums.append((y.sum(), float((y.real * y.real).sum())))
         return sums
 
@@ -718,14 +674,13 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     Sharing the sample set makes the errors of the returned estimates
     correlate, which is exactly what inequality checks want.  Integrands
     must be pointwise and pure: each is called once per Monte Carlo batch
-    of MC_BATCH points or grid unit of at most 2 MC_BATCH points (unless
-    one grid row is longer), on every polynomial's values there.  On both
-    routes batches or units are split by index between the calling thread
-    and at most one helper thread that lives for this call, so an integrand
-    may be called from either, both at once; sums per batch or per unit
-    are added in order, so the estimate does not depend on the thread
-    count.  A Monte Carlo call of one batch in the unit form splits that
-    batch's row steps instead and adds their products in step order.
+    of MC_BATCH points (two batches of MC_BATCH // 2 when the samples fit
+    one) or grid unit of at most 2 MC_BATCH points (unless one grid row is
+    longer), on every polynomial's values there.  On both routes batches
+    or units are split by index between the calling thread and at most one
+    helper thread that lives for this call, so an integrand may be called
+    from either, both at once; sums per batch or per unit are added in
+    order, so the estimate does not depend on the thread count.
     ``_grid`` makes the method choice: "auto" takes the tensor grid when
     the torus dimension and grid size are within ``TENSOR_DIM_CAP`` and
     ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.

@@ -5,7 +5,6 @@ import os
 import sys
 import threading
 import tracemalloc
-from copy import deepcopy
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +381,22 @@ class TestMonteCarlo:
         assert (est.method, est.nodes_or_samples) == ("monte-carlo", MC_BATCH)
         assert abs(est.value - 1.0) <= 5 * est.std_error  # mean |P_0|^2 = 1
 
+    def test_many_batches_seeded_as_they_start(self):
+        # 2^30 samples are 65,536 batches, and the NaN of batch 0 ends the
+        # call.  Each batch makes its own child seed when it starts: with a
+        # list of all 65,536 children the call peaked at 28.4 MB under
+        # tracemalloc, and at 4.5 MB without.
+        p = APPoly.character(B.symbol("a"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="non-finite"):
+                bohr_integral(lambda v: v.real * np.nan, [p], Budget(
+                    method="monte-carlo", samples=1 << 30, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_shared_samples_correlate(self):
         # With shared nodes, the estimate of g - g is exactly zero.
         p = _two_char_poly()
@@ -672,9 +687,10 @@ def _pair_products(count):
 
 
 class TestOneBatchSteps:
-    """A Monte Carlo call of one batch runs its unit-form row steps, of
-    2^18 // MC_BATCH = 16 coordinates each, on the calling thread and a
-    helper."""
+    """A Monte Carlo call whose samples fit one MC_BATCH runs as two batches
+    of MC_BATCH // 2 points, on the calling thread and a helper.  The ids
+    count the row steps, of 2^18 // MC_BATCH = 16 coordinates, that one
+    batch of MC_BATCH points would take."""
 
     @pytest.mark.parametrize("cuts", [[8, 8], [16, 16], [16] * 4, [64, 64, 16]],
                              ids=["1-step", "2-steps", "4-steps", "9-steps"])
@@ -682,101 +698,74 @@ class TestOneBatchSteps:
         polys = _independent_stages(cuts)
         dim = TorusEvaluator.of(polys).dim
         assert dim == sum(p - 1 for p in cuts)
-        steps = -(-dim // 16)
-        filled = []
-        drawn_cis = bohrint._drawn_cis
+        batches = []
+        sample = TorusEvaluator.sample
 
-        def seen(rng, out):
-            filled.append(threading.current_thread().name)
-            drawn_cis(rng, out)
+        def seen(ev, rng, n):
+            batches.append((rng.bit_generator.seed_seq.spawn_key, n,
+                            threading.current_thread().name))
+            return sample(ev, rng, n)
 
-        monkeypatch.setattr(bohrint, "_drawn_cis", seen)
+        monkeypatch.setattr(TorusEvaluator, "sample", seen)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         gs = _pair_products(len(polys))
         got = {}
         for w in (1, 2):
             monkeypatch.setattr(bohrint, "_MAX_WORKERS", w)
-            filled.clear()
+            batches.clear()
             got[w] = bohr_integral_multi(gs, polys, Budget(samples=MC_BATCH, seed=3))
-            assert len(filled) == steps
-            assert ("bohrap-mc" in filled) == (w == 2 and steps > 1)
+            # At two workers the helper runs the second half batch.
+            second = "bohrap-mc" if w == 2 else "MainThread"
+            assert sorted(batches) == [((0,), MC_BATCH // 2, "MainThread"),
+                                       ((1,), MC_BATCH // 2, second)]
             assert not _helpers_alive()
         assert got[1] == got[2]
         assert got[1][0].method == "monte-carlo" and got[1][0].torus_dim == dim
+        assert got[1][0].nodes_or_samples == MC_BATCH
 
-    def test_advanced_copies_give_the_rows_of_one_draw(self):
-        # Rows lo:hi drawn from a copy of the stream advanced by lo n draws
-        # are rows lo:hi of one rng.random((dim, n)) call.
-        dim, n = 45, MC_BATCH
-        seq = np.random.SeedSequence(21)
-        want = np.random.default_rng(seq).random((dim, n))
-        bits = np.random.default_rng(seq).bit_generator
-        for lo, hi in [(0, 16), (16, 32), (32, 45), (7, 9)]:
-            copy = np.random.Generator(deepcopy(bits).advance(lo * n))
-            assert np.array_equal(copy.random((hi - lo, n)), want[lo:hi])
-            out = np.empty((hi - lo, n), dtype=complex)
-            copy = np.random.Generator(deepcopy(bits).advance(lo * n))
-            bohrint._drawn_cis(copy, out)
-            assert np.array_equal(out, _cis(want[lo:hi]))
+    @pytest.mark.parametrize("samples", [1, 5000, MC_BATCH])
+    @pytest.mark.parametrize("form", ["unit", "limb"])
+    def test_half_batches_match_reference(self, form, samples):
+        # Value and std_error are those of two batches of MC_BATCH // 2
+        # points, one from each child of SeedSequence(seed).spawn(2),
+        # summed plainly.
+        if form == "unit":
+            polys = _independent_stages([16, 16])
+            gs = _pair_products(2) + [lambda u, v: np.abs(u + v) ** 2]
+        else:
+            polys = [_dependent_huge()]
+            gs = [np.abs, lambda v: v.real]
+        ev = TorusEvaluator.of(polys)
+        assert (ev._unit is None) == (form == "limb")
+        vals = [ev.sample(np.random.default_rng(child), MC_BATCH // 2)
+                for child in np.random.SeedSequence(7).spawn(2)]
+        got = bohr_integral_multi(gs, polys, Budget(method="monte-carlo",
+                                                    samples=samples, seed=7))
+        for g, est in zip(gs, got):
+            ys = [g(*v) for v in vals]
+            s = ys[0].sum() + ys[1].sum()
+            sq = float((ys[0] * ys[0]).sum()) + float((ys[1] * ys[1]).sum())
+            mean = s / MC_BATCH
+            var = max(0.0, sq / MC_BATCH - mean * mean)
+            assert est.value == mean
+            assert est.std_error == math.sqrt(var / MC_BATCH)
+            assert (est.nodes_or_samples, est.seed) == (MC_BATCH, 7)
 
-    @pytest.mark.parametrize("n", [MC_BATCH, 3000, 100_000])
-    def test_threaded_sample_matches_one_draw(self, monkeypatch, n):
-        # The values are those of the evaluator at one (dim, n) draw, and
-        # the generator ends past all dim n draws, as after that draw.
-        monkeypatch.setattr(bohrint, "_workers", lambda: 2)
+    @pytest.mark.parametrize("n", [MC_BATCH, MC_BATCH // 2, 3000, 100_000])
+    def test_threaded_sample_matches_one_draw(self, n):
+        # ``sample`` gives the values of the evaluator at one (dim, n) draw,
+        # and the generator ends where that draw leaves it.
         ev = TorusEvaluator.of(_independent_stages([64, 32]))
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        got = ev.sample(rng, n, threads=True)
-        x = ref.random((ev.dim, n))
-        for vals, direct, alone in zip(got, ev([x]), ev.sample(
-                np.random.default_rng(4), n)):
-            assert np.array_equal(vals, direct) and np.array_equal(vals, alone)
+        got = ev.sample(rng, n)
+        for vals, direct in zip(got, ev([ref.random((ev.dim, n))])):
+            assert np.array_equal(vals, direct)
         assert rng.random() == ref.random()
 
-    def test_steps_added_in_order_one_result_per_thread(self, monkeypatch):
-        # With ``add``, results are added in batch order, and a thread waits
-        # with its result until it is added: at most w results are held at
-        # once.  Batches 9, 10 and 37 fail: the caller gets batch 9's error
-        # after batches 0-8 were added.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 8):
-                monkeypatch.setattr(bohrint, "_workers", lambda w=workers: w)
-                for fail in ((), (9, 10, 37)):
-                    added, held = [], [0, 0]
-
-                    def run(b):
-                        if b in fail:
-                            raise ValueError(b)
-                        held[0] += 1
-                        held[1] = max(held[1], held[0])
-                        return b
-
-                    def add(b):
-                        held[0] -= 1
-                        added.append(b)
-
-                    for _ in range(10):
-                        added.clear()
-                        held[:] = [0, 0]
-                        if fail:
-                            with pytest.raises(ValueError) as info:
-                                bohrint._run_batches(run, 64, add)
-                            assert info.value.args == (9,)
-                            assert added == list(range(9))
-                        else:
-                            assert bohrint._run_batches(run, 64, add) is None
-                            assert added == list(range(64))
-                        assert held[1] <= workers
-                        assert not _helpers_alive()
-        finally:
-            sys.setswitchinterval(interval)
-
     def test_failed_step_reaches_caller(self, monkeypatch):
-        # A step that fails on the helper raises from the call, and the
-        # next call with the same seed gives the estimate of one thread.
+        # A half batch that fails on the helper raises from the call, and
+        # the next call with the same seed gives the estimate of one thread.
         monkeypatch.setattr(bohrint, "_workers", lambda: 2)
         polys = _independent_stages([16] * 4)
         gs, budget = _pair_products(4), Budget(samples=MC_BATCH, seed=5)
@@ -798,11 +787,11 @@ class TestOneBatchSteps:
 
     def test_two_thread_peak_memory(self, monkeypatch):
         # Four 16-cut stages, 60 coordinates, as in a scan step: each
-        # thread holds one step of 16 coordinates x 2^14 points (4 MiB
-        # complex) while its rows are drawn one at a time into _cis.  Under
-        # tracemalloc the call peaked at 11.95-12.34 MB on two threads and
-        # at 6.70 MB on one, over 26 runs; with a whole step of draws each
-        # the two threads held 4 MiB more.
+        # thread holds a half batch with one step of 32 coordinates x 2^13
+        # points (4 MiB complex), drawn four rows at a time into _cis.
+        # Under tracemalloc the call peaked at 12.34-12.60 MB on two threads
+        # and 6.30 MB on one; whole-step and eight-row draws held 16.3 and
+        # 13.1 MB.
         monkeypatch.setattr(bohrint, "_workers", lambda: 2)
         polys = _independent_stages([16] * 4)
         gs = _pair_products(4)

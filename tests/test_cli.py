@@ -232,19 +232,21 @@ class TestStartup:
         assert out.stdout.strip() == "False"
 
 
-    def test_import_and_one_batch_start_no_thread(self):
-        # Importing the CLI loads no thread pool, a one-batch integral and a
-        # one-unit tensor grid (the 128 nodes of a Littlewood n = 64 flatness
-        # ratio) start no thread, and a four-batch integral joins its helper
-        # threads before it returns.
+    def test_import_starts_no_thread_and_integrals_join_helpers(self):
+        # Importing the CLI loads no thread pool; a one-batch integral runs
+        # its two half batches on this thread and one helper, which it
+        # joins before it returns; a one-unit tensor grid (the 128 nodes of
+        # a Littlewood n = 64 flatness ratio) starts no thread; and a
+        # four-batch integral joins its helper threads too.
         src = os.path.dirname(os.path.dirname(bohrap.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, threading\n"
+        code = ("import os, sys, threading\n"
                 "import bohrap.cli\n"
                 "import numpy as np\n"
                 "from bohrap.bohrint import MC_BATCH, Budget, bohr_integral_multi\n"
                 "from bohrap.flatness import PolyFamilySpec, build_family, flatness_ratio\n"
                 "from bohrap.riesz import build_polynomial, make_independent_params\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "started = []\n"
                 "start = threading.Thread.start\n"
                 "def record(self):\n"
@@ -253,18 +255,19 @@ class TestStartup:
                 "threading.Thread.start = record\n"
                 "p = build_polynomial(make_independent_params([16], seed=1), 0)\n"
                 "n = threading.active_count()\n"
-                "bohr_integral_multi([np.abs], [p], Budget(samples=MC_BATCH))\n"
-                "print(threading.active_count() - n)\n"
-                "est = flatness_ratio(build_family(PolyFamilySpec('littlewood', 64)))\n"
-                "print(est.method, est.nodes_or_samples, threading.active_count() - n)\n"
                 "print(len(started))\n"
+                "bohr_integral_multi([np.abs], [p], Budget(samples=MC_BATCH))\n"
+                "print(threading.active_count() - n, *started)\n"
+                "started.clear()\n"
+                "est = flatness_ratio(build_family(PolyFamilySpec('littlewood', 64)))\n"
+                "print(est.method, est.nodes_or_samples, len(started))\n"
                 "bohr_integral_multi([np.abs], [p], Budget(samples=4 * MC_BATCH))\n"
                 "print(threading.active_count() - n)\n"
                 "print('concurrent.futures' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["0", "tensor-quadrature", "128", "0", "0",
-                                      "0", "False"]
+        assert out.stdout.split() == ["0", "0", "bohrap-mc", "tensor-quadrature",
+                                      "128", "0", "0", "False"]
 
 
 class TestExitCodes:
@@ -495,29 +498,30 @@ class TestReadme:
 class TestThreadCount:
     """README commands write the same bytes on one thread and on two."""
 
-    @pytest.mark.parametrize("command", ["bourgain-scan", "kac-clt"])
+    @pytest.mark.parametrize("command", ["bourgain-scan", "kac-clt", "guenais",
+                                         "fejer"])
     def test_readme_command_same_bytes(self, tmp_path, monkeypatch, command):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (line,) = [l for l in text.splitlines() if l.startswith(f"bohrap {command} ")]
         argv = line.split()[1:]
         assert argv[-2:] == ["--out", "results"]
-        fills = []
-        drawn_cis = bohrint._drawn_cis
+        samplers = []
+        sample = bohrint.TorusEvaluator.sample
 
-        def seen(rng, out):
-            fills.append(threading.current_thread().name)
-            drawn_cis(rng, out)
+        def seen(ev, rng, n):
+            samplers.append(threading.current_thread().name)
+            return sample(ev, rng, n)
 
-        monkeypatch.setattr(bohrint, "_drawn_cis", seen)
+        monkeypatch.setattr(bohrint.TorusEvaluator, "sample", seen)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         for w in (1, 2):
             monkeypatch.setattr(bohrint, "_MAX_WORKERS", w)
-            fills.clear()
+            samplers.clear()
             assert _run(argv[:-1] + [str(tmp_path / str(w))]) == 0
-            # Scan steps of one batch run on the helper too; kac-clt keeps
-            # to the calling thread.
-            assert ("bohrap-mc" in fills) == (w == 2 and command == "bourgain-scan")
+            # Monte Carlo batches run on the helper too; kac-clt draws its
+            # one sample on the calling thread.
+            assert ("bohrap-mc" in samplers) == (w == 2 and command != "kac-clt")
         names = sorted(f.name for f in (tmp_path / "1").iterdir())
         assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
         for name in names:
