@@ -89,6 +89,8 @@ class Budget:
             raise ValidationError("samples must be positive")
         if self.nodes is not None and self.nodes < 1:
             raise ValidationError("tensor nodes must be positive")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -672,54 +674,38 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     """Estimate several functionals of the same polynomials on shared nodes.
 
     Sharing the sample set makes the errors of the returned estimates
-    correlate, which is exactly what inequality checks want.  Integrands
-    must be pointwise and pure: each is called once per Monte Carlo batch
-    of MC_BATCH points (two batches of MC_BATCH // 2 when the samples fit
-    one) or grid unit of at most 2 MC_BATCH points (unless one grid row is
-    longer), on every polynomial's values there.  On both routes batches
-    or units are split by index between the calling thread and at most one
-    helper thread that lives for this call, so an integrand may be called
-    from either, both at once; sums per batch or per unit are added in
-    order, so the estimate does not depend on the thread count.
-    ``_grid`` makes the method choice: "auto" takes the tensor grid when
-    the torus dimension and grid size are within ``TENSOR_DIM_CAP`` and
-    ``TENSOR_POINT_CAP``, and Monte Carlo otherwise.
+    correlate, which is exactly what inequality checks want.  The method is
+    chosen here, once per call, on the joint torus of all ``polys``: "auto"
+    takes the tensor grid when the torus dimension and grid size are within
+    ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise;
+    "tensor" raises ``BudgetError`` where it cannot have its grid.
+    Integrands must be pointwise and pure: each is called once per Monte
+    Carlo batch of MC_BATCH points (two batches of MC_BATCH // 2 when the
+    samples fit one) or grid unit of at most 2 MC_BATCH points (unless one
+    grid row is longer), on every polynomial's values there.  On both
+    routes batches or units are split by index between the calling thread
+    and at most one helper thread that lives for this call, so an integrand
+    may be called from either, both at once; sums per batch or per unit are
+    added in order, so the estimate does not depend on the thread count.
     """
     dim, emats = _phase_space(polys)
     coeffs = _coefficients(polys)
-    if (grid := _grid(dim, emats, budget)) is not None:
-        return _tensor(gs, coeffs, *grid)
-    return _monte_carlo(gs, TorusEvaluator(coeffs, dim, emats), budget)
-
-
-def _grid(dim: int, emats, budget: Budget):
-    """The method choice of ``bohr_integral_multi`` on a torus of ``dim``
-    coordinates with ``_phase_space`` exponents ``emats``: the tensor grid
-    as (exponent rows, nodes per axis), or None for Monte Carlo.  Raises
-    ``BudgetError`` where "tensor" cannot have its grid."""
     if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
         raise BudgetError(
             f"tensor quadrature supports at most {TENSOR_DIM_CAP} torus "
             f"dimensions, got {dim}; use monte-carlo"
         )
-    if budget.method == "monte-carlo" or dim > TENSOR_DIM_CAP:
-        return None
-    rows = _exponent_rows(dim, emats)
-    ns = _grid_sizes(rows, dim, budget.nodes)
-    points = math.prod(ns)
-    if points <= TENSOR_POINT_CAP:
-        return rows, ns
-    if budget.method == "tensor":
-        raise BudgetError(
-            f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
-        )
-    return None
-
-
-def takes_grid(polys: Sequence[APPoly], budget: Budget) -> bool:
-    """Whether ``bohr_integral_multi`` over ``polys`` with ``budget`` takes
-    the tensor grid; raises where that call would refuse its method."""
-    return _grid(*_phase_space(polys), budget) is not None
+    if budget.method != "monte-carlo" and dim <= TENSOR_DIM_CAP:
+        rows = _exponent_rows(dim, emats)
+        ns = _grid_sizes(rows, dim, budget.nodes)
+        points = math.prod(ns)
+        if points <= TENSOR_POINT_CAP:
+            return _tensor(gs, coeffs, rows, ns)
+        if budget.method == "tensor":
+            raise BudgetError(
+                f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"
+            )
+    return _monte_carlo(gs, TorusEvaluator(coeffs, dim, emats), budget)
 
 
 def bohr_integral(g: Callable, polys: Sequence[APPoly],

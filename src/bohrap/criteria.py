@@ -17,7 +17,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
-                      bohr_integral_multi, takes_grid)
+                      bohr_integral_multi)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError)
 from .freqspace import SymbolBasis, mul_terms, rational_rank
@@ -120,14 +120,14 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
 
     The greedy scan mimics the inductive construction: at each step it
     tries the next ``window`` unused stages and keeps the one minimizing the
-    estimated integral, so ``window=1`` takes consecutive stages.  A step
-    integrates every candidate in one call over the chosen stages and all
-    candidates, on the step's seed: common random numbers, so candidates
-    are compared on the same points and each keeps its own law and
-    ``std_error``.  A step where some candidate's own integral would take
-    the tensor grid integrates each candidate in its own call instead, on
-    its own seed.  The verdict is singularity-evidence when I_{k_max} is
-    below ``SCAN_THRESHOLD`` with 3 sigma to spare.
+    estimated integral, so ``window=1`` takes consecutive stages.  Every
+    step is one ``bohr_integral_multi`` call over the chosen stages and all
+    candidates, one product integrand per candidate, on the step's seed:
+    common random numbers, so candidates are compared on the same points
+    and each keeps its own law and ``std_error``.  That call chooses the
+    method on the step's joint torus, so a step takes the tensor grid only
+    where that torus fits it.  The verdict is singularity-evidence when
+    I_{k_max} is below ``SCAN_THRESHOLD`` with 3 sigma to spare.
     """
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
@@ -152,16 +152,11 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
             if m not in stage_polys:
                 stage_polys[m] = build_polynomial(params, m)
         nc = len(chosen_polys)
-        if any(takes_grid(chosen_polys + [stage_polys[m]], budget) for m in cands):
-            ests = [bohr_integral_multi(
-                [_abs_product([1] * (nc + 1))], chosen_polys + [stage_polys[m]],
-                _derived_budget(budget, step, m))[0] for m in cands]
-        else:
-            ests = bohr_integral_multi(
-                [_abs_product([1] * nc + [int(i == j) for j in range(len(cands))])
-                 for i in range(len(cands))],
-                chosen_polys + [stage_polys[m] for m in cands],
-                _derived_budget(budget, step))
+        ests = bohr_integral_multi(
+            [_abs_product([1] * nc + [int(i == j) for j in range(len(cands))])
+             for i in range(len(cands))],
+            chosen_polys + [stage_polys[m] for m in cands],
+            _derived_budget(budget, step))
         results = list(zip(cands, ests))
         all_candidates.append(
             tuple((m, e.value, e.std_error) for m, e in results)
@@ -462,6 +457,8 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     """
     if q < 1 or n_samples < 2:
         raise ValidationError("need q >= 1 and at least two samples")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     # sqrt(q) Z is the unit form with coefficient 1 on each of q coordinates.
     ev = TorusEvaluator([np.ones(q, dtype=complex)], q, [np.arange(q)])
     (z,) = ev.sample(np.random.default_rng(np.random.SeedSequence(seed)), n_samples)

@@ -54,6 +54,16 @@ class TestBudgetValidation:
             with pytest.raises(ValidationError):
                 Budget(method="tensor", nodes=nodes)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed(self, seed):
+        # Refused when the budget is made, not by numpy inside a batch.
+        with pytest.raises(ValidationError, match="seed"):
+            mean_abs(_two_char_poly(),
+                     Budget(samples=1000, method="monte-carlo", seed=seed))
+
+    def test_numpy_integer_seed(self):
+        assert Budget(seed=np.uint32(7)).seed == 7
+
 
 class TestTensorQuadrature:
     def test_character_mean_is_zero(self):

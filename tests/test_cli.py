@@ -1,5 +1,6 @@
 """End-to-end CLI runs: outputs, determinism, exit codes."""
 
+import argparse
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +19,7 @@ import bohrap.criteria
 from bohrap import bohrint
 from bohrap import flatness as flatness_module
 from bohrap.appoly import APPoly
-from bohrap.cli import main
+from bohrap.cli import build_parser, main
 
 
 def _run(argv):
@@ -493,6 +494,20 @@ class TestReadme:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        capture_output=True, text=True, timeout=120)
+
+    def test_commands_parse(self):
+        # Every ``bohrap ...`` line parses, and together they name each
+        # subcommand once.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [l.split()[1:] for l in text.splitlines() if l.startswith("bohrap ")]
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        named = []
+        for argv in lines:
+            assert argv[0] in sub.choices, argv
+            named.append(parser.parse_args(argv).command)
+        assert sorted(named) == sorted(sub.choices)
 
 
 class TestThreadCount:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bohrap.criteria
-
+from bohrap import bohrint
 from bohrap.bohrint import (Budget, IntegralEstimate, TorusEvaluator,
                             bohr_integral_multi)
 from bohrap.criteria import (GAUSS_MEAN_ABS, ScanReport, _decay_ratios,
@@ -17,7 +17,7 @@ from bohrap.criteria import (GAUSS_MEAN_ABS, ScanReport, _decay_ratios,
                              guenais_sum, haar_weak_limit_check,
                              kac_clt_diagnostics, kac_moment_formula,
                              kac_moment_identity, klemes_inequality_check)
-from bohrap.errors import ValidationError
+from bohrap.errors import BudgetError, ValidationError
 from bohrap.freqspace import SymbolBasis
 from bohrap.riesz import (RankOneParams, Stage, build_polynomial,
                           make_independent_params)
@@ -92,47 +92,59 @@ class TestBourgainScan:
     def test_shared_step_is_one_call_on_the_step_seed(self):
         # Every candidate of a step comes from one call over the chosen
         # stages and all candidates, on the step's seed: |chosen| |P_m|
-        # with the other candidates' values unused.
+        # with the other candidates' values unused.  That call picks the
+        # method on the step's joint torus.
+        for cuts, k_max in (([8] * 6, 2), ([4] * 6, 2), ([2] * 6, 2),
+                            ([2, 16, 16], 1)):
+            params = make_independent_params(cuts, seed=6)
+            rep = bourgain_scan(params, k_max=k_max, budget=FAST)
+            polys = {k: build_polynomial(params, k) for k in range(len(cuts))}
+            for step, cands in enumerate(rep.candidates):
+                chosen = [polys[k] for k in rep.indices[:step]]
+                stages = [m for m, _, _ in cands]
+                n = len(chosen)
+
+                def g(*v, i):
+                    acc = None
+                    for x in v[:n] + (v[n + i],):
+                        acc = np.abs(x) if acc is None else acc * np.abs(x)
+                    return acc
+
+                ests = bohr_integral_multi(
+                    [lambda *v, i=i: g(*v, i=i) for i in range(len(stages))],
+                    chosen + [polys[m] for m in stages], _derived_budget(FAST, step))
+                assert cands == tuple((m, e.value, e.std_error)
+                                      for m, e in zip(stages, ests)), cuts
+                best = min(range(len(stages)), key=lambda i: ests[i].value)
+                assert rep.indices[step] == stages[best]
+                assert rep.estimates[step + 1] == ests[best]
+            if cuts == [2] * 6:
+                # Step 0 is three one-coordinate stages: a 3-coordinate grid.
+                first = rep.estimates[1]
+                assert (first.method, first.std_error) == ("tensor-quadrature", 0.0)
+
+    def test_forced_tensor_scan_needs_a_small_joint_torus(self):
+        tensor = Budget(method="tensor")
+        rep = bourgain_scan(make_independent_params([2] * 3, seed=1), k_max=1,
+                            budget=tensor)
+        assert rep.estimates[1].method == "tensor-quadrature"
+        # Three 3-coordinate candidates make a 9-coordinate joint torus.
+        with pytest.raises(BudgetError):
+            bourgain_scan(make_independent_params([4, 4, 4], seed=1), k_max=1,
+                          budget=tensor)
+
+    def test_one_phase_space_reduction_per_step(self, monkeypatch):
+        calls = []
+        phase_space = bohrint._phase_space
+
+        def counting(polys):
+            calls.append(len(polys))
+            return phase_space(polys)
+
+        monkeypatch.setattr(bohrint, "_phase_space", counting)
         params = make_independent_params([8] * 6, seed=6)
-        rep = bourgain_scan(params, k_max=2, budget=FAST)
-        polys = {k: build_polynomial(params, k) for k in range(6)}
-        for step, cands in enumerate(rep.candidates):
-            chosen = [polys[k] for k in rep.indices[:step]]
-            stages = [m for m, _, _ in cands]
-            n = len(chosen)
-
-            def g(*v, i):
-                acc = None
-                for x in v[:n] + (v[n + i],):
-                    acc = np.abs(x) if acc is None else acc * np.abs(x)
-                return acc
-
-            ests = bohr_integral_multi(
-                [lambda *v, i=i: g(*v, i=i) for i in range(len(stages))],
-                chosen + [polys[m] for m in stages], _derived_budget(FAST, step))
-            assert cands == tuple((m, e.value, e.std_error) for m, e in zip(stages, ests))
-            assert all(e.method == "monte-carlo" and e.nodes_or_samples == 1 << 14
-                       for e in ests)
-            best = min(range(len(stages)), key=lambda i: ests[i].value)
-            assert rep.indices[step] == stages[best]
-            assert rep.estimates[step + 1] == ests[best]
-
-    @pytest.mark.parametrize("cuts", [[4, 4, 4], [2, 16, 16]])
-    def test_grid_step_keeps_per_candidate_calls(self, cuts):
-        # With cuts 4,4,4 each candidate alone is a 3-coordinate grid; with
-        # 2,16,16 only stage 0 is (one coordinate), and the step still
-        # integrates each candidate in its own call on its own seed.
-        params = make_independent_params(cuts, seed=1)
-        rep = bourgain_scan(params, k_max=1, budget=FAST)
-        methods = []
-        for m, value, err in rep.candidates[0]:
-            (est,) = bohr_integral_multi([np.abs], [build_polynomial(params, m)],
-                                         _derived_budget(FAST, 0, m))
-            methods.append(est.method)
-            assert (value, err) == (est.value, est.std_error)
-        assert methods[0] == "tensor-quadrature"
-        assert set(methods) == ({"tensor-quadrature"} if cuts[1] == 4
-                                else {"tensor-quadrature", "monte-carlo"})
+        bourgain_scan(params, k_max=2, budget=FAST, window=3)
+        assert len(calls) == 2
 
     def test_decay_ratio_errors_hand_computed(self):
         # I_0 = 1 exactly, then 0.5 +- 0.01, 0.2 +- 0.004, 0 +- 0.001 and
@@ -271,6 +283,10 @@ class TestKacClt:
         ds = [kac_clt_diagnostics(q, 40000, seed=1).ks_distance_re
               for q in (8, 32, 128)]
         assert ds[0] > ds[1] > ds[2] or ds[2] < 0.01
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            kac_clt_diagnostics(8, 100, seed=-1)
 
     def test_mean_abs2_is_one(self):
         rec = kac_clt_diagnostics(32, 50000, seed=2)
