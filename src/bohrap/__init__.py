@@ -20,7 +20,7 @@ from .errors import (BasisMismatchError, BohrapError, BudgetError,
                      ValidationError)
 from .flatness import (PolyFamilySpec, build_family, flatness_ratio,
                        local_vs_global_flatness, prikhodko_frequencies,
-                       ultraflat, ultraflat_deviation, ultraflat_exact)
+                       ultraflat)
 from .freqspace import (Frequency, SymbolBasis, TorusReduction,
                         is_rationally_independent, rational_rank, torus_reduce)
 from .riesz import (RankOneParams, RieszState, Stage, abs2_polynomial,

@@ -22,13 +22,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .appoly import APPoly
-from .errors import BasisMismatchError, BudgetError, ValidationError
-from .freqspace import Frequency, _integer_rows, rational_rank, torus_reduce
+from .errors import (BasisMismatchError, BudgetError, ValidationError,
+                     check_int)
+from .freqspace import _integer_rows, _lattice_echelon, torus_reduce
 
 #: Torus phases are built from signed base-2^27 limbs of the integer
 #: exponents against a multi-double representation of each torus coordinate,
-#: so every limb product stays exact in float64 and huge exponents keep both
-#: their distribution and their exact integer relations.
+#: so huge exponents keep both their distribution and their exact integer
+#: relations.  A limb times a coordinate rounds in float64, but limbs stay
+#: below 2^26, so a phase errs by a few units of 2^-27 (the ulp just below
+#: 2^26) per summed product, however large the exponents; only the count of
+#: limbs grows with them.
 _LIMB = 27
 _LIMB_BASE = 1 << _LIMB
 _LIMB_HALF = 1 << (_LIMB - 1)
@@ -66,8 +70,8 @@ _MAX_WORKERS = 2
 _HELPER = "bohrap-mc"
 
 #: Most active symbols for the exact lattice reduction of ``_phase_space``
-#: (the minimal dimension and small exponents for tensor grids) and the
-#: exact rank test of ``affinely_independent``.  Both come after the
+#: (the minimal dimension and small exponents for tensor grids), and so for
+#: the exact rank test of ``_affine`` on its rows.  Both come after the
 #: identity certificate, at any symbol count; above this many symbols an
 #: uncertified set takes the active symbol columns.
 _EXACT_REDUCE_DIM = 8
@@ -85,12 +89,12 @@ class Budget:
     def __post_init__(self):
         if self.method not in ("auto", "tensor", "monte-carlo"):
             raise ValidationError(f"unknown integration method {self.method!r}")
-        if self.samples < 1:
-            raise ValidationError("samples must be positive")
-        if self.nodes is not None and self.nodes < 1:
-            raise ValidationError("tensor nodes must be positive")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
+        # Stored as Python ints, so grid sizes and JSON records take them.
+        put = functools.partial(object.__setattr__, self)
+        put("samples", check_int(self.samples, "samples", 1))
+        if self.nodes is not None:
+            put("nodes", check_int(self.nodes, "tensor nodes", 1))
+        put("seed", check_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,19 @@ def _exponent_rows(dim: int, emats):
     return [np.eye(dim + 1, dim, dtype=np.int64)[cols] for cols in emats]
 
 
+def _affine(dim: int, E: np.ndarray) -> bool:
+    """Whether one polynomial's differences f_j - f_0 are rationally
+    independent, from its ``_phase_space`` exponents: always for term
+    columns (independent nonzero frequencies), by an exact rank test for
+    lattice rows (dim <= _EXACT_REDUCE_DIM), never for symbol columns."""
+    if E.ndim == 1:
+        return True
+    if dim > _EXACT_REDUCE_DIM or len(E) > dim + 1:
+        return False
+    diffs = (E[1:] - E[0]).tolist()
+    return len(_lattice_echelon(diffs)) == len(diffs)
+
+
 def _support(freqs):
     """Nonzero symbol indices of each distinct frequency, and active symbols."""
     support = {}
@@ -168,25 +185,6 @@ def _support(freqs):
         if f not in support:
             support[f] = list(compress(range(len(f.num)), f.num))
     return support, sorted({c for cs in support.values() for c in cs})
-
-
-def affinely_independent(freqs: Sequence[Frequency]) -> bool:
-    """Whether the differences f_j - f_0 of the distinct frequencies are
-    rationally independent, decided in ``_phase_space``'s order: True when
-    ``_identity_columns`` certifies the nonzero frequencies independent
-    (their differences are then independent, with or without 0, and one
-    frequency always certifies); otherwise False for more differences than
-    active symbols or above _EXACT_REDUCE_DIM active symbols, else an exact
-    rank test.
-    """
-    support, active = _support(freqs)
-    if not support:
-        raise ValidationError("frequency set must be nonempty")
-    if _identity_columns(freqs, support) is not None:
-        return True
-    f0, *rest = support
-    return (len(active) <= _EXACT_REDUCE_DIM and len(rest) <= len(active)
-            and rational_rank([f - f0 for f in rest]) == len(rest))
 
 
 def _identity_columns(freqs, support) -> list[int] | None:
@@ -216,7 +214,8 @@ def _signed_limbs(E: np.ndarray) -> list[np.ndarray]:
     """Signed base-2^27 limb matrices: E = sum_i limbs[i] * 2^(27 i).
 
     Each limb entry lies in [-2^26, 2^26), so a limb times a coordinate in
-    [0, 1) is exact in float64.  ``E`` holds Python or numpy ints.
+    [0, 1) is below 2^26 and rounds by at most 2^-28, whatever the size of
+    ``E``, which holds Python or numpy ints.
     """
     rem = E
     limbs = []
@@ -301,13 +300,13 @@ class TorusEvaluator:
     each polynomial's coefficient array and ``_phase_space`` exponents.
 
     A point is theta = sum_j x_j * 2^(-53 j), given as level arrays x_j of
-    shape (dim, n) in [0, 1).  ``levels`` levels keep _GUARD_BITS of phase
-    headroom past the largest exponent, ``max_exponent``; a grid of 53-bit
-    points needs one.  Given term columns, as for independent frequencies,
-    each polynomial is a0 + A . e^{2 pi i x} (``_unit`` holds A and a0,
-    added up from the columns in O(terms)) and one level is exact: a batch
-    costs one ``_cis`` of the coordinates and one matmul.  Given exponent
-    matrices, the phases are summed from integer limbs of the exponents and
+    shape (dim, n) in [0, 1); a grid of 53-bit points needs one level.
+    Given term columns, as for independent frequencies, each polynomial is
+    a0 + A . e^{2 pi i x} (``_unit`` holds A and a0, added up from the
+    columns in O(terms)) and one level is exact: a batch costs one ``_cis``
+    of the coordinates and one matmul.  Given exponent matrices, ``levels``
+    levels keep _GUARD_BITS of phase headroom past the largest exponent,
+    ``max_exponent``, and phases summed from integer limbs of the exponents
     go through the same ``_cis``.  Either way a step holds about
     _STEP_PHASES phases: the limb form evaluates column slices of that many
     // terms points, the unit form row blocks of that many // n coordinates.
@@ -322,7 +321,6 @@ class TorusEvaluator:
             for row, c, cols in zip(u, coeffs, emats):
                 np.add.at(row, cols, c)
             self._unit = (u[:, :dim].copy(), u[:, dim].copy())
-            self.max_exponent = min(dim, 1)
             self.levels = 1
             return
         self.max_exponent = int(max((np.abs(E).max() for E in emats if E.size),
@@ -737,8 +735,8 @@ def real_line_mean(p: APPoly, T: float) -> float:
     the quadrature error is negligible next to the O(1/T) distance from the
     asymptotic mean.
     """
-    if T <= 0:
-        raise ValidationError("T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError("T must be a finite positive number")
     max_w = p.degree() if len(p) else 0.0
     h = 1.0 if max_w <= 3.0 else 3.0 / max_w
     n_panels = max(1, int(math.ceil(2.0 * T / h)))

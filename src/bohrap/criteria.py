@@ -19,7 +19,7 @@ from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
                       bohr_integral_multi)
 from .errors import (InternalInconsistencyError, SupportCapError,
-                     ValidationError)
+                     ValidationError, check_int)
 from .freqspace import SymbolBasis, mul_terms, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it through this name.
@@ -455,10 +455,8 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     Re(Z) and Im(Z) are tested against the normal law with variance 1/2;
     E|Z| approaches sqrt(pi)/2 and E|Z|^2 is 1 exactly.
     """
-    if q < 1 or n_samples < 2:
-        raise ValidationError("need q >= 1 and at least two samples")
-    if seed < 0:
-        raise ValidationError("seed must be nonnegative")
+    q, seed = check_int(q, "q", 1), check_int(seed, "seed")
+    n_samples = check_int(n_samples, "samples", 2)
     # sqrt(q) Z is the unit form with coefficient 1 on each of q coordinates.
     ev = TorusEvaluator([np.ones(q, dtype=complex)], q, [np.arange(q)])
     (z,) = ev.sample(np.random.default_rng(np.random.SeedSequence(seed)), n_samples)

@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the toolkit, and the type checks of
-JSON config fields.
+"""Exception hierarchy shared across the toolkit, the type checks of JSON
+config fields, and the one check of integer arguments.
 
 Exit codes used by the CLI are attached to the classes so the dispatcher
 does not need a mapping table.
 """
 
+import numbers
 import sys
 
 
@@ -65,3 +66,11 @@ def json_array(value, what: str) -> list:
     if type(value) is not list:
         raise TypeError(f"{what} must be a JSON array, not {type(value).__name__}")
     return value
+
+
+def check_int(value, what: str, least: int = 0) -> int:
+    """``value`` as a Python int if it is an integer (numpy integers pass) of
+    at least ``least``, else ValidationError: 2.5 and 1e5 are not truncated."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

@@ -19,9 +19,10 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
-                      TorusEvaluator, affinely_independent,
+                      TorusEvaluator, _affine, _phase_space,
                       interval_l1_distortion, mean_abs)
-from .errors import ValidationError, json_array, json_int, json_number
+from .errors import (ValidationError, check_int, json_array, json_int,
+                     json_number)
 from .freqspace import Frequency, SymbolBasis
 
 _KINDS = ("littlewood", "newman", "unimodular", "prikhodko")
@@ -184,39 +185,29 @@ def _polygon_deviation(coeffs: np.ndarray, l2: float) -> float:
     return max(top / l2 - 1.0, 1.0 - low / l2)
 
 
-def ultraflat_exact(p: APPoly) -> bool:
-    """Whether ``ultraflat_deviation`` of p is exact, not a sampled maximum
-    (a lower bound): it is when the differences f_j - f_0 are independent,
-    since |P| = |P e^{-i f_0 t}| and by Kronecker's theorem the phases of
-    the terms then fill the torus."""
-    return affinely_independent(list(p.terms))
-
-
-def ultraflat_deviation(p: APPoly, tol: float = 1e-3,
-                        max_points: int = 1 << 22, seed: int = 0) -> float:
-    """max over t of | |P(t)| / |P|_2 - 1 |, as given by ``ultraflat``."""
-    return ultraflat(p, tol, max_points, seed)[0]
-
-
 def ultraflat(p: APPoly, tol: float = 1e-3, max_points: int = 1 << 22,
               seed: int = 0) -> tuple[float, bool]:
-    """The ultraflat deviation of p and whether it is exact, deciding
-    ``ultraflat_exact`` once.
+    """max over t of | |P(t)| / |P|_2 - 1 |, and whether it is exact rather
+    than a sampled maximum, a lower bound on the supremum.
 
-    When the rule holds the deviation is ``_polygon_deviation`` over the
-    term coefficients, with no sampling.  Other polynomials are scanned on
-    their reduced torus (a midpoint grid in one dimension once it has more
-    points than twice the largest exponent, seeded uniform points in full
-    phase precision otherwise), doubling the point count until the maximum
-    is stable to ``tol``; that maximum is a lower bound on the supremum.
+    It is exact when ``_affine`` finds the differences f_j - f_0 of the
+    frequencies independent on p's reduced torus: |P| = |P e^{-i f_0 t}|,
+    and by Kronecker's theorem the phases of the terms then fill the torus,
+    so the deviation is ``_polygon_deviation`` of the coefficients.  Other
+    polynomials are scanned on that torus (a midpoint grid in one dimension
+    once it has more points than twice the largest exponent, seeded points
+    in full phase precision otherwise), doubling the point count until the
+    maximum is stable to ``tol``.
     """
+    check_int(seed, "seed")
     l2 = p.l2_norm()
     if l2 == 0.0:
         raise ValidationError("the zero polynomial has no flatness deviation")
-    if ultraflat_exact(p):
-        coeffs = np.array(list(p.terms.values()), dtype=complex)
+    coeffs = np.array(list(p.terms.values()), dtype=complex)
+    dim, (E,) = _phase_space([p])
+    if _affine(dim, E):
         return _polygon_deviation(coeffs, l2), True
-    ev = TorusEvaluator.of([p])
+    ev = TorusEvaluator([coeffs], dim, [E])
 
     def sample(n):
         # The midpoint grid aliases exponents of size n/2 or more.

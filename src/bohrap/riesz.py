@@ -29,7 +29,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
-                     json_array, json_int, json_number)
+                     check_int, json_array, json_int, json_number)
 from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
                         mul_terms)
 
@@ -354,7 +354,7 @@ def make_independent_params(cuts: Sequence[int], seed: int = 0) -> RankOneParams
     positive values do; they are drawn reproducibly from the seed, uniformly
     in [0.1, 0.9).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     symbols = [("one", 1.0)]
     for k, p in enumerate(cuts):
         for j in range(1, p + 1):

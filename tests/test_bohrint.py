@@ -1,26 +1,27 @@
 """Integration engine: tensor exactness, Monte Carlo accuracy, real-line means."""
 
+import json
 import math
 import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bohrap import bohrint
+from bohrap import bohrint, flatness
 from bohrap.appoly import APPoly
-from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _cis,
+from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _affine, _cis,
                             _coefficients, _exponent_rows, _phase_space,
-                            affinely_independent, _signed_limbs,
-                            _tensor_values, bohr_integral,
+                            _signed_limbs, _tensor_values, bohr_integral,
                             bohr_integral_multi,
                             interval_l1_distortion, mean_abs, real_line_mean)
 from bohrap.errors import BasisMismatchError, BudgetError, ValidationError
-from bohrap.flatness import PolyFamilySpec, build_family
-from bohrap.freqspace import SymbolBasis, torus_reduce
+from bohrap.flatness import PolyFamilySpec, build_family, ultraflat
+from bohrap.freqspace import Frequency, SymbolBasis, rational_rank, torus_reduce
 from bohrap.riesz import (RankOneParams, Stage, abs2_polynomial,
                           build_polynomial, make_independent_params)
 
@@ -63,6 +64,24 @@ class TestBudgetValidation:
 
     def test_numpy_integer_seed(self):
         assert Budget(seed=np.uint32(7)).seed == 7
+
+    @pytest.mark.parametrize("field, value", [("samples", 1e5), ("samples", 2.5),
+                                              ("nodes", 64.0)], ids=str)
+    def test_float_sizes_refused(self, field, value):
+        # samples=1e5 raised a TypeError inside a batch, samples=2.5 ran
+        # 16384 samples, and nodes=64.0 raised an AttributeError.
+        with pytest.raises(ValidationError, match=field):
+            mean_abs(_two_char_poly(), Budget(**{field: value}))
+
+    def test_numpy_integer_sizes(self):
+        # Kept as Python ints: a numpy node count had no ``bit_length`` for
+        # the grid layout, and a numpy seed did not serialize.
+        budget = Budget(samples=np.int64(4096), nodes=np.uint16(64), seed=np.int32(3))
+        assert all(type(v) is int for v in (budget.samples, budget.nodes, budget.seed))
+        est = mean_abs(_two_char_poly(), budget)
+        assert est.nodes_or_samples == 64
+        est = mean_abs(_two_char_poly(), replace(budget, method="monte-carlo"))
+        assert json.loads(json.dumps(est.to_json()))["seed"] == 3
 
 
 class TestTensorQuadrature:
@@ -910,15 +929,15 @@ class TestIdentityCoordinates:
         params = make_independent_params([16], seed=3)
         p = build_polynomial(params, 0)
         q = _abs2_float(params, 0)
-        assert affinely_independent(list(p.terms))
-        assert affinely_independent([f for f in p.terms if any(f.num)])
-        assert not affinely_independent(list(q.terms))
-        assert affinely_independent([params.basis.zero()])
+        nonzero = APPoly.from_terms(
+            params.basis, [(f, c) for f, c in p.terms.items() if any(f.num)])
+        for poly, exact in ((p, True), (nonzero, True), (q, False),
+                            (APPoly.constant(params.basis, 2.0), True)):
+            dim, (E,) = _phase_space([poly])
+            assert _affine(dim, E) is exact
 
     def test_empty_inputs_rejected(self):
-        # No frequency, or no polynomial, is malformed input.
-        with pytest.raises(ValidationError):
-            affinely_independent([])
+        # No polynomial is malformed input.
         with pytest.raises(ValidationError, match="need at least one polynomial"):
             TorusEvaluator.of([])
         with pytest.raises(ValidationError, match="need at least one polynomial"):
@@ -992,7 +1011,7 @@ class TestIdentityCoordinates:
         p = APPoly.from_terms(B, [(b, 1.0), (a + b, 0.5)])
         dim, (E,) = _phase_space([p])
         assert (dim, E.shape) == (2, (2, 2))
-        assert affinely_independent(list(p.terms))
+        assert _affine(dim, E)
 
     def test_prikhodko_mean_abs_memory(self):
         # 1024 independent frequencies: term columns and a 1 x 1024 unit
@@ -1009,6 +1028,107 @@ class TestIdentityCoordinates:
             tracemalloc.stop()
         assert (ev.dim, ev.levels, est.torus_dim) == (1024, 1, 1024)
         assert peak < 16 * 2 ** 20
+
+
+def _rule_on_frequencies(freqs):
+    """The reference exactness rule, on the raw frequencies: the echelon
+    certificate, then over at most eight active symbols the rank of the
+    differences f_j - f_0 by ``rational_rank``, else dependent."""
+    support, active = bohrint._support(freqs)
+    if bohrint._identity_columns(freqs, support) is not None:
+        return True
+    f0, *rest = support
+    return (len(active) <= 8 and len(rest) <= len(active)
+            and rational_rank([f - f0 for f in rest]) == len(rest))
+
+
+def _random_frequency_sets(seed, n_sets):
+    """Seeded polynomials over 1 to 12 symbols: 1 to 10 sparse frequencies
+    with entries in -2..2, plain, some near 2^61 or over denominators up to
+    6; then stages of small cut lists and their |P|^2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_sets):
+        k = int(rng.integers(1, 13))
+        basis = SymbolBasis.make(*((f"x{j}", 1.0 + j / 7) for j in range(k)))
+        kind = int(rng.integers(3))
+        freqs = {}
+        for _ in range(int(rng.integers(1, 11))):
+            row = []
+            for _ in range(k):
+                v = int(rng.integers(-2, 3)) if rng.random() < 0.4 else 0
+                if kind == 1 and rng.random() < 0.5:
+                    v = v * (1 << 61) + int(rng.integers(-2, 3))
+                elif kind == 2:
+                    v = Fraction(v, int(rng.integers(1, 7)))
+                row.append(v)
+            freqs[Frequency(basis, row)] = 1.0
+        yield APPoly.from_terms(basis, list(freqs.items()))
+    for _ in range(n_sets // 10):
+        cuts = [int(c) for c in rng.integers(2, 7, size=int(rng.integers(1, 4)))]
+        params = make_independent_params(cuts, seed=int(rng.integers(100)))
+        for m in range(len(cuts)):
+            yield build_polynomial(params, m)
+            yield _abs2_float(params, m)
+
+
+class TestAffineRule:
+    """``_affine`` on ``_phase_space`` exponents, which ``ultraflat`` reads."""
+
+    def test_matches_rule_on_raw_frequencies(self, monkeypatch):
+        # On every set the exact flag of ``ultraflat`` is the rule decided
+        # on the raw frequencies; the sets reach all three branches, and the
+        # lattice rows give both answers.  The scan is stubbed out.
+        monkeypatch.setattr(flatness, "_stable_max", lambda *args: 0.0)
+        seen = set()
+        for p in _random_frequency_sets(30, 600):
+            want = _rule_on_frequencies(list(p.terms))
+            dim, (E,) = _phase_space([p])
+            branch = ("columns" if E.ndim == 1
+                      else "lattice" if dim <= 8 else "symbols")
+            assert _affine(dim, E) is want
+            assert ultraflat(p)[1] is want
+            seen.add((branch, want))
+        assert seen == {("columns", True), ("lattice", True),
+                        ("lattice", False), ("symbols", False)}
+
+
+def _huge(rng, bits):
+    """A random integer of exactly ``bits`` bits, of random sign."""
+    v = int.from_bytes(rng.bytes(-(-bits // 8)), "little") >> (-bits % 8)
+    v |= 1 << (bits - 1)
+    return v if rng.random() < 0.5 else -v
+
+
+class TestLimbPhases:
+    """Phases of the limb form against exact ``Fraction`` arithmetic."""
+
+    @pytest.mark.parametrize("terms, dim, bits", [(3, 1, 61), (12, 4, 100),
+                                                  (12, 20, 134)], ids=str)
+    def test_phase_error_per_summed_product(self, terms, dim, bits):
+        # A limb below 2^26 times a 53-bit coordinate rounds, so no phase is
+        # exact.  Against the exact phase frac(sum_i E_i theta_i) of
+        # theta = sum_j x_j 2^(-53 j), each term's phase errs by less than
+        # 2^-27 per summed product (dim x limbs x levels of them), for
+        # exponents near 2^61 as near 2^134; the largest errors measured
+        # here are 0.21, 0.09 and 0.05 of that bound.  One term per polynomial,
+        # so each value is one e^{2 pi i phase}.
+        rng = np.random.default_rng(bits)
+        emats = [np.array([[_huge(rng, bits) for _ in range(dim)]], dtype=object)
+                 for _ in range(terms)]
+        ev = TorusEvaluator([np.ones(1, dtype=complex)] * terms, dim, emats)
+        n = 40
+        levels = [rng.random((dim, n)) for _ in range(ev.levels)]
+        # theta 2^(53 L) is an integer, so the phases are exact fractions.
+        scale = 1 << (53 * ev.levels)
+        X = [sum(int(x[i, k] * 2.0 ** 53) << (53 * (ev.levels - 1 - j))
+                 for j, x in enumerate(levels)) for i in range(dim) for k in range(n)]
+        X = np.array(X, dtype=object).reshape(dim, n)
+        products = dim * ev._n_limbs * ev.levels
+        for E, got in zip(emats, ev(levels)):
+            exact = [Fraction(int(v) % scale, scale) for v in E[0] @ X]
+            want = np.exp(2j * np.pi * np.array([float(f) for f in exact]))
+            err = np.abs(np.angle(got * want.conj())) / (2 * np.pi)
+            assert err.max() < products * 2.0 ** -27
 
 
 class TestCis:
@@ -1034,7 +1154,7 @@ class TestCis:
         self._check(np.random.default_rng(11).random(10 ** 6))
 
     def test_column_slices_bit_identical(self):
-        # ``ultraflat_deviation`` evaluates column slices of its points.
+        # ``ultraflat`` evaluates column slices of its points.
         x = np.random.default_rng(12).random((7, 40000))
         z = _cis(x)
         for lo, hi in ((0, 1), (1, 16385), (16385, 40000), (123, 9000)):
@@ -1062,6 +1182,13 @@ class TestRealLine:
     def test_bad_T(self):
         with pytest.raises(ValidationError):
             real_line_mean(APPoly.one(B), 0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf], ids=str)
+    def test_non_finite_T_refused(self, T):
+        # nan raised "cannot convert float NaN to integer", inf an
+        # OverflowError, both from the panel count.
+        with pytest.raises(ValidationError, match="finite"):
+            real_line_mean(APPoly.one(B), T)
 
     def test_interval_distortion_of_character(self):
         p = APPoly.character(B.symbol("a"))

@@ -183,11 +183,14 @@ class TestSubcommands:
         assert "ultraflat_exact" not in csv_text
 
     def test_flatness_decides_exactness_once(self, tmp_path, monkeypatch):
-        # The deviation and its label come from one exactness decision.
+        # The deviation and its label come from one phase-space reduction,
+        # and the scan runs on that torus, not on a second reduction.
         calls = []
-        rule = flatness_module.affinely_independent
-        monkeypatch.setattr(flatness_module, "affinely_independent",
-                            lambda freqs: calls.append(1) or rule(freqs))
+        reduce = flatness_module._phase_space
+        monkeypatch.setattr(flatness_module, "_phase_space",
+                            lambda polys: calls.append(1) or reduce(polys))
+        monkeypatch.setattr(bohrint.TorusEvaluator, "of",
+                            lambda polys: pytest.fail("reduced again"))
         out = tmp_path / "r"
         assert _run(["flatness", *_config(tmp_path, {"family": _FAMILY, "seed": 4}),
                      "--samples", "4096", "--out", str(out)]) == 0
@@ -508,6 +511,21 @@ class TestReadme:
             assert argv[0] in sub.choices, argv
             named.append(parser.parse_args(argv).command)
         assert sorted(named) == sorted(sub.choices)
+
+    def test_flatness_line_runs_from_root(self, tmp_path, monkeypatch):
+        # The ``flatness`` line names a config kept in the repository, the
+        # Littlewood n = 64 family with seed 11, so it runs from the root.
+        root = Path(__file__).resolve().parents[1]
+        (line,) = [l for l in (root / "README.md").read_text().splitlines()
+                   if l.startswith("bohrap flatness ")]
+        argv = line.split()[1:]
+        assert argv[-2:] == ["--out", "results"]
+        monkeypatch.chdir(root)
+        assert _run(argv[:-1] + [str(tmp_path / "results")]) == 0
+        doc = json.loads((tmp_path / "results" / "flatness.json").read_text())
+        assert (doc["kind"], doc["n"], doc["ultraflat_exact"]) == ("littlewood", 64, False)
+        manifest = json.loads((tmp_path / "results" / "manifest.json").read_text())
+        assert manifest["seed"] == 11
 
 
 class TestThreadCount:

@@ -288,6 +288,11 @@ class TestKacClt:
         with pytest.raises(ValidationError):
             kac_clt_diagnostics(8, 100, seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        # numpy's SeedSequence raised its own TypeError.
+        with pytest.raises(ValidationError, match="seed"):
+            kac_clt_diagnostics(8, 100, seed=1.5)
+
     def test_mean_abs2_is_one(self):
         rec = kac_clt_diagnostics(32, 50000, seed=2)
         assert abs(rec.mean_abs2 - 1.0) <= 3 * rec.mean_abs2_std_error

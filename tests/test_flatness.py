@@ -10,11 +10,11 @@ import pytest
 
 from bohrap import flatness
 from bohrap.appoly import APPoly
-from bohrap.bohrint import Budget, affinely_independent
+from bohrap.bohrint import Budget
 from bohrap.errors import ValidationError
 from bohrap.flatness import (PolyFamilySpec, build_family,
                              flatness_ratio, local_vs_global_flatness,
-                             prikhodko_frequencies, ultraflat_deviation)
+                             prikhodko_frequencies, ultraflat)
 from bohrap.freqspace import SymbolBasis
 
 FAST = Budget(samples=1 << 13, seed=23)
@@ -115,13 +115,22 @@ class TestUltraflat:
     def test_zero_polynomial_rejected(self):
         b = SymbolBasis.make(("w", 1.0))
         with pytest.raises(ValidationError):
-            flatness.ultraflat_exact(APPoly.zero(b))
-        with pytest.raises(ValidationError):
-            ultraflat_deviation(APPoly.zero(b))
+            ultraflat(APPoly.zero(b))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # 1 + e^{ia} + e^{ib} + e^{i(a+b)} is scanned on seeded points of
+        # two coordinates, where numpy refused -1 and 1.5 with its own
+        # ValueError and TypeError.
+        b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
+        a, s = b.symbol("a"), b.symbol("b")
+        p = APPoly.from_terms(b, [(f, 1.0) for f in (b.zero(), a, s, a + s)])
+        with pytest.raises(ValidationError, match="seed"):
+            ultraflat(p, seed=seed)
 
     def test_single_character_is_zero(self):
         b = SymbolBasis.make(("w", 2.0))
-        dev = ultraflat_deviation(APPoly.character(b.symbol("w")))
+        dev = ultraflat(APPoly.character(b.symbol("w")))[0]
         assert dev == pytest.approx(0.0, abs=1e-12)
 
     def test_single_character_at_negative_frequency_is_zero(self):
@@ -129,7 +138,7 @@ class TestUltraflat:
         # -1 is not a unit row, and the rank test of no differences raised.
         b = SymbolBasis.make(("a", 1.0))
         for k in (-1, -2):
-            dev = ultraflat_deviation(APPoly.character(b.symbol("a").scale(k)))
+            dev = ultraflat(APPoly.character(b.symbol("a").scale(k)))[0]
             assert dev == pytest.approx(0.0, abs=1e-12)
 
     def test_two_terms_deviation_is_one(self):
@@ -137,11 +146,11 @@ class TestUltraflat:
         # mean (down to 0) dominates the deviation above (sqrt(2) - 1).
         p = build_family(PolyFamilySpec(
             kind="littlewood", n=2, coefficients=(1, -1)))
-        assert ultraflat_deviation(p) == pytest.approx(1.0, abs=2e-3)
+        assert ultraflat(p)[0] == pytest.approx(1.0, abs=2e-3)
 
     def test_multiple_frequencies_positive(self):
         p = build_family(PolyFamilySpec(kind="littlewood", n=4))
-        assert ultraflat_deviation(p) > 0.0
+        assert ultraflat(p)[0] > 0.0
 
     def test_huge_exponents_keep_phase_precision(self):
         # P = e^{ia} + e^{iNa} + e^{i(Na+b)}/2 + e^{i(2Na+b)}/2 reaches 0 on
@@ -156,8 +165,8 @@ class TestUltraflat:
         p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0),
                                   (a.scale(N) + s, 0.5),
                                   (a.scale(2 * N) + s, 0.5)])
-        assert not affinely_independent(list(p.terms))
-        assert ultraflat_deviation(p) >= 0.95
+        dev, exact = ultraflat(p)
+        assert dev >= 0.95 and not exact
 
     def test_huge_exponent_on_one_symbol(self):
         # e^{ia} + e^{iNa} + e^{2iNa} reaches 0, so the deviation is 1.  Its
@@ -170,7 +179,7 @@ class TestUltraflat:
         for N, want in (((1 << 60) + 1, None), (3, 0.77107)):
             p = APPoly.from_terms(b, [(a, 1.0), (a.scale(N), 1.0),
                                       (a.scale(2 * N), 1.0)])
-            dev = ultraflat_deviation(p)
+            dev = ultraflat(p)[0]
             if want is None:
                 assert dev >= 0.95
             else:
@@ -183,7 +192,7 @@ class TestUltraflat:
         b = SymbolBasis.make(("a", 1.0))
         a = b.symbol("a")
         p = APPoly.from_terms(b, [(a, 1.0), (a.scale((1 << 60) + 1), 1.0)])
-        assert ultraflat_deviation(p, tol=1e-3) == pytest.approx(1.0, abs=1e-3)
+        assert ultraflat(p, tol=1e-3)[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_independent_frequencies_exact(self):
         # Kronecker: the phases fill the torus, so sup |P| is the sum S of
@@ -196,9 +205,9 @@ class TestUltraflat:
         for items in ([(one, 1.0), (a, 1.0), (s, 1.0)],
                       [(one, 2.0), (a, 1.0), (s, 1.0)],
                       [(one, 3.0), (a, 1.0), (s, 1.0), (c, 1.0)]):
-            assert ultraflat_deviation(APPoly.from_terms(b, items)) == 1.0
+            assert ultraflat(APPoly.from_terms(b, items))[0] == 1.0
         p = build_family(PolyFamilySpec(kind="prikhodko", n=16))
-        assert ultraflat_deviation(p) == 3.0
+        assert ultraflat(p)[0] == 3.0
 
     def test_affinely_independent_frequencies_exact(self):
         # |P| = |P e^{-i f_0 t}|, so independent differences f_j - f_0 give
@@ -211,22 +220,22 @@ class TestUltraflat:
         for freqs in ([b.zero(), a, a + s], [a, a.scale(3)],
                       [a, a.scale(N), a.scale(N) + s]):
             p = APPoly.from_terms(b, [(f, 1.0) for f in freqs])
-            assert ultraflat_deviation(p) == 1.0
+            assert ultraflat(p)[0] == 1.0
         # The 0/1/43 trinomial has dependent differences and is scanned;
         # the polygon value would be 1.
         p = APPoly.from_terms(b, [(a.scale(e), 1 / math.sqrt(3)) for e in (0, 1, 43)])
-        assert ultraflat_deviation(p) == pytest.approx(0.97517, abs=1e-5)
+        assert ultraflat(p)[0] == pytest.approx(0.97517, abs=1e-5)
 
     def test_independent_family_not_scanned(self, monkeypatch):
         # 1024 declared symbols, above the exact-rank cap: the echelon
         # certificate gives the exact 32 - 1 without building an evaluator.
         p = build_family(PolyFamilySpec(kind="prikhodko", n=1024))
 
-        def refuse(polys):
+        def refuse(*args):
             raise AssertionError("the evaluator was built")
 
-        monkeypatch.setattr(flatness.TorusEvaluator, "of", refuse)
-        assert ultraflat_deviation(p) == 31.0
+        monkeypatch.setattr(flatness.TorusEvaluator, "__init__", refuse)
+        assert ultraflat(p) == (31.0, True)
 
     def test_independent_family_memory(self):
         # An evaluator held a 1024 x 1024 exponent matrix and its limbs
@@ -234,7 +243,7 @@ class TestUltraflat:
         p = build_family(PolyFamilySpec(kind="prikhodko", n=1024))
         tracemalloc.start()
         try:
-            dev = ultraflat_deviation(p)
+            dev = ultraflat(p)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -243,7 +252,7 @@ class TestUltraflat:
 
     def test_constant_deviation(self):
         b = SymbolBasis.make(("w", 1.0))
-        assert ultraflat_deviation(APPoly.constant(b, -2.0)) == 0.0
+        assert ultraflat(APPoly.constant(b, -2.0))[0] == 0.0
 
     def test_memory_bounded_by_slices(self):
         # 16 terms over two symbols on up to 2^18 seeded points: whole
@@ -256,7 +265,7 @@ class TestUltraflat:
                                   for i in range(4) for j in range(4)])
         tracemalloc.start()
         try:
-            dev = ultraflat_deviation(p, tol=1e-12, seed=0, max_points=1 << 18)
+            dev = ultraflat(p, tol=1e-12, seed=0, max_points=1 << 18)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -271,7 +280,7 @@ class TestUltraflat:
         p = build_family(PolyFamilySpec(kind="littlewood", n=256))
         tracemalloc.start()
         try:
-            dev = ultraflat_deviation(p, max_points=1 << 14)
+            dev = ultraflat(p, max_points=1 << 14)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

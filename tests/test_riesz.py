@@ -70,6 +70,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             RankOneParams(basis=b, unit=b.symbol("s"), stages=())
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # numpy refused -1 with its own ValueError and 1.5 with TypeError.
+        with pytest.raises(ValidationError, match="seed"):
+            make_independent_params([3], seed=seed)
+
     def test_from_config(self):
         doc = {
             "basis": [{"name": "one", "value": 1.0},
