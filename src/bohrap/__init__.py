@@ -13,8 +13,8 @@ from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
 from .criteria import (GAUSS_MEAN_ABS, GEOMETRIC_FACTOR, ScanReport,
                        bourgain_scan, cs_subsequence_bound,
                        fejer_factorization_check, guenais_sum,
-                       haar_weak_limit_check, kac_clt_diagnostics,
-                       kac_moment_identity, klemes_inequality_check)
+                       kac_clt_diagnostics, kac_moment_identity,
+                       klemes_inequality_check)
 from .errors import (BasisMismatchError, BohrapError, BudgetError,
                      InternalInconsistencyError, SupportCapError,
                      ValidationError)

@@ -2,8 +2,9 @@
 
 All verdicts here are evidence-graded: the underlying criteria quantify
 over infinitely many subsequences, so a finite scan can only gather
-evidence, never certify.  Every inequality is tested on shared sample
-sets so that correlated integration errors cancel.
+evidence, never certify.  The sampled sides of each inequality share one
+sample set, so that correlated integration errors cancel; means of products
+of |P_j|^2 are exact (``riesz._product_mean``), never sampled.
 """
 
 from __future__ import annotations
@@ -129,10 +130,7 @@ def bourgain_scan(params: RankOneParams, k_max: int = 5,
     where that torus fits it.  The verdict is singularity-evidence when
     I_{k_max} is below ``SCAN_THRESHOLD`` with 3 sigma to spare.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be at least 1")
-    if window < 1:
-        raise ValidationError("window must be positive")
+    k_max, window = check_int(k_max, "k_max", 1), check_int(window, "window", 1)
 
     chosen: list[int] = []
     chosen_polys: list[APPoly] = []
@@ -203,6 +201,8 @@ def cs_subsequence_bound(params: RankOneParams, full_n: int,
 
     Both sides share one sample set.  An empty subset gives rhs = 1.
     """
+    # -1 passes here: no stage at all, which bohr_integral_multi refuses.
+    full_n = check_int(full_n, "full_n", -1)
     indices = sorted(set(indices))
     if any(i < 0 or i > full_n for i in indices):
         raise ValidationError("subsequence indices must lie in 0..full_n")
@@ -231,86 +231,32 @@ def klemes_inequality_check(params: RankOneParams, indices: Sequence[int],
 
         int Q|P_m| <= (int Q + int Q|P_m|^2)/2 - (int Q * ||P_m|^2 - 1|)^2 / 8.
 
-    All four integrals come from one shared-sample pass.
+    int Q and int Q|P_m|^2 are exact (``_product_mean``, refused with
+    ``SupportCapError`` past the support cap); the other two integrals
+    come from one shared-sample pass, so ``rhs_error`` is the last term's.
     """
     indices = sorted(set(indices))
     if indices and m <= max(indices):
         raise ValidationError("stage m must exceed every index of Q")
-    q_polys = [build_polynomial(params, j) for j in indices]
-    pm = build_polynomial(params, m)
-    polys = q_polys + [pm]
-    nq = len(q_polys)
+    exact = (_product_mean(params, indices)
+             + _product_mean(params, [*indices, m])) / 2
+    nq = len(indices)
     q_of = _abs_product([2] * nq)
 
     def g4(*vals):
         return q_of(*vals) * np.abs(np.abs(vals[nq]) ** 2 - 1.0)
 
-    e1, e2, e3, e4 = bohr_integral_multi(
-        [_abs_product([2] * nq + [1]), q_of, _abs_product([2] * nq + [2]), g4],
-        polys, budget)
-    rhs = 0.5 * (e2.value + e3.value) - e4.value ** 2 / 8.0
-    rhs_err = math.sqrt(
-        0.25 * e2.std_error ** 2
-        + 0.25 * e3.std_error ** 2
-        + (e4.value / 4.0) ** 2 * e4.std_error ** 2
-    )
+    e1, e4 = bohr_integral_multi(
+        [_abs_product([2] * nq + [1]), g4],
+        [build_polynomial(params, j) for j in [*indices, m]], budget)
+    rhs = float(exact) - e4.value ** 2 / 8.0
+    rhs_err = abs(e4.value) / 4.0 * e4.std_error
     tol = 3.0 * math.hypot(e1.std_error, rhs_err)
     return InequalityRecord(
         lhs=e1.value, rhs=rhs,
         lhs_error=e1.std_error, rhs_error=rhs_err,
         holds=e1.value <= rhs + tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# Weak convergence toward Haar
-
-
-@dataclass(frozen=True)
-class HaarLimitRecord:
-    m: int
-    q_mean: float
-    q_pm2_mean: float
-    deviation: float
-    combined_error: float
-    rank_additive: bool  # frequencies of stage m independent from Q's
-
-
-def _rank_additive(q_polys: Sequence[APPoly], pm: APPoly) -> bool:
-    q_freqs = [f for p in q_polys for f in p.support() if not f.is_zero()]
-    m_freqs = [f for f in pm.support() if not f.is_zero()]
-    if not q_freqs or not m_freqs:
-        return True
-    return (rational_rank(q_freqs + m_freqs)
-            == rational_rank(q_freqs) + rational_rank(m_freqs))
-
-
-def haar_weak_limit_check(params: RankOneParams, q_indices: Sequence[int],
-                          m_list: Sequence[int],
-                          budget: Budget = Budget()) -> list[HaarLimitRecord]:
-    """Deviation of int Q |P_m|^2 from int Q as m runs over ``m_list``.
-
-    When the stage-m frequencies are rationally independent of Q's the
-    deviation is zero up to sampling error (mean factorization); this is
-    reported, not asserted.
-    """
-    q_indices = sorted(set(q_indices))
-    q_polys = [build_polynomial(params, j) for j in q_indices]
-    nq = len(q_polys)
-    gs = [_abs_product([2] * nq), _abs_product([2] * nq + [2])]
-    out = []
-    for i, m in enumerate(m_list):
-        pm = build_polynomial(params, m)
-        e_q, e_qm = bohr_integral_multi(
-            gs, q_polys + [pm], _derived_budget(budget, i, m)
-        )
-        out.append(HaarLimitRecord(
-            m=m, q_mean=e_q.value, q_pm2_mean=e_qm.value,
-            deviation=e_qm.value - e_q.value,
-            combined_error=math.hypot(e_q.std_error, e_qm.std_error),
-            rank_additive=_rank_additive(q_polys, pm),
-        ))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +278,7 @@ def guenais_sum(params: RankOneParams, K: int,
     Convergence of the full series forces an absolutely continuous
     component; only the trend is reported, never a verdict.
     """
-    if K < 0:
-        raise ValidationError("K must be nonnegative")
+    K = check_int(K, "K")
     norms, incs, psums = [], [], []
     acc = 0.0
     for k in range(K):
@@ -379,13 +324,23 @@ class FejerRecord:
     symbolic_exact: bool  # exact mean factorization for |P_m|^2 against Q
 
 
+def _rank_additive(q_polys: Sequence[APPoly], pm: APPoly) -> bool:
+    q_freqs = [f for p in q_polys for f in p.support() if not f.is_zero()]
+    m_freqs = [f for f in pm.support() if not f.is_zero()]
+    if not q_freqs or not m_freqs:
+        return True
+    return (rational_rank(q_freqs + m_freqs)
+            == rational_rank(q_freqs) + rational_rank(m_freqs))
+
+
 def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
                               m: int, budget: Budget = Budget()) -> FejerRecord:
     """int Q|P_m| = (int Q)(int |P_m|) under rational independence.
 
     Requires rank additivity between the stage-m frequencies and Q's in the
-    symbol model; the exact factorization is also verified symbolically on
-    the polynomial functional |P_m|^2.
+    symbol model.  int Q is exact (``_product_mean``), so ``product`` errs
+    only through int |P_m|; the exact factorization is also verified
+    symbolically on the polynomial functional |P_m|^2.
     """
     q_indices = sorted(set(q_indices))
     q_polys = [build_polynomial(params, j) for j in q_indices]
@@ -395,19 +350,16 @@ def fejer_factorization_check(params: RankOneParams, q_indices: Sequence[int],
             "stage frequencies are not rationally independent of the "
             "partial product; the factorization hypothesis fails"
         )
-    nq = len(q_polys)
-    e_joint, e_q, e_m = bohr_integral_multi(
-        [_abs_product([2] * nq + [1]), _abs_product([2] * nq),
-         _abs_product([0] * nq + [1])],
-        q_polys + [pm], budget)
-    product = e_q.value * e_m.value
-    prod_err = math.hypot(e_m.value * e_q.std_error, e_q.value * e_m.std_error)
-    gap = abs(e_joint.value - product)
-    combined = math.hypot(e_joint.std_error, prod_err)
-
+    q_mean = _product_mean(params, q_indices)
     symbolic = (_product_mean(params, [*q_indices, m])
-                == _product_mean(params, q_indices) * _product_mean(params, [m]))
-
+                == q_mean * _product_mean(params, [m]))
+    nq = len(q_polys)
+    e_joint, e_m = bohr_integral_multi(
+        [_abs_product([2] * nq + [1]), _abs_product([0] * nq + [1])],
+        q_polys + [pm], budget)
+    product = float(q_mean) * e_m.value
+    gap = abs(e_joint.value - product)
+    combined = math.hypot(e_joint.std_error, float(q_mean) * e_m.std_error)
     return FejerRecord(
         joint=e_joint.value, product=product,
         relative_gap=gap / max(abs(product), 1e-12),

@@ -52,13 +52,11 @@ class PolyFamilySpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown family kind {self.kind!r}")
-        if self.n < 1:
-            raise ValidationError("family size must be positive")
+        check_int(self.n, "family size", 1)
         if self.kind == "prikhodko":
             if not 0 < self.eps_n < 1:
                 raise ValidationError("eps_n must be a rational in (0, 1)")
-            if self.m_n < 1:
-                raise ValidationError("m_n must be a positive integer")
+            check_int(self.m_n, "m_n", 1)
 
     @classmethod
     def from_config(cls, doc: dict) -> "PolyFamilySpec":

@@ -44,8 +44,7 @@ class Stage:
     spacers: tuple[Frequency, ...]
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError(f"cut number must be at least 2, got {self.p}")
+        check_int(self.p, "cut number", 2)
         if len(self.spacers) != self.p + 1:
             raise ValidationError(
                 f"stage with p={self.p} needs {self.p + 1} spacers, "
@@ -92,7 +91,7 @@ class RankOneParams:
         return tuple(out)
 
     def stage(self, k: int) -> Stage:
-        if not 0 <= k < len(self.stages):
+        if check_int(k, "stage index") >= len(self.stages):
             raise ValidationError(f"stage index {k} out of range")
         return self.stages[k]
 
@@ -119,7 +118,7 @@ class RankOneParams:
 
 def heights(params: RankOneParams, k: int) -> Frequency:
     """h_k: h_0 = 1 and h_{k+1} = p_k h_k + sum of all stage-k spacers."""
-    if not 0 <= k <= params.n_stages:
+    if check_int(k, "height index") > params.n_stages:
         raise ValidationError(f"height index {k} out of range")
     return params.heights[k]
 
@@ -355,6 +354,7 @@ def make_independent_params(cuts: Sequence[int], seed: int = 0) -> RankOneParams
     in [0.1, 0.9).
     """
     rng = np.random.default_rng(check_int(seed, "seed"))
+    cuts = [check_int(p, "cut number", 2) for p in cuts]
     symbols = [("one", 1.0)]
     for k, p in enumerate(cuts):
         for j in range(1, p + 1):

@@ -14,13 +14,13 @@ from bohrap.bohrint import (Budget, IntegralEstimate, TorusEvaluator,
 from bohrap.criteria import (GAUSS_MEAN_ABS, ScanReport, _decay_ratios,
                              _derived_budget, _unit_estimate, bourgain_scan,
                              cs_subsequence_bound, fejer_factorization_check,
-                             guenais_sum, haar_weak_limit_check,
-                             kac_clt_diagnostics, kac_moment_formula,
-                             kac_moment_identity, klemes_inequality_check)
-from bohrap.errors import BudgetError, ValidationError
+                             guenais_sum, kac_clt_diagnostics,
+                             kac_moment_formula, kac_moment_identity,
+                             klemes_inequality_check)
+from bohrap.errors import BudgetError, SupportCapError, ValidationError
 from bohrap.freqspace import SymbolBasis
-from bohrap.riesz import (RankOneParams, Stage, build_polynomial,
-                          make_independent_params)
+from bohrap.riesz import (RankOneParams, Stage, _product_mean,
+                          build_polynomial, make_independent_params)
 
 FAST = Budget(samples=1 << 13, seed=17)
 
@@ -207,19 +207,22 @@ class TestKlemes:
             klemes_inequality_check(params, [1], 0, FAST)
 
 
-class TestHaarWeakLimit:
-    def test_trivial_q(self):
-        params = make_independent_params([4, 4], seed=11)
-        recs = haar_weak_limit_check(params, [], [0, 1], FAST)
-        for r in recs:
-            # int |P_m|^2 = 1 exactly; both sides estimated on shared nodes
-            assert abs(r.deviation) <= max(3 * r.combined_error, 1e-9)
-            assert r.rank_additive
+    def test_exact_sides_from_product_means(self):
+        # int Q and int Q|P_m|^2 are exact; rhs samples only the last term.
+        params = make_independent_params([3, 4, 5], seed=11)
+        rec = klemes_inequality_check(params, [0, 1], 2, FAST)
+        (e4,) = bohr_integral_multi(
+            [lambda a, b, c: np.abs(a) ** 2 * np.abs(b) ** 2
+             * np.abs(np.abs(c) ** 2 - 1.0)],
+            [build_polynomial(params, k) for k in range(3)], FAST)
+        exact = (_product_mean(params, [0, 1]) + _product_mean(params, [0, 1, 2])) / 2
+        assert rec.rhs + e4.value ** 2 / 8 == pytest.approx(float(exact), rel=1e-12)
+        assert rec.rhs_error == abs(e4.value) / 4 * e4.std_error
 
-    def test_independent_stages_flagged(self):
-        params = make_independent_params([3, 3, 3], seed=12)
-        recs = haar_weak_limit_check(params, [0], [1, 2], FAST)
-        assert all(r.rank_additive for r in recs)
+    def test_past_support_cap_refused(self):
+        params = make_independent_params([64] * 4, seed=12)
+        with pytest.raises(SupportCapError):
+            klemes_inequality_check(params, [0, 1, 2], 3, FAST)
 
 
 class TestGuenais:
@@ -257,6 +260,14 @@ class TestFejer:
         )
         with pytest.raises(ValidationError):
             fejer_factorization_check(params, [0], 1, FAST)
+
+    def test_product_reads_exact_q_mean(self):
+        params = make_independent_params([8, 8], seed=15)
+        rec = fejer_factorization_check(params, [0], 1, FAST)
+        (e_m,) = bohr_integral_multi(
+            [lambda q, m: np.abs(m)],
+            [build_polynomial(params, k) for k in (0, 1)], FAST)
+        assert rec.product == float(_product_mean(params, [0])) * e_m.value
 
 
 class TestKacClt:

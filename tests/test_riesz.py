@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from bohrap.criteria import bourgain_scan, cs_subsequence_bound, guenais_sum
 from bohrap.errors import BasisMismatchError, SupportCapError, ValidationError
+from bohrap.flatness import PolyFamilySpec
 from bohrap.freqspace import Frequency, SymbolBasis
 from bohrap.riesz import (RankOneParams, SigmaHatValue, Stage,
                           abs2_polynomial, build_polynomial, degree_report,
@@ -75,6 +77,22 @@ class TestValidation:
         # numpy refused -1 with its own ValueError and 1.5 with TypeError.
         with pytest.raises(ValidationError, match="seed"):
             make_independent_params([3], seed=seed)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: make_independent_params([3.5]),
+        lambda p: p.stage(1.0),
+        lambda p: heights(p, 1.0),
+        lambda p: PolyFamilySpec(kind="littlewood", n=2.5),
+        lambda p: PolyFamilySpec(kind="prikhodko", n=4, m_n=1.5),
+        lambda p: bourgain_scan(p, k_max=1.5),
+        lambda p: bourgain_scan(p, window=1.5),
+        lambda p: guenais_sum(p, 1.5),
+        lambda p: cs_subsequence_bound(p, 1.5, [0]),
+    ], ids=["cuts", "stage", "heights", "n", "m_n", "k_max", "window", "K",
+            "full_n"])
+    def test_non_integer_size_rejected(self, call):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(_basic_params())
 
     def test_from_config(self):
         doc = {
