@@ -4,9 +4,9 @@ Bohr integrals of pointwise functionals g(P_1(w), ..., P_k(w)) reduce to
 integrals over a finite torus: characters at rationally independent
 frequencies become independent uniform phases under Haar measure, so every
 polynomial is evaluated by substituting e^{i (E_row . theta)} for its
-characters.  Two quadratures are provided: a uniform tensor grid (exact for
-pure trigonometric integrands of bounded exponent, by discrete
-orthogonality) and seeded batch Monte Carlo.
+characters.  Two quadratures are provided: seeded batch Monte Carlo and a
+uniform tensor grid, on which one polynomial's |P|^2 is exact by discrete
+orthogonality while powers and products of polynomials can alias.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ _MAX_LIMBS = 5
 _MAX_EXPONENT = 1 << (_LIMB * _MAX_LIMBS)
 _GUARD_BITS = 60
 
-#: Dimension and point caps of the tensor method.
-TENSOR_DIM_CAP = 4
+#: Most points of a tensor grid: an automatic grid, of at least 64 nodes per
+#: axis, has at most three coordinates.
 TENSOR_POINT_CAP = 1 << 22
 
 #: Monte Carlo points per batch, each batch drawn from its own child stream
@@ -50,14 +50,12 @@ TENSOR_POINT_CAP = 1 << 22
 #: row is longer).
 MC_BATCH = 1 << 14
 
-#: Most root-table entries of one tensor block of terms.
-_EVAL_ENTRIES = 1 << 20
-
 #: Most phases of one ``TorusEvaluator`` step (terms or coordinates x
-#: points), chosen for cache use: against 2^20, 2^18-phase steps ran the
-#: ``kac`` benchmark about 10% faster on one thread and held less memory
-#: with a helper thread; 2^16 caused tens of thousands of minor page faults
-#: per operation.  A fixed size keeps every bit independent of the machine.
+#: points) and root-table entries of one tensor block of terms.  Against
+#: 2^20, 2^18-phase steps ran the ``kac`` benchmark about 10% faster on one
+#: thread and held less memory with a helper thread; 2^16 caused tens of
+#: thousands of minor page faults per operation.  A fixed size keeps every
+#: bit independent of the machine.
 _STEP_PHASES = 1 << 18
 
 #: Most threads that run the batches of one Monte Carlo call or the units of
@@ -93,7 +91,7 @@ class Budget:
         put = functools.partial(object.__setattr__, self)
         put("samples", check_int(self.samples, "samples", 1))
         if self.nodes is not None:
-            put("nodes", check_int(self.nodes, "tensor nodes", 1))
+            put("nodes", check_int(self.nodes, "tensor nodes", 2))
         put("seed", check_int(self.seed, "seed"))
 
 
@@ -532,6 +530,8 @@ def _grid_sizes(emats, dim: int, nodes: int | None) -> list[int]:
     two of at least 64 above twice the largest exponent magnitude."""
     if nodes is not None:
         return [nodes] * dim
+    if emats[0].ndim == 1:  # term columns: exponent 1 on every coordinate
+        return [64] * dim
     top = np.abs(np.concatenate(emats)).max(axis=0) if dim else ()
     return [max(64, 1 << (2 * int(m)).bit_length()) for m in top]
 
@@ -552,7 +552,7 @@ def _term_blocks(coeffs, E, ns):
     Each term is separable: with per-axis root tables F[t, k], the grid in C
     order, cut into rows of n_last / hi points, is U^T F_last for U = c times
     the row-wise Kronecker product of the other tables.  A block of terms
-    holds about _EVAL_ENTRIES table entries; a few terms are one block, and
+    holds about _STEP_PHASES table entries; a few terms are one block, and
     no terms give one empty block.  The 0-torus is a grid of one node.
     """
     if not ns:
@@ -566,7 +566,7 @@ def _term_blocks(coeffs, E, ns):
     axes = ([(i, m, 1) for i, m in enumerate(ns[:-1])]
             + [(d - 1, hi, n // hi), (d - 1, n // hi, 1)])
     roots = [np.exp((2j * np.pi / m) * np.arange(m)) for m in ns]
-    step = max(1, _EVAL_ENTRIES // (points * hi // n + sum(m for _, m, _ in axes)))
+    step = max(1, _STEP_PHASES // (points * hi // n + sum(m for _, m, _ in axes)))
     for s in range(0, max(1, len(coeffs)), step):
         F = [roots[i][np.outer(E[s:s + step, i] * st % ns[i], np.arange(m)) % ns[i]]
              for i, m, st in axes]
@@ -674,9 +674,8 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     Sharing the sample set makes the errors of the returned estimates
     correlate, which is exactly what inequality checks want.  The method is
     chosen here, once per call, on the joint torus of all ``polys``: "auto"
-    takes the tensor grid when the torus dimension and grid size are within
-    ``TENSOR_DIM_CAP`` and ``TENSOR_POINT_CAP``, and Monte Carlo otherwise;
-    "tensor" raises ``BudgetError`` where it cannot have its grid.
+    takes the tensor grid of at most ``TENSOR_POINT_CAP`` points, else Monte
+    Carlo; "tensor" raises ``BudgetError`` on a larger grid.
     Integrands must be pointwise and pure: each is called once per Monte
     Carlo batch of MC_BATCH points (two batches of MC_BATCH // 2 when the
     samples fit one) or grid unit of at most 2 MC_BATCH points (unless one
@@ -688,17 +687,11 @@ def bohr_integral_multi(gs: Sequence[Callable], polys: Sequence[APPoly],
     """
     dim, emats = _phase_space(polys)
     coeffs = _coefficients(polys)
-    if budget.method == "tensor" and dim > TENSOR_DIM_CAP:
-        raise BudgetError(
-            f"tensor quadrature supports at most {TENSOR_DIM_CAP} torus "
-            f"dimensions, got {dim}; use monte-carlo"
-        )
-    if budget.method != "monte-carlo" and dim <= TENSOR_DIM_CAP:
-        rows = _exponent_rows(dim, emats)
-        ns = _grid_sizes(rows, dim, budget.nodes)
+    if budget.method != "monte-carlo":
+        ns = _grid_sizes(emats, dim, budget.nodes)
         points = math.prod(ns)
         if points <= TENSOR_POINT_CAP:
-            return _tensor(gs, coeffs, rows, ns)
+            return _tensor(gs, coeffs, _exponent_rows(dim, emats), ns)
         if budget.method == "tensor":
             raise BudgetError(
                 f"tensor grid of {points} points exceeds the cap {TENSOR_POINT_CAP}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
-                      bohr_integral_multi)
+                      bohr_integral_multi, mean_abs)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError, check_int)
 from .freqspace import SymbolBasis, mul_terms, rational_rank
@@ -283,9 +283,7 @@ def guenais_sum(params: RankOneParams, K: int,
     acc = 0.0
     for k in range(K):
         p = build_polynomial(params, k)
-        est = bohr_integral_multi(
-            [np.abs], [p], _derived_budget(budget, k)
-        )[0]
+        est = mean_abs(p, _derived_budget(budget, k))
         if est.value > 1.0 + 3.0 * est.std_error:
             raise InternalInconsistencyError(
                 f"estimated L1 norm {est.value:.6f} of stage {k} exceeds 1 "

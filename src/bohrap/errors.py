@@ -70,7 +70,9 @@ def json_array(value, what: str) -> list:
 
 def check_int(value, what: str, least: int = 0) -> int:
     """``value`` as a Python int if it is an integer (numpy integers pass) of
-    at least ``least``, else ValidationError: 2.5 and 1e5 are not truncated."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    at least ``least``, else ValidationError: 2.5 and 1e5 are not truncated,
+    and ``True`` is not 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)

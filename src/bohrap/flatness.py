@@ -19,7 +19,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
-                      TorusEvaluator, _affine, _phase_space,
+                      TorusEvaluator, _affine, _coefficients, _phase_space,
                       interval_l1_distortion, mean_abs)
 from .errors import (ValidationError, check_int, json_array, json_int,
                      json_number)
@@ -81,8 +81,7 @@ class PolyFamilySpec:
                            for c in json_array(doc["coefficients"], "coefficients"))
         basis = freqs = None
         if "basis" in doc:
-            basis = SymbolBasis(tuple((e["name"], json_number(e["value"], "basis value"))
-                                      for e in json_array(doc["basis"], "basis")))
+            basis = SymbolBasis.from_config(doc["basis"])
         if "frequencies" in doc:
             if basis is None:
                 raise ValidationError("frequency overrides need a basis")
@@ -201,7 +200,7 @@ def ultraflat(p: APPoly, tol: float = 1e-3, max_points: int = 1 << 22,
     l2 = p.l2_norm()
     if l2 == 0.0:
         raise ValidationError("the zero polynomial has no flatness deviation")
-    coeffs = np.array(list(p.terms.values()), dtype=complex)
+    (coeffs,) = _coefficients([p])
     dim, (E,) = _phase_space([p])
     if _affine(dim, E):
         return _polygon_deviation(coeffs, l2), True

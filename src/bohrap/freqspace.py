@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, InternalInconsistencyError, ValidationError
+from .errors import (BasisMismatchError, InternalInconsistencyError,
+                     ValidationError, json_array, json_number)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TERM_RE = re.compile(r"([+-]?\d+(?:/\d+)?)(?:\*([A-Za-z_][A-Za-z0-9_]*))?\Z")
@@ -58,6 +59,13 @@ class SymbolBasis:
     @classmethod
     def make(cls, *symbols: tuple[str, float]) -> "SymbolBasis":
         return cls(tuple((name, float(value)) for name, value in symbols))
+
+    @classmethod
+    def from_config(cls, entries) -> "SymbolBasis":
+        """From a config ``basis`` array of {"name": ..., "value": ...}
+        objects; a malformed entry raises the builtin error it causes."""
+        return cls(tuple((e["name"], json_number(e["value"], "basis value"))
+                         for e in json_array(entries, "basis")))
 
     @property
     def size(self) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
-                     check_int, json_array, json_int, json_number)
+                     check_int, json_array, json_int)
 from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
                         mul_terms)
 
@@ -104,9 +104,7 @@ class RankOneParams:
         be JSON integers, basis values JSON numbers and the lists JSON
         arrays; none is coerced.
         """
-        basis = SymbolBasis(tuple(
-            (entry["name"], json_number(entry["value"], "basis value"))
-            for entry in json_array(doc["basis"], "basis")))
+        basis = SymbolBasis.from_config(doc["basis"])
         unit = basis.symbol(doc.get("unit", basis.names[0]))
         stages = tuple(
             Stage(p=json_int(st["p"], "p"),

@@ -51,9 +51,19 @@ class TestBudgetValidation:
             Budget(samples=0)
 
     def test_bad_nodes(self):
-        for nodes in (0, -4):
+        # A one-node grid read P(0) as an exact mean, with std_error and
+        # refinement_delta 0.
+        for nodes in (0, 1, -4):
             with pytest.raises(ValidationError):
                 Budget(method="tensor", nodes=nodes)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", True), ("nodes", True), ("seed", True), ("seed", False)],
+        ids=str)
+    def test_boolean_sizes_refused(self, field, value):
+        # Budget(samples=True, seed=True) ran 1 sample with seed 1.
+        with pytest.raises(ValidationError, match=field):
+            Budget(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed(self, seed):
@@ -127,11 +137,33 @@ class TestTensorQuadrature:
                           Budget(method="tensor", nodes=512))
 
     def test_tensor_dim_cap(self):
-        # Five independent symbols give a 5-dimensional torus.
+        # Five independent symbols give a 5-dimensional torus, whose
+        # automatic grid of 64^5 points is past the point cap.
         basis = SymbolBasis.make(*[(f"x{j}", j + 1.5) for j in range(5)])
         p = APPoly.from_terms(basis, [(basis.symbol(n), 1.0) for n in basis.names])
-        with pytest.raises(BudgetError, match="at most 4 torus dimensions"):
+        with pytest.raises(BudgetError, match=f"grid of {64 ** 5} points exceeds the cap"):
             mean_abs(p, Budget(method="tensor"))
+
+    def test_explicit_nodes_admit_five_coordinates(self):
+        # 8^5 = 2^15 points are within the cap on any number of coordinates,
+        # and mean |sum of five independent characters|^2 = 5 exactly.
+        basis = SymbolBasis.make(*[(f"x{j}", j + 1.5) for j in range(5)])
+        p = APPoly.from_terms(basis, [(basis.symbol(n), 1.0) for n in basis.names])
+        est = bohr_integral(lambda v: np.abs(v) ** 2, [p],
+                            Budget(method="tensor", nodes=8))
+        assert (est.method, est.torus_dim, est.nodes_or_samples) == (
+            "tensor-quadrature", 5, 8 ** 5)
+        assert est.value == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, method", [(3, "tensor-quadrature"),
+                                             (4, "monte-carlo")])
+    def test_auto_grid_holds_three_coordinates(self, dim, method):
+        # Every automatic axis has at least 64 nodes: 64^3 = 2^18 points
+        # are within the 2^22 cap, 64^4 = 2^24 are not.
+        basis = SymbolBasis.make(*[(f"x{j}", j + 1.5) for j in range(dim)])
+        p = APPoly.from_terms(basis, [(basis.symbol(n), 1.0) for n in basis.names])
+        est = mean_abs(p, Budget())
+        assert (est.method, est.torus_dim) == (method, dim)
 
     def test_each_integrand_called_once(self):
         # The refinement delta comes from the subgrid of the one evaluation.
@@ -186,7 +218,7 @@ class TestTensorGrid:
     @pytest.mark.parametrize("ns", [(2048,), (8, 16, 4)])
     def test_blocks_of_terms(self, monkeypatch, ns):
         # Tables of 2^9 entries split 40 terms into many blocks.
-        monkeypatch.setattr(bohrint, "_EVAL_ENTRIES", 1 << 9)
+        monkeypatch.setattr(bohrint, "_STEP_PHASES", 1 << 9)
         c, E = _random_terms(40, len(ns), np.random.default_rng(5))
         np.testing.assert_allclose(_tensor_values(c, E * 25, list(ns)),
                                    _meshgrid_sum(c, E * 25, ns), rtol=0, atol=1e-12)
@@ -306,7 +338,7 @@ class TestTensorChunks:
         # 6001 terms over 2^16 nodes: the factors of every block of terms at
         # once hold 6001 x 512 entries (49 MB), 48 times the grid, so the
         # grid is built once, one block of 85 terms at a time, and sliced.
-        monkeypatch.setattr(bohrint, "_EVAL_ENTRIES", 1 << 16)
+        monkeypatch.setattr(bohrint, "_STEP_PHASES", 1 << 16)
         a = B.symbol("a")
         rng = np.random.default_rng(4)
         p = APPoly.from_terms(B, [(a, 1.0)] + [

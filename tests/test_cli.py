@@ -185,16 +185,20 @@ class TestSubcommands:
     def test_flatness_decides_exactness_once(self, tmp_path, monkeypatch):
         # The deviation and its label come from one phase-space reduction,
         # and the scan runs on that torus, not on a second reduction.
-        calls = []
+        reduced, built = [], []
         reduce = flatness_module._phase_space
+        evaluator = flatness_module.TorusEvaluator
         monkeypatch.setattr(flatness_module, "_phase_space",
-                            lambda polys: calls.append(1) or reduce(polys))
-        monkeypatch.setattr(bohrint.TorusEvaluator, "of",
-                            lambda polys: pytest.fail("reduced again"))
+                            lambda polys: reduced.append(reduce(polys)) or reduced[-1])
+        monkeypatch.setattr(flatness_module, "TorusEvaluator",
+                            lambda coeffs, dim, emats: built.append((dim, emats))
+                            or evaluator(coeffs, dim, emats))
         out = tmp_path / "r"
         assert _run(["flatness", *_config(tmp_path, {"family": _FAMILY, "seed": 4}),
                      "--samples", "4096", "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert len(reduced) == 1 and len(built) == 1
+        (dim, (E,)), ((built_dim, (built_E,)),) = reduced[0], built
+        assert built_dim == dim and built_E is E
 
     def test_prikhodko(self, tmp_path):
         out = tmp_path / "r"

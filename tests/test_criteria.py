@@ -304,6 +304,11 @@ class TestKacClt:
         with pytest.raises(ValidationError, match="seed"):
             kac_clt_diagnostics(8, 100, seed=1.5)
 
+    def test_boolean_q_rejected(self):
+        # True ran as q = 1.
+        with pytest.raises(ValidationError, match="q must be"):
+            kac_clt_diagnostics(True, 100)
+
     def test_mean_abs2_is_one(self):
         rec = kac_clt_diagnostics(32, 50000, seed=2)
         assert abs(rec.mean_abs2 - 1.0) <= 3 * rec.mean_abs2_std_error
