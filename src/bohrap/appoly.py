@@ -3,8 +3,9 @@
 A polynomial is a finite map from exact frequencies to complex double
 coefficients; there is one coefficient kind.  Results that must be exact
 (the probability normalization, sigma-hat values, moment identities) are
-not polynomials here: they are integer counts per frequency over one
-denominator, multiplied by ``freqspace.mul_terms`` (see ``riesz``).
+not polynomials here: they are integer counts keyed by numerator tuples
+over one denominator, multiplied by ``freqspace.mul_numerators`` (see
+``riesz``).
 """
 
 from __future__ import annotations

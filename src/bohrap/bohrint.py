@@ -334,11 +334,6 @@ class TorusEvaluator:
         self._n_limbs = max(len(ls) for ls in self._limbs)
         self.levels = -(-(_LIMB * self._n_limbs + _GUARD_BITS) // 53)
 
-    @classmethod
-    def of(cls, polys: Sequence[APPoly]) -> "TorusEvaluator":
-        """Reduce the phase space of ``polys`` and build their evaluator."""
-        return cls(_coefficients(polys), *_phase_space(polys))
-
     def __call__(self, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Values of each polynomial at the points of the level arrays."""
         n = levels[0].shape[1]

@@ -81,13 +81,15 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _resolve_seed(args, doc: dict) -> int:
+def _resolve_seed(args, doc: dict) -> int | None:
+    """The ``--seed`` flag, else the config seed, else a fresh draw; a
+    command that reads no seed draws none and records null."""
     if args.seed is not None:
         seed = args.seed
     elif "seed" in doc:
         seed = _parse(doc["seed"], lambda v: json_int(v, "seed"), "seed")
     else:
-        return secrets.randbits(32)
+        return secrets.randbits(32) if args.reads_seed else None
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     return seed
@@ -108,7 +110,7 @@ def _budget(args, seed: int) -> Budget:
     return Budget(samples=args.samples, seed=seed)
 
 
-def _emit(args, name: str, result: dict, seed: int, doc: dict,
+def _emit(args, name: str, result: dict, seed: int | None, doc: dict,
           csv_rows=None) -> None:
     out = Path(args.out)
     resolved = dict(doc)
@@ -193,7 +195,7 @@ def _cmd_kac_clt(args, doc: dict, seed: int) -> int:
     return 0
 
 
-def _cmd_kac_moments(args, doc: dict, seed: int) -> int:
+def _cmd_kac_moments(args, doc: dict, seed: int | None) -> int:
     exps = _parse(args.exponents, _int_list, "--exponents")
     value = kac_moment_identity(exps)
     result = {"exponents": exps, "value": str(value), "value_float": float(value)}
@@ -251,9 +253,13 @@ def _cmd_degree_report(args, doc: dict, seed: int) -> int:
 # Parser and entry point
 
 
-def _add_common(p: argparse.ArgumentParser, samples: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, samples: bool = True,
+                reads_seed: bool = True) -> None:
     """The shared flags; ``--samples`` only where a Monte Carlo budget or a
-    sample count is read."""
+    sample count is read.  ``reads_seed`` is False for a command whose
+    output no seed changes, so that without one its manifest is the same
+    on every run."""
+    p.set_defaults(reads_seed=reads_seed)
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--seed", type=int, default=None,
@@ -303,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kac-moments", help="exact cosine-product moments")
     p.add_argument("--exponents", default="2", help="comma list of exponents")
-    _add_common(p, samples=False)
+    _add_common(p, samples=False, reads_seed=False)
     p.set_defaults(fn=_cmd_kac_moments)
 
     p = sub.add_parser("flatness", help="flatness ratio and sup-norm deviation")

@@ -21,7 +21,7 @@ from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
                       bohr_integral_multi, mean_abs)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError, check_int)
-from .freqspace import SymbolBasis, mul_terms, rational_rank
+from .freqspace import mul_numerators, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it through this name.
 from .riesz import (DEFAULT_SUPPORT_CAP, RankOneParams,  # noqa: F401
@@ -450,7 +450,8 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
     """The moment via the binomial formula, cross-checked on integer counts.
 
     The cross-check multiplies out prod (e^{i w_j t} + e^{-i w_j t})^{l_j}
-    over fresh independent symbols and reads its count at zero over
+    over independent frequencies w_j, the unit numerator tuples of
+    ``freqspace.mul_numerators``, and reads its count at zero over
     2^{sum l_j}; the two routes must agree exactly.  Its products add
     sum l_j (l_j + 1) pairs for the powers and sum_j prod_{i<=j} (l_i + 1)
     for the running product; past the support cap the call is refused,
@@ -468,15 +469,16 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
                 f"{DEFAULT_SUPPORT_CAP}")
     formula = kac_moment_formula(exponents)
     if exponents:
-        basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
-        prod = {basis.zero(): 1}
+        d = len(exponents)
+        zero = (0,) * d
+        prod = {zero: 1}
         for j, l in enumerate(exponents):
-            w = basis.symbol(f"w{j}")
-            power = {basis.zero(): 1}
+            w = tuple(int(i == j) for i in range(d))
+            power = {zero: 1}
             for _ in range(l):
-                power = mul_terms(power, {w: 1, -w: 1})
-            prod = mul_terms(prod, power)
-        m = Fraction(prod.get(basis.zero(), 0), 2 ** sum(exponents))
+                power = mul_numerators(power, {w: 1, tuple(-x for x in w): 1})
+            prod = mul_numerators(prod, power)
+        m = Fraction(prod.get(zero, 0), 2 ** sum(exponents))
         if m != formula:
             raise InternalInconsistencyError(
                 f"moment identity mismatch: formula {formula}, counts {m}"

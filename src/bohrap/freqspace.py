@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -266,12 +267,12 @@ class Frequency:
         return cls(basis, tuple(vec))
 
 
-#: Cap on the int64 entries of one block of pair sums in ``mul_terms``
+#: Cap on the int64 entries of one block of pair sums in ``mul_numerators``
 #: (1 MiB).  A fold near the support cap holds 23M pair entries, and its
 #: peak resident size rose by 40 MB with blocks of 2^20.
 _PAIR_ENTRIES = 1 << 17
 
-#: Fewest pairs for which ``mul_terms`` adds numerators with numpy; below
+#: Fewest pairs for which ``mul_numerators`` adds with numpy; below
 #: it the fixed cost of the arrays (about 9 us) is more than the tuple sums.
 _NUMPY_PAIRS = 32
 
@@ -288,13 +289,9 @@ def mul_terms(a: Mapping[Frequency, object],
             for fb, cb in b.items():
                 out[fa + fb] = out[fa + fb] + ca * cb  # or ca * cb when new
 
-    Each distinct sum becomes one ``Frequency``, in first-pair order, and
-    equal sums add their coefficient products in pair order.  The
-    numerators go over one common denominator.  The pairs of a block of
-    rows of ``a`` are added in one numpy int64 pass when the product has
-    at least ``_NUMPY_PAIRS`` pairs and no sum can leave int64 (every
-    |numerator| below 2^62), else as tuples of Python ints, and are keyed
-    by numerator tuples, whose hash and equality run in C.
+    The numerators go over one common denominator, ``mul_numerators``
+    multiplies them, and each distinct sum becomes one ``Frequency`` in
+    one ``_frequencies`` call.
     """
     if not a or not b:
         return {}
@@ -303,38 +300,62 @@ def mul_terms(a: Mapping[Frequency, object],
         if f.basis is not basis and f.basis != basis:
             raise BasisMismatchError("frequencies live over different bases")
     L = math.lcm(*(f.den for f in a), *(f.den for f in b))
-    rows_a, rows_b = ([f.num if f.den == L else tuple(x * (L // f.den) for x in f.num)
-                       for f in terms] for terms in (a, b))
-    n, m, d = len(rows_a), len(rows_b), basis.size
+    out = mul_numerators(*({_numerators(f, L): c for f, c in terms.items()}
+                           for terms in (a, b)))
+    return dict(zip(_frequencies(basis, list(out), L), out.values()))
+
+
+def mul_numerators(a: Mapping[tuple[int, ...], object],
+                   b: Mapping[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
+    """Product of two sparse polynomials whose terms are keyed by integer
+    numerator tuples over one shared denominator, with exactly the items
+    and order of the loop
+
+        for xa, ca in a.items():
+            for xb, cb in b.items():
+                x = tuple(map(operator.add, xa, xb))
+                out[x] = out[x] + ca * cb  # or ca * cb when new
+
+    Equal sums add their coefficient products in pair order.  The pairs
+    of a block of rows of ``a`` are added in one numpy int64 pass when the
+    product has at least ``_NUMPY_PAIRS`` pairs and no sum can leave int64
+    (every |numerator| below 2^62), else as tuples of Python ints; the
+    tuples' hash and equality run in C, and no ``Frequency`` is built.
+    """
+    if not a or not b:
+        return {}
+    rows_a, rows_b = list(a), list(b)
+    n, m, d = len(rows_a), len(rows_b), len(rows_a[0])
     both = _int64_rows(rows_a + rows_b) if n * m >= _NUMPY_PAIRS else None
     ca, cb = list(a.values()), list(b.values())
+    row = struct.Struct(f"{d}q")
     step = max(1, _PAIR_ENTRIES // (m * d))
-    out: dict[Frequency, object] = {}
+    out: dict[tuple[int, ...], object] = {}
     for i in range(0, n, step):
         if both is None:
             keys = [tuple(map(operator.add, x, y))
                     for x in rows_a[i:i + step] for y in rows_b]
         else:
-            # One flat list of ints, cut into rows of d by zip: no row lists.
-            flat = (both[i:min(i + step, n), None] + both[n:]).ravel().tolist()
-            keys = list(zip(*[iter(flat)] * d))
+            # One tuple per row of sums, unpacked from their buffer: no
+            # list of ints, which the cyclic collector scanned while the
+            # keys were built.
+            keys = list(row.iter_unpack(both[i:min(i + step, n), None] + both[n:]))
         prods = [x * y for x in ca[i:i + step] for y in cb]
-        distinct = dict.fromkeys(keys)
-        freqs = _frequencies(basis, list(distinct), L)
-        if len(distinct) == len(keys):
-            block = dict(zip(freqs, prods))
-            if not out or out.keys().isdisjoint(block):
-                out.update(block)
-                continue
-        # One frequency object per sum, so a repeat within the block is
-        # found by identity.
-        to_freq = dict(zip(distinct, freqs))
+        block = dict(zip(keys, prods))
+        # Two key views: isdisjoint then walks the smaller one.
+        if len(block) == len(keys) and out.keys().isdisjoint(block.keys()):
+            out.update(block)
+            continue
         get = out.get
         for k, c in zip(keys, prods):
-            f = to_freq[k]
-            old = get(f)
-            out[f] = c if old is None else old + c
+            old = get(k)
+            out[k] = c if old is None else old + c
     return out
+
+
+def _numerators(f: Frequency, den: int) -> tuple[int, ...]:
+    """The numerators of ``f`` over ``den``, a multiple of ``f.den``."""
+    return f.num if f.den == den else tuple(x * (den // f.den) for x in f.num)
 
 
 def _int64_rows(rows: list[tuple[int, ...]]):

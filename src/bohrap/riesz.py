@@ -8,17 +8,21 @@ and stage polynomials
 
 Everything height- and frequency-shaped is exact.  P_k itself is a float
 ``APPoly``; |P_k|^2 and the partial products Q_n are held exactly, as integer
-counts per frequency over one denominator: ``abs2_polynomial(params, k)`` is
-p_k |P_k|^2, the number of exponent pairs (i, j) at each difference
-e_i - e_j, and a ``RieszState`` holds Q_n's counts over p_0 ... p_n.  So
-sigma-hat values and the probability normalization are checked with exact
-equality, and every product runs on integers through
-``freqspace.mul_terms``.
+counts over one denominator: p_k |P_k|^2 counts the exponent pairs (i, j)
+at each difference e_i - e_j, and a ``RieszState`` holds Q_n's counts over
+p_0 ... p_n.  Every height, exponent and count frequency lies over one
+frequency denominator, ``RankOneParams.freq_den``, so the counts are keyed
+by integer numerator tuples over it, every product runs on them through
+``freqspace.mul_numerators``, and a ``Frequency`` is built only where a
+caller reads one (``abs2_polynomial``, ``RieszState.counts`` and
+``sigma_hat_table``).  So sigma-hat values and the probability
+normalization are checked with exact equality.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -30,8 +34,8 @@ import numpy as np
 from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      check_int, json_array, json_int)
-from .freqspace import (Frequency, SymbolBasis, is_rationally_independent,
-                        mul_terms)
+from .freqspace import (Frequency, SymbolBasis, _frequencies, _numerators,
+                        is_rationally_independent, mul_numerators)
 
 DEFAULT_SUPPORT_CAP = 1_000_000
 
@@ -80,15 +84,28 @@ class RankOneParams:
         return len(self.stages)
 
     @cached_property
+    def freq_den(self) -> int:
+        """The one denominator of every height, stage exponent and count
+        frequency: the lcm of the unit's and the spacers' denominators."""
+        return math.lcm(self.unit.den,
+                        *(s.den for st in self.stages for s in st.spacers))
+
+    @cached_property
+    def _height_nums(self) -> tuple[tuple[int, ...], ...]:
+        """The numerators over ``freq_den`` of h_0..h_{n_stages}, in
+        integers, computed once per parameter set."""
+        den = self.freq_den
+        out = [_numerators(self.unit, den)]
+        for st in self.stages:
+            spacers = [_numerators(s, den) for s in st.spacers]
+            out.append(tuple(st.p * h + sum(xs)
+                             for h, *xs in zip(out[-1], *spacers)))
+        return tuple(out)
+
+    @cached_property
     def heights(self) -> tuple[Frequency, ...]:
         """h_0..h_{n_stages}, computed once per parameter set."""
-        out = [self.unit]
-        for st in self.stages:
-            h = out[-1].scale(st.p)
-            for s in st.spacers:
-                h = h + s
-            out.append(h)
-        return tuple(out)
+        return tuple(_frequencies(self.basis, list(self._height_nums), self.freq_den))
 
     def stage(self, k: int) -> Stage:
         if check_int(k, "stage index") >= len(self.stages):
@@ -133,20 +150,27 @@ def spacer_sum(params: RankOneParams, n: int, p: int, q: int) -> Frequency:
     return acc
 
 
-def stage_exponents(params: RankOneParams, k: int) -> list[Frequency]:
-    """The p_k exponents j*h_k + s_{k,0} + ... + s_{k,j-1} of stage k."""
+def _exponent_nums(params: RankOneParams, k: int) -> list[tuple[int, ...]]:
+    """The numerators over ``params.freq_den`` of the p_k exponents
+    j*h_k + s_{k,0} + ... + s_{k,j-1} of stage k."""
     st = params.stage(k)
-    h = heights(params, k)
+    den = params.freq_den
+    h = params._height_nums[k]
     out = []
-    acc = params.basis.zero()
+    acc = (0,) * params.basis.size
     for j in range(st.p):
-        out.append(h.scale(j) + acc)
-        acc = acc + st.spacers[j]
+        out.append(tuple(j * x + y for x, y in zip(h, acc)))
+        acc = tuple(map(operator.add, acc, _numerators(st.spacers[j], den)))
     if len(set(out)) != len(out):
         raise ValidationError(
             f"stage {k} exponents collide; degenerate rank-one parameters"
         )
     return out
+
+
+def stage_exponents(params: RankOneParams, k: int) -> list[Frequency]:
+    """The p_k exponents j*h_k + s_{k,0} + ... + s_{k,j-1} of stage k."""
+    return _frequencies(params.basis, _exponent_nums(params, k), params.freq_den)
 
 
 def build_polynomial(params: RankOneParams, k: int) -> APPoly:
@@ -158,24 +182,39 @@ def build_polynomial(params: RankOneParams, k: int) -> APPoly:
     )
 
 
+def _abs2_counts(params: RankOneParams, k: int) -> dict[tuple[int, ...], int]:
+    """p_k |P_k|^2 as integer pair counts keyed by numerator tuple over
+    ``params.freq_den``: the number of exponent pairs (i, j) with
+    e_i - e_j at each difference, in first-pair order."""
+    exps = _exponent_nums(params, k)
+    return mul_numerators(dict.fromkeys(exps, 1),
+                          {tuple(map(operator.neg, e)): 1 for e in exps})
+
+
+def _keyed(params: RankOneParams,
+           counts: dict[tuple[int, ...], int]) -> dict[Frequency, int]:
+    """``counts`` with each numerator tuple read as its ``Frequency``."""
+    return dict(zip(_frequencies(params.basis, list(counts), params.freq_den),
+                    counts.values()))
+
+
 def abs2_polynomial(params: RankOneParams, k: int) -> dict[Frequency, int]:
     """p_k |P_k|^2 as integer pair counts: frequency -> number of exponent
     pairs (i, j) with e_i - e_j at that frequency.  |P_k|^2 is these counts
     over p_k; the count at zero is p_k.  The name is kept because
     perfbench/tracing.py wraps this function through it."""
-    exps = stage_exponents(params, k)
-    return mul_terms(dict.fromkeys(exps, 1), {-e: 1 for e in exps})
+    return _keyed(params, _abs2_counts(params, k))
 
 
-def _fold(counts: dict[Frequency, int], params: RankOneParams, k: int,
-          cap: int) -> dict[Frequency, int]:
+def _fold(counts: dict[tuple[int, ...], int], params: RankOneParams, k: int,
+          cap: int) -> dict[tuple[int, ...], int]:
     """``counts`` times p_k |P_k|^2, refused when the product could hold
     more than ``cap`` terms (len(counts) p_k^2 > cap)."""
     p = params.stage(k).p
     if len(counts) * p * p > cap:
         raise SupportCapError(
             f"folding in stage {k} would exceed the support cap {cap}")
-    return mul_terms(counts, abs2_polynomial(params, k))
+    return mul_numerators(counts, _abs2_counts(params, k))
 
 
 def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
@@ -186,13 +225,14 @@ def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
     if not indices:
         return Fraction(1)
     *head, last = indices
-    a, den = {params.basis.zero(): 1}, params.stage(last).p
+    a, den = {(0,) * params.basis.size: 1}, params.stage(last).p
     for k in head:
         a = _fold(a, params, k, DEFAULT_SUPPORT_CAP)
         den *= params.stage(k).p
     get = a.get
-    b = abs2_polynomial(params, last)
-    return Fraction(sum(c * get(-f, 0) for f, c in b.items()), den)
+    b = _abs2_counts(params, last)
+    return Fraction(sum(c * get(tuple(map(operator.neg, x)), 0)
+                        for x, c in b.items()), den)
 
 
 @dataclass(frozen=True)
@@ -206,13 +246,14 @@ class RieszState:
     """Partial Riesz product after folding stages 0..n.
 
     Q = |P_0 ... P_n|^2, the product of the exact stage |P_k|^2, held as
-    positive integer numerators ``counts`` over one denominator ``den`` =
-    p_0 ... p_n.
+    positive integer counts over one denominator ``den`` = p_0 ... p_n.
+    ``nums`` keys each count by the numerator tuple of its frequency over
+    ``params.freq_den``, in fold order.
     """
 
     params: RankOneParams
     n: int  # index of the last folded stage; -1 for the empty product
-    counts: dict[Frequency, int] = field(repr=False)
+    nums: dict[tuple[int, ...], int] = field(repr=False)
     den: int
 
     # perfbench/workloads.py reads ``states[-1].Q.mean().re``; ``Q`` and
@@ -227,23 +268,37 @@ class RieszState:
         return SimpleNamespace(re=self.sigma_hat(self.params.basis.zero()).value,
                                im=Fraction(0))
 
+    @property
+    def counts(self) -> dict[Frequency, int]:
+        """Q's counts keyed by frequency, in fold order; the keys are
+        built on each read."""
+        return _keyed(self.params, self.nums)
+
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
+        """sigma-hat_n(lam), read at lam's numerators over ``freq_den``;
+        lam is off the support when its denominator does not divide it."""
         if lam.basis != self.params.basis:
             raise BasisMismatchError("frequency over a different basis")
-        c = self.counts.get(lam)
+        fd = self.params.freq_den
+        c = None if fd % lam.den else self.nums.get(_numerators(lam, fd))
         if c is None:
             return SigmaHatValue(value=Fraction(0), on_support=False)
         return SigmaHatValue(value=Fraction(c, self.den), on_support=True)
 
     def sigma_hat_table(self) -> dict[Frequency, Fraction]:
-        """Every sigma-hat value on the support, in frequency order."""
-        den = self.den
-        return {f: Fraction(self.counts[f], den)
-                for f in sorted(self.counts, key=Frequency.sort_key)}
+        """Every sigma-hat value on the support, in frequency order.  Over
+        one denominator, numerator order is the order of the exact
+        coefficients (``Frequency.sort_key``).  The counts take few
+        distinct values, so each value's ``Fraction`` is built once."""
+        den, nums = self.den, self.nums
+        order = sorted(nums)
+        freqs = _frequencies(self.params.basis, order, self.params.freq_den)
+        value = {c: Fraction(c, den) for c in set(nums.values())}
+        return {f: value[nums[x]] for f, x in zip(freqs, order)}
 
 
 def initial_state(params: RankOneParams) -> RieszState:
-    return RieszState(params=params, n=-1, counts={params.basis.zero(): 1}, den=1)
+    return RieszState(params=params, n=-1, nums={(0,) * params.basis.size: 1}, den=1)
 
 
 def extend(state: RieszState, k: int,
@@ -256,7 +311,7 @@ def extend(state: RieszState, k: int,
     return RieszState(
         params=state.params,
         n=k,
-        counts=_fold(state.counts, state.params, k, support_cap),
+        nums=_fold(state.nums, state.params, k, support_cap),
         den=state.den * state.params.stage(k).p,
     )
 

@@ -35,6 +35,11 @@ def _abs2_float(params, k):
         (f, c / p) for f, c in abs2_polynomial(params, k).items()])
 
 
+def _evaluator(polys):
+    """The evaluator of ``polys`` on their reduced phase space."""
+    return TorusEvaluator(_coefficients(polys), *_phase_space(polys))
+
+
 def _two_char_poly():
     return APPoly.from_terms(
         B, [(B.zero(), 1.0), (B.symbol("a"), 1.0)]
@@ -430,7 +435,7 @@ class TestMonteCarlo:
         # (506 MB); column slices of 2^18 / 993 points hold about 2^18.
         params = make_independent_params([32], seed=1)
         q = _abs2_float(params, 0)
-        assert len(q) == 993 and TorusEvaluator.of([q]).levels == 2
+        assert len(q) == 993 and _evaluator([q]).levels == 2
         tracemalloc.start()
         try:
             est = bohr_integral(lambda v: v.real, [q],
@@ -479,7 +484,7 @@ class TestMonteCarlo:
             z, np.exp((2j * np.pi) * theta).sum(axis=0), rtol=0, atol=1e-13)
         p = APPoly.from_terms(B, [(B.zero(), 0.5), (B.symbol("a"), 1.0),
                                   (B.symbol("a").scale(-1), 2j)])
-        ev = TorusEvaluator.of([p])
+        ev = _evaluator([p])
         assert ev.levels == 2  # the exponent -1 takes the limb path
         x = np.concatenate([rng.random(999), [2.0 ** -60]])
         assert np.mod(-x[-1], 1.0) == 1.0
@@ -492,7 +497,7 @@ class TestMonteCarlo:
         # values at theta, for a one-dimensional torus.
         p = APPoly.from_terms(B, [(B.zero(), 0.5), (B.symbol("a"), 1.0),
                                   (B.symbol("a").scale(-3), 2j)])
-        ev = TorusEvaluator.of([p])
+        ev = _evaluator([p])
         assert (ev.dim, ev.levels) == (1, 2)
         theta = (np.arange(64) + 0.5) / 64
         (vals,) = ev([theta[None, :]])
@@ -553,12 +558,12 @@ class TestThreadedBatches:
 
         if case == "unit-127":
             p = _kac_stage()
-            assert TorusEvaluator.of([p]).dim == 127
+            assert _evaluator([p]).dim == 127
             run = lambda: [bohr_integral(seen(np.abs), [p],
                                          Budget(samples=1 << 16, seed=5))]
         elif case == "limb-huge":
             p = _dependent_huge()
-            ev = TorusEvaluator.of([p])
+            ev = _evaluator([p])
             assert ev._unit is None and ev.max_exponent > 1 << 53
             run = lambda: [bohr_integral(seen(np.abs), [p], Budget(
                 method="monte-carlo", samples=1 << 16, seed=6))]
@@ -757,7 +762,7 @@ class TestOneBatchSteps:
                              ids=["1-step", "2-steps", "4-steps", "9-steps"])
     def test_bit_identical_at_one_and_two_workers(self, monkeypatch, cuts):
         polys = _independent_stages(cuts)
-        dim = TorusEvaluator.of(polys).dim
+        dim = _evaluator(polys).dim
         assert dim == sum(p - 1 for p in cuts)
         batches = []
         sample = TorusEvaluator.sample
@@ -797,7 +802,7 @@ class TestOneBatchSteps:
         else:
             polys = [_dependent_huge()]
             gs = [np.abs, lambda v: v.real]
-        ev = TorusEvaluator.of(polys)
+        ev = _evaluator(polys)
         assert (ev._unit is None) == (form == "limb")
         vals = [ev.sample(np.random.default_rng(child), MC_BATCH // 2)
                 for child in np.random.SeedSequence(7).spawn(2)]
@@ -817,7 +822,7 @@ class TestOneBatchSteps:
     def test_threaded_sample_matches_one_draw(self, n):
         # ``sample`` gives the values of the evaluator at one (dim, n) draw,
         # and the generator ends where that draw leaves it.
-        ev = TorusEvaluator.of(_independent_stages([64, 32]))
+        ev = _evaluator(_independent_stages([64, 32]))
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         got = ev.sample(rng, n)
         for vals, direct in zip(got, ev([ref.random((ev.dim, n))])):
@@ -900,7 +905,7 @@ class TestIdentityCoordinates:
         params = make_independent_params([12], seed=4)
         p = build_polynomial(params, 0)
         q = _abs2_float(params, 0)
-        ev = TorusEvaluator.of([p, q])
+        ev = _evaluator([p, q])
         assert (ev.dim, ev.levels) == (11, 2)
         (est,) = bohr_integral_multi([lambda a, b: (a * a.conj() * b).real],
                                      [p, q], Budget(samples=1 << 14, seed=6))
@@ -971,7 +976,7 @@ class TestIdentityCoordinates:
     def test_empty_inputs_rejected(self):
         # No polynomial is malformed input.
         with pytest.raises(ValidationError, match="need at least one polynomial"):
-            TorusEvaluator.of([])
+            _evaluator([])
         with pytest.raises(ValidationError, match="need at least one polynomial"):
             bohr_integral_multi([np.abs], [])
 
@@ -1053,7 +1058,7 @@ class TestIdentityCoordinates:
                                         eps_n=Fraction(1, 4)))
         tracemalloc.start()
         try:
-            ev = TorusEvaluator.of([p])
+            ev = _evaluator([p])
             est = mean_abs(p, Budget(samples=MC_BATCH, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -120,6 +120,19 @@ class TestDeterminism:
             else:
                 assert (a / name).read_text() == (b / name).read_text(), name
 
+    def test_unseeded_command_draws_no_seed(self, tmp_path):
+        # kac-moments reads no seed: without --seed two runs record a null
+        # seed and one config hash, so their manifests differ only in the
+        # timestamp.
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert _run(["kac-moments", "--exponents", "2,4", "--out", str(out)]) == 0
+        ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
+        assert ma["seed"] is None
+        ma.pop("timestamp"), mb.pop("timestamp")
+        assert ma == mb
+        assert (a / "kac-moments.json").read_text() == (b / "kac-moments.json").read_text()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 11}))

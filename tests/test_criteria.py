@@ -18,7 +18,7 @@ from bohrap.criteria import (GAUSS_MEAN_ABS, ScanReport, _decay_ratios,
                              kac_moment_formula, kac_moment_identity,
                              klemes_inequality_check)
 from bohrap.errors import BudgetError, SupportCapError, ValidationError
-from bohrap.freqspace import SymbolBasis
+from bohrap.freqspace import SymbolBasis, mul_terms
 from bohrap.riesz import (RankOneParams, Stage, _product_mean,
                           build_polynomial, make_independent_params)
 
@@ -351,6 +351,19 @@ class TestKacMoments:
                     assert v == 0
                 else:
                     assert v == kac_moment_formula(t)
+
+    @pytest.mark.parametrize("exponents", [[2], [1, 2], [2, 4], [4, 0, 3], [6, 2, 2]])
+    def test_matches_frequency_keyed_counts(self, exponents):
+        # The reference: the count at zero of the cosine product multiplied
+        # out over fresh symbols with ``Frequency`` keys by ``mul_terms``.
+        basis = SymbolBasis.make(*[(f"w{j}", float(j + 2)) for j in range(len(exponents))])
+        prod = {basis.zero(): 1}
+        for j, l in enumerate(exponents):
+            w = basis.symbol(f"w{j}")
+            for _ in range(l):
+                prod = mul_terms(prod, {w: 1, -w: 1})
+        want = Fraction(prod.get(basis.zero(), 0), 2 ** sum(exponents))
+        assert kac_moment_identity(exponents) == want == kac_moment_formula(exponents)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,17 +1,20 @@
 """Rank-one flow parameters, heights, stage polynomials, partial products."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from bohrap.criteria import bourgain_scan, cs_subsequence_bound, guenais_sum
+from bohrap import freqspace
+from bohrap.criteria import (bourgain_scan, cs_subsequence_bound, guenais_sum,
+                             kac_moment_identity)
 from bohrap.errors import BasisMismatchError, SupportCapError, ValidationError
 from bohrap.flatness import PolyFamilySpec
 from bohrap.freqspace import Frequency, SymbolBasis
-from bohrap.riesz import (RankOneParams, SigmaHatValue, Stage,
+from bohrap.riesz import (RankOneParams, SigmaHatValue, Stage, _product_mean,
                           abs2_polynomial, build_polynomial, degree_report,
                           extend, heights, initial_state,
                           make_independent_params, riesz_property_check,
@@ -373,6 +376,90 @@ class TestIntegerProducts:
         for lam in (off, bad_den, far):
             assert lam not in want
             assert st.sigma_hat(lam) == SigmaHatValue(Fraction(0), False)
+
+
+def _frequency_builds(fn) -> int:
+    """The number of ``Frequency`` objects built while ``fn()`` runs: one
+    per call of ``freqspace._init``, which ``Frequency()`` and
+    ``Frequency._make`` call, and one per entry of each
+    ``freqspace._frequencies`` result."""
+    init, many = freqspace._init.__code__, freqspace._frequencies.__code__
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is init:
+            built += 1
+        elif event == "return" and frame.f_code is many:
+            built += len(arg)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def _fold_all(params: RankOneParams):
+    st = initial_state(params)
+    for k in range(params.n_stages):
+        st = extend(st, k)
+    return st
+
+
+class TestNumeratorCounts:
+    """Counts keyed by numerator tuples over ``RankOneParams.freq_den``;
+    frequencies are built only where a caller reads them."""
+
+    def test_folds_build_no_frequency(self):
+        # Fresh parameters, so their cached heights are computed inside.
+        params = make_independent_params([3, 4, 2, 5], seed=2)
+        states = []
+        assert _frequency_builds(lambda: states.append(_fold_all(params))) == 0
+        params = make_independent_params([3, 4, 2, 5], seed=2)
+        assert _frequency_builds(lambda: riesz_property_check(params, range(4))) == 0
+        assert _frequency_builds(lambda: kac_moment_identity([2, 4])) == 0
+        # The counter sees the keys built on read.
+        st = states[0]
+        assert _frequency_builds(st.sigma_hat_table) == len(st.nums) == 5733
+        assert _frequency_builds(lambda: abs2_polynomial(params, 3)) == 21
+
+    def test_one_denominator(self):
+        params = _MIXED_DENOMINATORS
+        assert params.freq_den == 30
+        dens = [f.den for f in params.heights]
+        dens += [f.den for k in range(params.n_stages)
+                 for f in stage_exponents(params, k)]
+        assert all(30 % d == 0 for d in dens) and max(dens) == 30
+
+    def test_sigma_hat_rescales_to_one_denominator(self):
+        # On the support sigma-hat reads the Fraction fold.  Denominators 7
+        # and 60 do not divide 30: those frequencies are off the support
+        # whatever their numerators.  A thirtieth of the unit divides it
+        # and is still off the support.
+        params = _MIXED_DENOMINATORS
+        st, want = _fold_all(params), _fraction_fold(params)
+        for lam, c in want.items():
+            assert st.sigma_hat(lam) == SigmaHatValue(c, True)
+        unit = params.unit
+        for lam in [f + unit.scale(Fraction(1, q)) for f in want for q in (7, 60)] + [
+                unit.scale(Fraction(1, 30))]:
+            assert lam not in want
+            assert st.sigma_hat(lam) == SigmaHatValue(Fraction(0), False)
+
+    @pytest.mark.parametrize("params", [_MIXED_DENOMINATORS, _shared_params()],
+                             ids=["rational", "shared"])
+    def test_product_mean_is_zero_coefficient(self, params):
+        zero = params.basis.zero()
+        n = params.n_stages
+        assert _product_mean(params, range(n)) == _fold_all(params).sigma_hat(zero).value
+        assert _product_mean(params, range(n)) == _fraction_fold(params)[zero]
+        # mean |P_0|^4 pairs each count of |P_0|^2 with the count at minus
+        # its frequency.
+        a = _abs2_by_products(params, 0)
+        assert _product_mean(params, [0, 0]) == sum(c * a.get(-f, 0) for f, c in a.items())
+        assert _product_mean(params, [0, 0]) > 1
 
 
 class TestDegreeBookkeeping:
