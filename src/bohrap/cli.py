@@ -1,9 +1,10 @@
 """Experiment runner: config-driven analyses with reproducible outputs.
 
-One analysis per invocation.  Results are written atomically as
-sorted-key JSON (and long-format CSV for plottable series); a manifest
-records the resolved config hash, seed, version and timestamp so any run
-can be replayed bit-identically.
+One analysis per invocation.  Each subcommand's handler returns its result
+document and CSV rows; ``main`` alone writes them, atomically, as
+sorted-key JSON (and long-format CSV for plottable series) with a manifest
+that records the resolved config hash, seed, version and timestamp so any
+run can be replayed bit-identically.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ def _write_atomic(path: Path, data: str) -> None:
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _write_csv(path: Path, rows, header=("x", "series", "value", "error")) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    for r in rows:
-        w.writerow(r)
-    _write_atomic(path, buf.getvalue())
 
 
 def _load_config(args) -> dict:
@@ -96,7 +88,7 @@ def _resolve_seed(args, doc: dict) -> int | None:
 
 
 def _params(args, doc: dict, seed: int) -> RankOneParams:
-    if getattr(args, "cuts", None):
+    if args.cuts:
         cuts = _parse(args.cuts, _int_list, "--cuts")
         if not cuts:
             raise ValidationError("empty cut list")
@@ -110,12 +102,11 @@ def _budget(args, seed: int) -> Budget:
     return Budget(samples=args.samples, seed=seed)
 
 
-def _emit(args, name: str, result: dict, seed: int | None, doc: dict,
-          csv_rows=None) -> None:
-    out = Path(args.out)
-    resolved = dict(doc)
-    resolved["seed"] = seed
-    blob = _dump_json(resolved)
+def _emit(args, result: dict, seed: int | None, doc: dict, csv_rows) -> None:
+    """Write a command's result, its manifest and, unless ``csv_rows`` is
+    None, its long-format CSV into ``--out``, named after the command."""
+    name, out = args.command, Path(args.out)
+    blob = _dump_json({**doc, "seed": seed})
     manifest = {
         "command": name,
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
@@ -128,17 +119,20 @@ def _emit(args, name: str, result: dict, seed: int | None, doc: dict,
         _write_atomic(out / f"{name}.json", _dump_json(result))
         _write_atomic(out / "manifest.json", _dump_json(manifest))
         if csv_rows is not None:
-            _write_csv(out / f"{name}.csv", csv_rows)
+            buf = io.StringIO()
+            csv.writer(buf).writerows([("x", "series", "value", "error"), *csv_rows])
+            _write_atomic(out / f"{name}.csv", buf.getvalue())
     except OSError as exc:
         raise ValidationError(f"cannot write results: {exc}") from exc
     print(f"wrote {out / (name + '.json')}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its result document and its CSV rows (None for
+# a command that writes no CSV); ``main`` writes them.
 
 
-def _cmd_riesz_check(args, doc: dict, seed: int) -> int:
+def _cmd_riesz_check(args, doc: dict, seed: int):
     params = _params(args, doc, seed)
     rows = []
     means = []
@@ -154,56 +148,43 @@ def _cmd_riesz_check(args, doc: dict, seed: int) -> int:
         "product_mean": str(full),
         "riesz_property_holds": full == 1,
     }
-    _emit(args, "riesz-check", result, seed, doc, rows)
-    return 0
+    return result, rows
 
 
-def _cmd_bourgain_scan(args, doc: dict, seed: int) -> int:
+def _cmd_bourgain_scan(args, doc: dict, seed: int):
     params = _params(args, doc, seed)
-    report = bourgain_scan(
-        params, k_max=args.k_max, budget=_budget(args, seed),
-        window=args.window,
-    )
-    rows = [
-        (k, "I_k", e.value, e.std_error)
-        for k, e in enumerate(report.estimates)
-    ]
-    _emit(args, "bourgain-scan", report.to_json(), seed, doc, rows)
-    return 0
+    report = bourgain_scan(params, k_max=args.k_max, budget=_budget(args, seed),
+                           window=args.window)
+    rows = [(k, "I_k", e.value, e.std_error) for k, e in enumerate(report.estimates)]
+    return report.to_json(), rows
 
 
-def _cmd_guenais(args, doc: dict, seed: int) -> int:
+def _cmd_guenais(args, doc: dict, seed: int):
     params = _params(args, doc, seed)
     rec = guenais_sum(params, args.k, _budget(args, seed))
     rows = [(k, "partial_sum", s, 0.0) for k, s in enumerate(rec.partial_sums)]
     rows += [(k, "increment", v, 0.0) for k, v in enumerate(rec.increments)]
-    _emit(args, "guenais", asdict(rec), seed, doc, rows)
-    return 0
+    return asdict(rec), rows
 
 
-def _cmd_fejer(args, doc: dict, seed: int) -> int:
+def _cmd_fejer(args, doc: dict, seed: int):
     params = _params(args, doc, seed)
     q_indices = _parse(args.q_indices, _int_list, "--q-indices")
     rec = fejer_factorization_check(params, q_indices, args.m, _budget(args, seed))
-    _emit(args, "fejer", asdict(rec), seed, doc)
-    return 0
+    return asdict(rec), None
 
 
-def _cmd_kac_clt(args, doc: dict, seed: int) -> int:
-    rec = kac_clt_diagnostics(args.q, args.samples, seed)
-    _emit(args, "kac-clt", asdict(rec), seed, doc)
-    return 0
+def _cmd_kac_clt(args, doc: dict, seed: int):
+    return asdict(kac_clt_diagnostics(args.q, args.samples, seed)), None
 
 
-def _cmd_kac_moments(args, doc: dict, seed: int | None) -> int:
+def _cmd_kac_moments(args, doc: dict, seed: int | None):
     exps = _parse(args.exponents, _int_list, "--exponents")
     value = kac_moment_identity(exps)
-    result = {"exponents": exps, "value": str(value), "value_float": float(value)}
-    _emit(args, "kac-moments", result, seed, doc)
-    return 0
+    return {"exponents": exps, "value": str(value), "value_float": float(value)}, None
 
 
-def _cmd_flatness(args, doc: dict, seed: int) -> int:
+def _cmd_flatness(args, doc: dict, seed: int):
     if "family" not in doc:
         raise ValidationError("config must declare a family for this analysis")
     spec = _parse(doc["family"], PolyFamilySpec.from_config, "family")
@@ -213,13 +194,11 @@ def _cmd_flatness(args, doc: dict, seed: int) -> int:
     result = {"kind": spec.kind, "n": spec.n,
               "flatness_ratio": ratio.to_json(), "ultraflat_deviation": dev,
               "ultraflat_exact": exact}
-    rows = [(spec.n, "flatness_ratio", ratio.value, ratio.std_error),
-            (spec.n, "ultraflat_deviation", dev, 0.0)]
-    _emit(args, "flatness", result, seed, doc, rows)
-    return 0
+    return result, [(spec.n, "flatness_ratio", ratio.value, ratio.std_error),
+                    (spec.n, "ultraflat_deviation", dev, 0.0)]
 
 
-def _cmd_prikhodko(args, doc: dict, seed: int) -> int:
+def _cmd_prikhodko(args, doc: dict, seed: int):
     sizes = _parse(args.sizes, _int_list, "--sizes")
     eps = _parse(args.eps_n, Fraction, "--eps-n")
     rows = []
@@ -232,41 +211,45 @@ def _cmd_prikhodko(args, doc: dict, seed: int) -> int:
                      rec.local.refinement_delta))
         rows.append((n, "global_mean_abs", rec.global_mean_abs.value,
                      rec.global_mean_abs.std_error))
-    result = {"eps_n": str(eps), "m_n": args.m_n,
-              "interval": [args.a, args.b], "records": records}
-    _emit(args, "prikhodko", result, seed, doc, rows)
-    return 0
+    return {"eps_n": str(eps), "m_n": args.m_n,
+            "interval": [args.a, args.b], "records": records}, rows
 
 
-def _cmd_degree_report(args, doc: dict, seed: int) -> int:
+def _cmd_degree_report(args, doc: dict, seed: int):
     params = _params(args, doc, seed)
     indices = (_parse(args.indices, _int_list, "--indices")
                if args.indices else list(range(params.n_stages)))
     rep = degree_report(params, indices)
     rows = [(m, "degree", d, 0.0) for m, d in zip(indices, rep.degrees)]
     rows += [(k, "height", h, 0.0) for k, h in enumerate(rep.heights)]
-    _emit(args, "degree-report", asdict(rep), seed, doc, rows)
-    return 0
+    return asdict(rep), rows
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
 
 
-def _add_common(p: argparse.ArgumentParser, samples: bool = True,
-                reads_seed: bool = True) -> None:
-    """The shared flags; ``--samples`` only where a Monte Carlo budget or a
-    sample count is read.  ``reads_seed`` is False for a command whose
-    output no seed changes, so that without one its manifest is the same
-    on every run."""
-    p.set_defaults(reads_seed=reads_seed)
+def _subcommand(sub, name: str, fn, help: str, cuts: bool = False,
+                samples: bool = True, reads_seed: bool = True):
+    """Declare one subcommand with its handler and the shared flags.
+
+    ``--cuts`` where it reads rank-one parameters, ``--samples`` only where
+    a Monte Carlo budget or a sample count is read.  ``reads_seed`` is False
+    for a command whose output no seed changes, so that without one its
+    manifest is the same on every run.
+    """
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn, reads_seed=reads_seed)
+    if cuts:
+        p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     if samples:
-        p.add_argument("--samples", type=int, default=1 << 16,
+        p.add_argument("--samples", type=int, default=Budget.samples,
                        help="Monte Carlo sample budget")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,60 +259,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("riesz-check", help="exact probability and product means")
-    p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
-    _add_common(p, samples=False)
-    p.set_defaults(fn=_cmd_riesz_check)
+    _subcommand(sub, "riesz-check", _cmd_riesz_check,
+                "exact probability and product means", cuts=True, samples=False)
 
-    p = sub.add_parser("bourgain-scan", help="greedy subsequence decay scan")
-    p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
+    p = _subcommand(sub, "bourgain-scan", _cmd_bourgain_scan,
+                    "greedy subsequence decay scan", cuts=True)
     p.add_argument("--k-max", type=int, default=5)
     p.add_argument("--window", type=int, default=3,
                    help="candidate stages per step; 1 takes consecutive stages")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bourgain_scan)
 
-    p = sub.add_parser("guenais", help="partial sums of sqrt(1 - |P_k|_1^2)")
-    p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
+    p = _subcommand(sub, "guenais", _cmd_guenais,
+                    "partial sums of sqrt(1 - |P_k|_1^2)", cuts=True)
     p.add_argument("--k", type=int, default=4, help="number of stages")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_guenais)
 
-    p = sub.add_parser("fejer", help="mean factorization under independence")
-    p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
+    p = _subcommand(sub, "fejer", _cmd_fejer,
+                    "mean factorization under independence", cuts=True)
     p.add_argument("--q-indices", default="0", help="stages forming Q")
     p.add_argument("--m", type=int, default=1, help="factor stage")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_fejer)
 
-    p = sub.add_parser("kac-clt", help="normalized character-sum CLT empirics")
+    p = _subcommand(sub, "kac-clt", _cmd_kac_clt,
+                    "normalized character-sum CLT empirics")
     p.add_argument("--q", type=int, default=128)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_kac_clt)
 
-    p = sub.add_parser("kac-moments", help="exact cosine-product moments")
+    p = _subcommand(sub, "kac-moments", _cmd_kac_moments,
+                    "exact cosine-product moments", samples=False,
+                    reads_seed=False)
     p.add_argument("--exponents", default="2", help="comma list of exponents")
-    _add_common(p, samples=False, reads_seed=False)
-    p.set_defaults(fn=_cmd_kac_moments)
 
-    p = sub.add_parser("flatness", help="flatness ratio and sup-norm deviation")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_flatness)
+    _subcommand(sub, "flatness", _cmd_flatness,
+                "flatness ratio and sup-norm deviation")
 
-    p = sub.add_parser("prikhodko", help="local vs global flatness contrast")
+    p = _subcommand(sub, "prikhodko", _cmd_prikhodko,
+                    "local vs global flatness contrast")
     p.add_argument("--sizes", default="64,128,256", help="comma list of p_n")
     p.add_argument("--m-n", type=int, default=1)
     p.add_argument("--eps-n", default="1/2")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=2.0)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_prikhodko)
 
-    p = sub.add_parser("degree-report", help="degree and height bookkeeping")
-    p.add_argument("--cuts", help="comma list of cut numbers (fresh symbols)")
+    p = _subcommand(sub, "degree-report", _cmd_degree_report,
+                    "degree and height bookkeeping", cuts=True, samples=False)
     p.add_argument("--indices", help="comma list of stage indices")
-    _add_common(p, samples=False)
-    p.set_defaults(fn=_cmd_degree_report)
 
     return ap
 
@@ -338,10 +308,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = _load_config(args)
-        return args.fn(args, doc, _resolve_seed(args, doc))
+        seed = _resolve_seed(args, doc)
+        result, rows = args.fn(args, doc, seed)
+        _emit(args, result, seed, doc, rows)
     except BohrapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

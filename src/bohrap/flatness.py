@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .appoly import APPoly
-from .bohrint import (Budget, IntegralEstimate, QuadratureResult,
+from .bohrint import (MC_BATCH, Budget, IntegralEstimate, QuadratureResult,
                       TorusEvaluator, _affine, _coefficients, _phase_space,
                       interval_l1_distortion, mean_abs)
 from .errors import (ValidationError, check_int, json_array, json_int,
@@ -205,15 +205,23 @@ def ultraflat(p: APPoly, tol: float = 1e-3, max_points: int = 1 << 22,
     if _affine(dim, E):
         return _polygon_deviation(coeffs, l2), True
     ev = TorusEvaluator([coeffs], dim, [E])
+    top = int(np.abs(E).max())
 
     def sample(n):
-        # The midpoint grid aliases exponents of size n/2 or more.
-        if ev.dim == 1 and n > 2 * ev.max_exponent:
-            (vals,) = ev([((np.arange(n) + 0.5) / n)[None, :]])
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-            (vals,) = ev.sample(rng, n)
-        return float(np.abs(np.abs(vals) / l2 - 1.0).max())
+        # The midpoint grid aliases exponents of size n/2 or more.  The
+        # points go in chunks of at most MC_BATCH, slices of the grid or
+        # successive draws of one stream, so memory does not grow with n.
+        grid = dim == 1 and n > 2 * top
+        rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+        dev = 0.0
+        for lo in range(0, n, MC_BATCH):
+            m = min(MC_BATCH, n - lo)
+            if grid:
+                (vals,) = ev([((np.arange(lo, lo + m) + 0.5) / n)[None, :]])
+            else:
+                (vals,) = ev.sample(rng, m)
+            dev = max(dev, float(np.abs(np.abs(vals) / l2 - 1.0).max()))
+        return dev
 
     return _stable_max(sample, 64 * len(p), tol, max_points), False
 

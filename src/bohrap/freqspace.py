@@ -398,15 +398,13 @@ def _shared_basis(freqs: Sequence[Frequency]) -> SymbolBasis:
 
 
 def _integer_rows(freqs: Sequence[Frequency]):
-    """Rows as integer vectors over one common denominator L.
+    """Rows as integer tuples (``_numerators``) over one common denominator L.
 
     A common scale preserves the generated lattice (needed by
     torus_reduce).  Returns (rows, L).
     """
     L = math.lcm(*(f.den for f in freqs))
-    if L == 1:
-        return [list(f.num) for f in freqs], 1
-    return [[a * (L // f.den) for a in f.num] for f in freqs], L
+    return [_numerators(f, L) for f in freqs], L
 
 
 def rational_rank(freqs: Iterable[Frequency]) -> int:

@@ -470,11 +470,15 @@ class TestExitCodes:
     def test_oversize_cosine_product_is_3(self, tmp_path, capsys):
         # The symbolic product of cos^64 over four symbols would hold 65^4,
         # about 1.8e7, terms; it is refused before it is expanded.
+        out = tmp_path / "r"
+        out.mkdir()
         start = time.perf_counter()
         assert _run(["kac-moments", "--exponents", "64,64,64,64", "--seed", "1",
-                     "--out", str(tmp_path / "r")]) == 3
+                     "--out", str(out)]) == 3
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: ")
+        # A refused command writes no result file and no manifest.
+        assert list(out.iterdir()) == []
 
     def test_oversize_cosine_pair_count_is_3(self, tmp_path, capsys):
         # cos^100000 has 100001 terms, within the support cap, but its power
@@ -498,9 +502,12 @@ class TestExitCodes:
     def test_support_cap_is_3(self, tmp_path, capsys):
         # The exact product of four 64-cut stages would hold about 10^13
         # terms; the fold at stage 1 is refused before it is formed.
+        out = tmp_path / "r"
+        out.mkdir()
         assert _run(["riesz-check", "--cuts", "64,64,64,64", "--seed", "1",
-                     "--out", str(tmp_path / "r")]) == 3
+                     "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
 
 class TestReadme:

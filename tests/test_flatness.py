@@ -256,8 +256,8 @@ class TestUltraflat:
 
     def test_memory_bounded_by_slices(self):
         # 16 terms over two symbols on up to 2^18 seeded points: whole
-        # samples held 168 MB of phases; column slices keep the same points
-        # and the same maximum.
+        # samples held 168 MB of phases.  The value is that of draws taken
+        # MC_BATCH points at a time from each point count's stream.
         b = SymbolBasis.make(("a", 1.0), ("b", math.sqrt(2)))
         a, s = b.symbol("a"), b.symbol("b")
         p = APPoly.from_terms(b, [(a.scale(i) + s.scale(j),
@@ -270,7 +270,25 @@ class TestUltraflat:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        assert dev == 0.9994289039355171
+        assert dev == 0.9992581750810909
+
+    def test_scan_memory_bounded_by_chunks(self):
+        # sum_{i <= j} e^{i(s_i + s_j)} over 8 symbols (36 terms) on up to
+        # 2^18 seeded points: one draw of all n points peaked at 30.7 MB;
+        # chunks of MC_BATCH points hold a fixed amount whatever n is.
+        b = SymbolBasis.make(*[(f"s{i}", math.sqrt(q))
+                               for i, q in enumerate([2, 3, 5, 7, 11, 13, 17, 19])])
+        s = [b.symbol(f"s{i}") for i in range(8)]
+        p = APPoly.from_terms(b, [(s[i] + s[j], 1.0)
+                                  for i in range(8) for j in range(i, 8)])
+        tracemalloc.start()
+        try:
+            dev, exact = ultraflat(p, max_points=1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+        assert (dev, exact) == (4.589588980732173, False)
 
 
     def test_many_terms_memory_bounded_by_slices(self):
