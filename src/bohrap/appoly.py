@@ -82,13 +82,7 @@ class APPoly:
 
     def __add__(self, other: "APPoly") -> "APPoly":
         self._compat(other)
-        acc = dict(self.terms)
-        for f, c in other.terms.items():
-            if f in acc:
-                acc[f] = acc[f] + c
-            else:
-                acc[f] = c
-        return APPoly(self.basis, _canonical(acc))
+        return APPoly.from_terms(self.basis, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "APPoly":
         return APPoly(self.basis, {f: -c for f, c in self.terms.items()})

@@ -173,7 +173,7 @@ def _affine(dim: int, E: np.ndarray) -> bool:
     if dim > _EXACT_REDUCE_DIM or len(E) > dim + 1:
         return False
     diffs = (E[1:] - E[0]).tolist()
-    return len(_lattice_echelon(diffs)) == len(diffs)
+    return len(_lattice_echelon(diffs)[0]) == len(diffs)
 
 
 def _support(freqs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -252,7 +253,9 @@ def _subcommand(sub, name: str, fn, help: str, cuts: bool = False,
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="bohrap",
         description="Almost-periodic polynomial and Riesz-product analyses",

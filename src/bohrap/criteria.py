@@ -203,8 +203,8 @@ def cs_subsequence_bound(params: RankOneParams, full_n: int,
     """
     # -1 passes here: no stage at all, which bohr_integral_multi refuses.
     full_n = check_int(full_n, "full_n", -1)
-    indices = sorted(set(indices))
-    if any(i < 0 or i > full_n for i in indices):
+    indices = sorted({check_int(i, "subsequence index") for i in indices})
+    if indices and indices[-1] > full_n:
         raise ValidationError("subsequence indices must lie in 0..full_n")
     polys = [build_polynomial(params, k) for k in range(full_n + 1)]
     inner_exps = [int(k in indices) for k in range(full_n + 1)]
@@ -426,9 +426,8 @@ def kac_clt_diagnostics(q: int, n_samples: int = 100_000,
     )
 
 
-def _nonnegative(exponents: Sequence[int]) -> None:
-    if any(l < 0 for l in exponents):
-        raise ValidationError("exponents must be nonnegative")
+def _exponents(exponents: Sequence[int]) -> list[int]:
+    return [check_int(l, "exponent") for l in exponents]
 
 
 def kac_moment_formula(exponents: Sequence[int]) -> Fraction:
@@ -437,7 +436,7 @@ def kac_moment_formula(exponents: Sequence[int]) -> Fraction:
     Each even l_j contributes binom(l_j, l_j/2) / 2^{l_j}; any odd exponent
     makes the whole mean vanish.
     """
-    _nonnegative(exponents)
+    exponents = _exponents(exponents)
     out = Fraction(1)
     for l in exponents:
         if l % 2:
@@ -455,10 +454,10 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
     2^{sum l_j}; the two routes must agree exactly.  Its products add
     sum l_j (l_j + 1) pairs for the powers and sum_j prod_{i<=j} (l_i + 1)
     for the running product; past the support cap the call is refused,
-    after the sign check and before the formula is computed.
+    after each exponent is checked to be a nonnegative integer and before
+    the formula is computed.
     """
-    exponents = list(exponents)
-    _nonnegative(exponents)
+    exponents = _exponents(exponents)
     pairs, terms = 0, 1
     for l in exponents:
         terms *= l + 1

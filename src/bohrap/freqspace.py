@@ -15,7 +15,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -95,16 +95,6 @@ class SymbolBasis:
         return Frequency(self, tuple(vec))
 
 
-_setattr = object.__setattr__
-
-
-def _init(f: "Frequency", basis: SymbolBasis, num: tuple[int, ...], den: int) -> None:
-    _setattr(f, "basis", basis)
-    _setattr(f, "num", num)
-    _setattr(f, "den", den)
-    _setattr(f, "_hash", hash((num, den)))
-
-
 class Frequency:
     """Element of the frequency group: exact rational coefficients per symbol.
 
@@ -115,7 +105,7 @@ class Frequency:
 
     __slots__ = ("basis", "num", "den", "_hash")
 
-    def __init__(self, basis: SymbolBasis, coeffs: Sequence[Fraction | int | str]):
+    def __new__(cls, basis: SymbolBasis, coeffs: Sequence[Fraction | int | str]):
         if len(coeffs) != basis.size:
             raise ValidationError(
                 f"coefficient vector has length {len(coeffs)}, "
@@ -123,23 +113,19 @@ class Frequency:
             )
         qs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(q.denominator for q in qs))
-        num = tuple(q.numerator * (den // q.denominator) for q in qs)
-        _init(self, basis, num, den)
+        return cls._make(basis, tuple(q.numerator * (den // q.denominator) for q in qs), den)
 
     @classmethod
     def _make(cls, basis: SymbolBasis, num: tuple[int, ...], den: int) -> "Frequency":
-        """Trusted constructor: ``num`` and ``den`` are already reduced."""
+        """The one constructor: integer numerators over ``den`` > 0, reduced here."""
+        if den != 1 and (g := math.gcd(den, *num)) != 1:
+            num, den = tuple(a // g for a in num), den // g
         f = object.__new__(cls)
-        _init(f, basis, num, den)
+        object.__setattr__(f, "basis", basis)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "_hash", hash((num, den)))
         return f
-
-    @classmethod
-    def _reduced(cls, basis: SymbolBasis, num: tuple[int, ...], den: int) -> "Frequency":
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = tuple(a // g for a in num)
-            den //= g
-        return cls._make(basis, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Frequency is immutable")
@@ -175,13 +161,10 @@ class Frequency:
 
     def __add__(self, other: "Frequency") -> "Frequency":
         self._check(other)
-        da, db = self.den, other.den
-        if da == 1 and db == 1:
-            return Frequency._make(self.basis, tuple(map(operator.add, self.num, other.num)), 1)
-        L = math.lcm(da, db)
-        ma, mb = L // da, L // db
+        L = math.lcm(self.den, other.den)
+        ma, mb = L // self.den, L // other.den
         num = tuple(a * ma + b * mb for a, b in zip(self.num, other.num))
-        return Frequency._reduced(self.basis, num, L)
+        return Frequency._make(self.basis, num, L)
 
     def __sub__(self, other: "Frequency") -> "Frequency":
         return self + (-other)
@@ -190,13 +173,9 @@ class Frequency:
         return Frequency._make(self.basis, tuple(map(operator.neg, self.num)), self.den)
 
     def scale(self, q: Fraction | int) -> "Frequency":
-        if isinstance(q, int) and self.den == 1:
-            return Frequency._make(self.basis, tuple(q * a for a in self.num), 1)
         q = Fraction(q)
-        n = q.numerator
-        return Frequency._reduced(
-            self.basis, tuple(n * a for a in self.num), self.den * q.denominator
-        )
+        n, d = q.numerator, q.denominator
+        return Frequency._make(self.basis, tuple(n * a for a in self.num), self.den * d)
 
     __rmul__ = scale
     __mul__ = scale
@@ -211,8 +190,6 @@ class Frequency:
         # Zero coefficients are skipped: adding 0.0 changes no partial sum.
         den, num = self.den, self.num
         terms = compress(zip(num, self.basis.values), num)
-        if den == 1:
-            return float(sum(float(a) * v for a, v in terms))
         return float(sum((a / den) * v for a, v in terms))
 
     def sort_key(self):
@@ -295,14 +272,11 @@ def mul_terms(a: Mapping[Frequency, object],
     """
     if not a or not b:
         return {}
-    basis = next(iter(a)).basis
-    for f in chain(a, b):
-        if f.basis is not basis and f.basis != basis:
-            raise BasisMismatchError("frequencies live over different bases")
+    basis = _shared_basis([*a, *b])
     L = math.lcm(*(f.den for f in a), *(f.den for f in b))
     out = mul_numerators(*({_numerators(f, L): c for f, c in terms.items()}
                            for terms in (a, b)))
-    return dict(zip(_frequencies(basis, list(out), L), out.values()))
+    return _keyed(basis, out, L)
 
 
 def mul_numerators(a: Mapping[tuple[int, ...], object],
@@ -387,6 +361,12 @@ def _frequencies(basis: SymbolBasis, nums: list[tuple[int, ...]],
     return out
 
 
+def _keyed(basis: SymbolBasis, terms: Mapping[tuple[int, ...], object],
+           den: int) -> dict[Frequency, object]:
+    """``terms`` with each numerator tuple over ``den`` read as its ``Frequency``."""
+    return dict(zip(_frequencies(basis, list(terms), den), terms.values()))
+
+
 def _shared_basis(freqs: Sequence[Frequency]) -> SymbolBasis:
     if not freqs:
         raise ValidationError("frequency set must be nonempty")
@@ -413,7 +393,7 @@ def rational_rank(freqs: Iterable[Frequency]) -> int:
     freqs = list(freqs)
     _shared_basis(freqs)
     # Each row's own numerators: clearing a row's denominator keeps the rank.
-    return len(_lattice_echelon([list(f.num) for f in freqs]))
+    return len(_lattice_echelon([list(f.num) for f in freqs])[0])
 
 
 def is_rationally_independent(freqs: Iterable[Frequency]) -> bool:
@@ -445,18 +425,13 @@ class TorusReduction:
         return acc
 
 
-def _pivot_col(row: list[int]) -> int:
-    for c, v in enumerate(row):
-        if v != 0:
-            return c
-    raise InternalInconsistencyError("zero row reached the lattice basis")
-
-
-def _lattice_echelon(rows: list[list[int]]) -> list[list[int]]:
-    """Hermite-style echelon basis of the lattice generated by integer rows."""
+def _lattice_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Hermite-style echelon basis of the lattice generated by integer
+    rows, and the pivot column of each basis row."""
     ncols = len(rows[0]) if rows else 0
     work = [r[:] for r in rows if any(r)]
     basis: list[list[int]] = []
+    pivots: list[int] = []
     for c in range(ncols):
         sub = [r for r in work if r[c] != 0]
         if not sub:
@@ -478,15 +453,15 @@ def _lattice_echelon(rows: list[list[int]]) -> list[list[int]]:
         if piv[c] < 0:
             piv = [-a for a in piv]
         basis.append(piv)
+        pivots.append(c)
         work = rest
     # Reduce entries above each pivot so the output is canonical (HNF).
-    for i in range(len(basis)):
-        ci = _pivot_col(basis[i])
+    for i, ci in enumerate(pivots):
         for j in range(i):
             q = basis[j][ci] // basis[i][ci]
             if q:
                 basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis
+    return basis, pivots
 
 
 def _express_in_basis(v: list[int], basis: list[list[int]], pivots: list[int]) -> list[int]:
@@ -514,8 +489,7 @@ def torus_reduce(freqs: Sequence[Frequency]) -> TorusReduction:
     freqs = list(freqs)
     basis = _shared_basis(freqs)
     rows, L = _integer_rows(freqs)
-    echelon = _lattice_echelon(rows)
-    pivots = [_pivot_col(r) for r in echelon]
+    echelon, pivots = _lattice_echelon(rows)
     exps = tuple(tuple(_express_in_basis(v, echelon, pivots)) for v in rows)
-    reduced = tuple(Frequency._reduced(basis, tuple(row), L) for row in echelon)
+    reduced = tuple(Frequency._make(basis, tuple(row), L) for row in echelon)
     return TorusReduction(dim=len(echelon), reduced_basis=reduced, exponents=exps)

@@ -34,7 +34,7 @@ import numpy as np
 from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      check_int, json_array, json_int)
-from .freqspace import (Frequency, SymbolBasis, _frequencies, _numerators,
+from .freqspace import (Frequency, SymbolBasis, _frequencies, _keyed, _numerators,
                         is_rationally_independent, mul_numerators)
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -191,19 +191,12 @@ def _abs2_counts(params: RankOneParams, k: int) -> dict[tuple[int, ...], int]:
                           {tuple(map(operator.neg, e)): 1 for e in exps})
 
 
-def _keyed(params: RankOneParams,
-           counts: dict[tuple[int, ...], int]) -> dict[Frequency, int]:
-    """``counts`` with each numerator tuple read as its ``Frequency``."""
-    return dict(zip(_frequencies(params.basis, list(counts), params.freq_den),
-                    counts.values()))
-
-
 def abs2_polynomial(params: RankOneParams, k: int) -> dict[Frequency, int]:
     """p_k |P_k|^2 as integer pair counts: frequency -> number of exponent
     pairs (i, j) with e_i - e_j at that frequency.  |P_k|^2 is these counts
     over p_k; the count at zero is p_k.  The name is kept because
     perfbench/tracing.py wraps this function through it."""
-    return _keyed(params, _abs2_counts(params, k))
+    return _keyed(params.basis, _abs2_counts(params, k), params.freq_den)
 
 
 def _fold(counts: dict[tuple[int, ...], int], params: RankOneParams, k: int,
@@ -272,7 +265,7 @@ class RieszState:
     def counts(self) -> dict[Frequency, int]:
         """Q's counts keyed by frequency, in fold order; the keys are
         built on each read."""
-        return _keyed(self.params, self.nums)
+        return _keyed(self.params.basis, self.nums, self.params.freq_den)
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
         """sigma-hat_n(lam), read at lam's numerators over ``freq_den``;

@@ -290,6 +290,25 @@ class TestStartup:
         assert out.stdout.split() == ["0", "0", "bohrap-mc", "tensor-quadrature",
                                       "128", "0", "0", "False"]
 
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        # ``main`` builds the nine subparsers on its first call only.
+        built = []
+        add = bohrap.cli._subcommand
+
+        def counted(sub, name, *args, **kwargs):
+            built.append(name)
+            return add(sub, name, *args, **kwargs)
+
+        monkeypatch.setattr(bohrap.cli, "_subcommand", counted)
+        build_parser.cache_clear()
+        try:
+            for out in ("a", "b"):
+                assert _run(["kac-moments", "--exponents", "2",
+                             "--out", str(tmp_path / out)]) == 0
+        finally:
+            build_parser.cache_clear()
+        assert len(built) == len(set(built)) == 9
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):

@@ -194,6 +194,18 @@ class TestSubsequenceBound:
         with pytest.raises(ValidationError, match="need at least one polynomial"):
             cs_subsequence_bound(params, -1, [], FAST)
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, True], ids=["half", "float", "bool"])
+    def test_non_integer_index_rejected(self, index):
+        # 0.5 matched no stage (rhs 1.0); 1.0 and True counted as stage 1.
+        params = make_independent_params([4, 4], seed=8)
+        with pytest.raises(ValidationError, match="subsequence index must be an integer"):
+            cs_subsequence_bound(params, 2, [index], FAST)
+
+    def test_numpy_integer_index(self):
+        params = make_independent_params([4, 4], seed=8)
+        assert (cs_subsequence_bound(params, 1, [np.int64(1)], FAST)
+                == cs_subsequence_bound(params, 1, [1], FAST))
+
 
 class TestKlemes:
     def test_holds_with_empty_q(self):
@@ -368,6 +380,20 @@ class TestKacMoments:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             kac_moment_identity([-2])
+
+    @pytest.mark.parametrize("call, exponents", [
+        (kac_moment_formula, [2.5]),
+        (kac_moment_formula, [True, 2]),
+        (kac_moment_identity, [2.0]),
+    ], ids=["formula-half", "formula-bool", "identity-float"])
+    def test_non_integer_exponent_rejected(self, call, exponents):
+        # The formula returned 0 for the first two; the identity raised TypeError.
+        with pytest.raises(ValidationError, match="exponent must be an integer"):
+            call(exponents)
+
+    def test_numpy_integer_exponents(self):
+        assert kac_moment_identity(np.array([2, 4])) == Fraction(3, 16)
+        assert kac_moment_formula([np.int64(4)]) == Fraction(3, 8)
 
 
 class TestConstants:

@@ -1,6 +1,8 @@
 """Exact frequency arithmetic, rank computation and torus reduction."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -111,6 +113,18 @@ class TestIntegerRepresentation:
         g = Frequency(B3, (Fraction(1, 2), Fraction(0), "-3/2"))
         assert f == g and hash(f) == hash(g)
         assert f.den == 2 and f.num == (1, 0, -3)
+
+    def test_make_reduces(self):
+        f = Frequency._make(B3, (2, 0, -6), 4)
+        assert (f.num, f.den) == ((1, 0, -3), 2)
+        g = Frequency(B3, ("1/2", 0, "-3/2"))
+        assert f == g and hash(f) == hash(g)
+        assert Frequency._make(B3, (0, 0, 0), 5) == B3.zero()
+
+    @given(freqs3)
+    def test_pickle_and_copy(self, f):
+        for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert g == f and hash(g) == hash(f) and (g.num, g.den) == (f.num, f.den)
 
     @given(freqs3, freqs3)
     def test_add_sub_neg_match_fractions(self, f, g):
@@ -278,6 +292,17 @@ class TestRank:
 
 
 class TestTorusReduce:
+    @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), max_size=6))
+    def test_echelon_keeps_pivots(self, rows):
+        # Each pivot is its row's first nonzero column, positive, and the
+        # entries above it lie in [0, pivot): the Hermite normal form.
+        basis, pivots = freqspace._lattice_echelon(rows)
+        assert len(basis) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(basis, pivots)):
+            assert not any(row[:c]) and row[c] > 0
+            assert all(0 <= basis[j][c] < row[c] for j in range(i))
+
     def test_reconstruction_exact(self):
         fs = [
             B3.frequency({"a": Fraction(3, 2), "b": 1}),

@@ -380,10 +380,9 @@ class TestIntegerProducts:
 
 def _frequency_builds(fn) -> int:
     """The number of ``Frequency`` objects built while ``fn()`` runs: one
-    per call of ``freqspace._init``, which ``Frequency()`` and
-    ``Frequency._make`` call, and one per entry of each
-    ``freqspace._frequencies`` result."""
-    init, many = freqspace._init.__code__, freqspace._frequencies.__code__
+    per call of ``Frequency._make``, which ``Frequency()`` calls, and one
+    per entry of each ``freqspace._frequencies`` result."""
+    init, many = Frequency._make.__code__, freqspace._frequencies.__code__
     built = 0
 
     def profile(frame, event, arg):
