@@ -21,7 +21,7 @@ from .bohrint import (Budget, IntegralEstimate, TorusEvaluator,
                       bohr_integral_multi, mean_abs)
 from .errors import (InternalInconsistencyError, SupportCapError,
                      ValidationError, check_int)
-from .freqspace import mul_numerators, rational_rank
+from .freqspace import NumeratorCode, mul_numerators, rational_rank
 # abs2_polynomial is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it through this name.
 from .riesz import (DEFAULT_SUPPORT_CAP, RankOneParams,  # noqa: F401
@@ -449,7 +449,8 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
     """The moment via the binomial formula, cross-checked on integer counts.
 
     The cross-check multiplies out prod (e^{i w_j t} + e^{-i w_j t})^{l_j}
-    over independent frequencies w_j, the unit numerator tuples of
+    over independent frequencies w_j, the unit vectors coded in the box
+    |x_j| <= l_j (``freqspace.NumeratorCode``) for
     ``freqspace.mul_numerators``, and reads its count at zero over
     2^{sum l_j}; the two routes must agree exactly.  Its products add
     sum l_j (l_j + 1) pairs for the powers and sum_j prod_{i<=j} (l_i + 1)
@@ -468,16 +469,13 @@ def kac_moment_identity(exponents: Sequence[int]) -> Fraction:
                 f"{DEFAULT_SUPPORT_CAP}")
     formula = kac_moment_formula(exponents)
     if exponents:
-        d = len(exponents)
-        zero = (0,) * d
-        prod = {zero: 1}
-        for j, l in enumerate(exponents):
-            w = tuple(int(i == j) for i in range(d))
-            power = {zero: 1}
+        prod = {0: 1}
+        for w, l in zip(NumeratorCode(exponents).shifts, exponents):
+            power = {0: 1}
             for _ in range(l):
-                power = mul_numerators(power, {w: 1, tuple(-x for x in w): 1})
+                power = mul_numerators(power, {1 << w: 1, -1 << w: 1})
             prod = mul_numerators(prod, power)
-        m = Fraction(prod.get(zero, 0), 2 ** sum(exponents))
+        m = Fraction(prod.get(0, 0), 2 ** sum(exponents))
         if m != formula:
             raise InternalInconsistencyError(
                 f"moment identity mismatch: formula {formula}, counts {m}"

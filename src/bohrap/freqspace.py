@@ -244,17 +244,99 @@ class Frequency:
         return cls(basis, tuple(vec))
 
 
-#: Cap on the int64 entries of one block of pair sums in ``mul_numerators``
-#: (1 MiB).  A fold near the support cap holds 23M pair entries, and its
-#: peak resident size rose by 40 MB with blocks of 2^20.
+#: Fewest codes that ``NumeratorCode`` decodes with numpy: below it the
+#: fixed cost of numpy's calls, about 4 us per coordinate, is more than the
+#: Python loop.
+_NUMPY_CODES = 64
+
+
+class NumeratorCode:
+    """A linear, order-preserving code of integer vectors in a box.
+
+    For bounds W, a vector v with |v_c| <= W_c for every c codes as the int
+    sum_c v_c 2^shift_c.  Coordinate c owns a field of (2 W_c).bit_length()
+    bits, so a coordinate bounded by 0 takes none, and coordinate 0 is the
+    most significant.  Inside the box the code is
+
+    - injective;
+    - linear: code(u + v) = code(u) + code(v) and code(-v) = -code(v);
+    - ordered: codes compare as the vectors do lexicographically, which
+      over one denominator is the order of the exact frequencies.
+
+    Outside the box codes alias, so a vector of unknown size is checked
+    with ``contains`` before it is encoded.
+    """
+
+    __slots__ = ("bounds", "shifts", "_fields", "_offset", "_bits")
+
+    def __init__(self, bounds: Iterable[int]):
+        self.bounds = tuple(bounds)
+        if not self.bounds or any(w < 0 for w in self.bounds):
+            raise ValidationError("a code needs at least one bound, each nonnegative")
+        shifts, fields, bits = [], [], 0
+        for w in reversed(self.bounds):
+            width = (2 * w).bit_length()
+            shifts.append(bits)
+            fields.append((bits, (1 << width) - 1, w))
+            bits += width
+        self.shifts = tuple(reversed(shifts))
+        self._fields = tuple(reversed(fields))
+        self._bits = bits
+        # code(W): adding it makes every field a digit in [0, 2 W_c].
+        self._offset = self.encode(self.bounds)
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return all(map(operator.le, map(abs, v), self.bounds))
+
+    def encode(self, v: Sequence[int]) -> int:
+        return sum(map(operator.lshift, v, self.shifts))
+
+    def decode_many(self, xs: Iterable[int]) -> list[tuple[int, ...]]:
+        """The vectors of the codes ``xs``, in order."""
+        return self._decode(list(xs), False)[1]
+
+    def decode_sorted(self, xs: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The positions in ``xs`` of its codes in increasing order, and
+        their vectors in that order: the vectors sorted lexicographically."""
+        return self._decode(xs, True)
+
+    def _decode(self, xs: Sequence[int], sort: bool):
+        """(positions or None, vectors).  For at least ``_NUMPY_CODES``
+        codes, when every field fits an int64, the codes plus ``code(W)``
+        are cut into little-endian 64-bit words, numpy sorts their rows and
+        takes one digit column per coordinate, and each vector is unpacked
+        from its row of int64s; otherwise the work is done one code at a
+        time."""
+        ys = list(map(self._offset.__add__, xs))
+        if len(ys) < _NUMPY_CODES or any(mask >> 63 for _, mask, _ in self._fields):
+            perm = sorted(range(len(ys)), key=ys.__getitem__) if sort else None
+            return perm, [tuple([((y >> s) & mask) - w for s, mask, w in self._fields])
+                          for y in (ys if perm is None else map(ys.__getitem__, perm))]
+        nwords = max(1, -(-self._bits // 64))
+        data = b"".join(map(int.to_bytes, ys, repeat(8 * nwords), repeat("little")))
+        words = np.frombuffer(data, dtype="<u8").reshape(-1, nwords)
+        perm = None
+        if sort:
+            # lexsort's last key, the most significant word, is its first.
+            perm = np.lexsort(words.T)
+            words = words[perm]
+            perm = perm.tolist()
+        d = len(self._fields)
+        out = np.zeros((len(ys), d), dtype=np.int64)
+        for c, (s, mask, w) in enumerate(self._fields):
+            if not mask:
+                continue
+            i, s = divmod(s, 64)
+            digit = words[:, i] >> np.uint64(s)
+            if s + mask.bit_length() > 64:
+                digit |= words[:, i + 1] << np.uint64(64 - s)
+            out[:, c] = (digit & np.uint64(mask)).astype(np.int64) - w
+        return perm, list(struct.iter_unpack(f"{d}q", out))
+
+
+#: Cap on the pairs of one block of sums in ``mul_numerators``: a product
+#: whose sums repeat holds this many pair sums at once, not one per pair.
 _PAIR_ENTRIES = 1 << 17
-
-#: Fewest pairs for which ``mul_numerators`` adds with numpy; below
-#: it the fixed cost of the arrays (about 9 us) is more than the tuple sums.
-_NUMPY_PAIRS = 32
-
-#: Bound on every input numerator of an int64 pair sum: 2 * bound = 2^63.
-_INT64_HALF = 1 << 62
 
 
 def mul_terms(a: Mapping[Frequency, object],
@@ -266,59 +348,55 @@ def mul_terms(a: Mapping[Frequency, object],
             for fb, cb in b.items():
                 out[fa + fb] = out[fa + fb] + ca * cb  # or ca * cb when new
 
-    The numerators go over one common denominator, ``mul_numerators``
-    multiplies them, and each distinct sum becomes one ``Frequency`` in
-    one ``_frequencies`` call.
+    The numerators go over one common denominator and are coded in the box
+    of the largest |numerator| of each operand per coordinate, summed, which
+    holds every pair sum; ``mul_numerators`` multiplies the codes, and each
+    distinct sum becomes one ``Frequency`` in one ``_keyed`` call.
     """
     if not a or not b:
         return {}
     basis = _shared_basis([*a, *b])
     L = math.lcm(*(f.den for f in a), *(f.den for f in b))
-    out = mul_numerators(*({_numerators(f, L): c for f, c in terms.items()}
-                           for terms in (a, b)))
-    return _keyed(basis, out, L)
+    rows_a, rows_b = ([_numerators(f, L) for f in terms] for terms in (a, b))
+    code = NumeratorCode(max(map(abs, col_a)) + max(map(abs, col_b))
+                         for col_a, col_b in zip(zip(*rows_a), zip(*rows_b)))
+    out = mul_numerators(dict(zip(map(code.encode, rows_a), a.values())),
+                         dict(zip(map(code.encode, rows_b), b.values())))
+    return _keyed(basis, code, out, L)
 
 
-def mul_numerators(a: Mapping[tuple[int, ...], object],
-                   b: Mapping[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
-    """Product of two sparse polynomials whose terms are keyed by integer
-    numerator tuples over one shared denominator, with exactly the items
-    and order of the loop
+def mul_numerators(a: Mapping[int, object],
+                   b: Mapping[int, object]) -> dict[int, object]:
+    """Product of two sparse polynomials whose terms are keyed by the
+    ``NumeratorCode`` of their numerators over one shared denominator, in a
+    box that holds every pair sum, with exactly the items and order of the
+    loop over numerator tuples
 
         for xa, ca in a.items():
             for xb, cb in b.items():
                 x = tuple(map(operator.add, xa, xb))
                 out[x] = out[x] + ca * cb  # or ca * cb when new
 
-    Equal sums add their coefficient products in pair order.  The pairs
-    of a block of rows of ``a`` are added in one numpy int64 pass when the
-    product has at least ``_NUMPY_PAIRS`` pairs and no sum can leave int64
-    (every |numerator| below 2^62), else as tuples of Python ints; the
-    tuples' hash and equality run in C, and no ``Frequency`` is built.
+    The code is linear, so the pair sum is one int addition, and injective,
+    so equal sums add their coefficient products in pair order.  The pairs
+    are taken in blocks of rows of ``a``, at most ``_PAIR_ENTRIES`` each.
     """
     if not a or not b:
         return {}
-    rows_a, rows_b = list(a), list(b)
-    n, m, d = len(rows_a), len(rows_b), len(rows_a[0])
-    both = _int64_rows(rows_a + rows_b) if n * m >= _NUMPY_PAIRS else None
-    ca, cb = list(a.values()), list(b.values())
-    row = struct.Struct(f"{d}q")
-    step = max(1, _PAIR_ENTRIES // (m * d))
-    out: dict[tuple[int, ...], object] = {}
-    for i in range(0, n, step):
-        if both is None:
-            keys = [tuple(map(operator.add, x, y))
-                    for x in rows_a[i:i + step] for y in rows_b]
-        else:
-            # One tuple per row of sums, unpacked from their buffer: no
-            # list of ints, which the cyclic collector scanned while the
-            # keys were built.
-            keys = list(row.iter_unpack(both[i:min(i + step, n), None] + both[n:]))
+    rows_a, ca = list(a), list(a.values())
+    rows_b, cb = list(b), list(b.values())
+    step = max(1, _PAIR_ENTRIES // len(rows_b))
+    out: dict[int, object] = {}
+    for i in range(0, len(rows_a), step):
+        keys = [x + y for x in rows_a[i:i + step] for y in rows_b]
         prods = [x * y for x in ca[i:i + step] for y in cb]
         block = dict(zip(keys, prods))
         # Two key views: isdisjoint then walks the smaller one.
         if len(block) == len(keys) and out.keys().isdisjoint(block.keys()):
-            out.update(block)
+            if out:
+                out.update(block)
+            else:
+                out = block
             continue
         get = out.get
         for k, c in zip(keys, prods):
@@ -330,16 +408,6 @@ def mul_numerators(a: Mapping[tuple[int, ...], object],
 def _numerators(f: Frequency, den: int) -> tuple[int, ...]:
     """The numerators of ``f`` over ``den``, a multiple of ``f.den``."""
     return f.num if f.den == den else tuple(x * (den // f.den) for x in f.num)
-
-
-def _int64_rows(rows: list[tuple[int, ...]]):
-    """``rows`` as an int64 array when every entry is below 2^62 in
-    magnitude, so that the sum of any two fits; otherwise None."""
-    try:
-        x = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return None
-    return x if -_INT64_HALF < x.min() and x.max() < _INT64_HALF else None
 
 
 def _frequencies(basis: SymbolBasis, nums: list[tuple[int, ...]],
@@ -361,10 +429,11 @@ def _frequencies(basis: SymbolBasis, nums: list[tuple[int, ...]],
     return out
 
 
-def _keyed(basis: SymbolBasis, terms: Mapping[tuple[int, ...], object],
+def _keyed(basis: SymbolBasis, code: NumeratorCode, terms: Mapping[int, object],
            den: int) -> dict[Frequency, object]:
-    """``terms`` with each numerator tuple over ``den`` read as its ``Frequency``."""
-    return dict(zip(_frequencies(basis, list(terms), den), terms.values()))
+    """``terms`` with each code of numerators over ``den`` read as its
+    ``Frequency``, in order."""
+    return dict(zip(_frequencies(basis, code.decode_many(terms), den), terms.values()))
 
 
 def _shared_basis(freqs: Sequence[Frequency]) -> SymbolBasis:

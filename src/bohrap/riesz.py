@@ -11,12 +11,13 @@ Everything height- and frequency-shaped is exact.  P_k itself is a float
 counts over one denominator: p_k |P_k|^2 counts the exponent pairs (i, j)
 at each difference e_i - e_j, and a ``RieszState`` holds Q_n's counts over
 p_0 ... p_n.  Every height, exponent and count frequency lies over one
-frequency denominator, ``RankOneParams.freq_den``, so the counts are keyed
-by integer numerator tuples over it, every product runs on them through
-``freqspace.mul_numerators``, and a ``Frequency`` is built only where a
-caller reads one (``abs2_polynomial``, ``RieszState.counts`` and
-``sigma_hat_table``).  So sigma-hat values and the probability
-normalization are checked with exact equality.
+frequency denominator, ``RankOneParams.freq_den``, and every count frequency
+lies in one box of numerators over it, ``RankOneParams.count_code``.  So
+the counts are keyed by one int each, the linear code of their numerators,
+every product runs on them through ``freqspace.mul_numerators``, and a
+``Frequency`` is decoded only where a caller reads one (``abs2_polynomial``,
+``RieszState.counts`` and ``sigma_hat_table``).  So sigma-hat values and the
+probability normalization are checked with exact equality.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, compress
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -34,8 +36,8 @@ import numpy as np
 from .appoly import APPoly
 from .errors import (BasisMismatchError, SupportCapError, ValidationError,
                      check_int, json_array, json_int)
-from .freqspace import (Frequency, SymbolBasis, _frequencies, _keyed, _numerators,
-                        is_rationally_independent, mul_numerators)
+from .freqspace import (Frequency, NumeratorCode, SymbolBasis, _frequencies, _keyed,
+                        _numerators, is_rationally_independent, mul_numerators)
 
 DEFAULT_SUPPORT_CAP = 1_000_000
 
@@ -91,16 +93,42 @@ class RankOneParams:
                         *(s.den for st in self.stages for s in st.spacers))
 
     @cached_property
+    def _spacer_terms(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Each stage's spacers as the (coordinate, numerator over
+        ``freq_den``) pairs of their nonzero numerators."""
+        den = self.freq_den
+        return tuple(tuple(tuple((c, num[c]) for c in compress(range(len(num)), num))
+                           for num in (_numerators(s, den) for s in st.spacers))
+                     for st in self.stages)
+
+    @cached_property
     def _height_nums(self) -> tuple[tuple[int, ...], ...]:
         """The numerators over ``freq_den`` of h_0..h_{n_stages}, in
         integers, computed once per parameter set."""
-        den = self.freq_den
-        out = [_numerators(self.unit, den)]
-        for st in self.stages:
-            spacers = [_numerators(s, den) for s in st.spacers]
-            out.append(tuple(st.p * h + sum(xs)
-                             for h, *xs in zip(out[-1], *spacers)))
+        out = [_numerators(self.unit, self.freq_den)]
+        for st, spacers in zip(self.stages, self._spacer_terms):
+            h = list(map(st.p.__mul__, out[-1]))
+            for c, x in chain.from_iterable(spacers):
+                h[c] += x
+            out.append(tuple(h))
         return tuple(out)
+
+    @cached_property
+    def count_code(self) -> NumeratorCode:
+        """The code of every count frequency's numerators over ``freq_den``,
+        built on the first exact fold.  Its bound on coordinate c is
+        sum_k w_{k,c}, with w_{k,c} = (p_k - 1)|h_{k,c}| + sum_j |s_{k,j,c}|
+        at least the spread max_j e_{k,j,c} - min_j e_{k,j,c} of stage k's
+        exponents, so the box holds every exponent and every sum of one
+        exponent difference per stage; no exponent is enumerated."""
+        qs = [st.p - 1 for st in self.stages]
+        # map stops at the shorter qs: h_{n_stages} takes no part.
+        bounds = [sum(map(operator.mul, qs, map(abs, col)))
+                  for col in zip(*self._height_nums)]
+        for spacers in self._spacer_terms:
+            for c, x in chain.from_iterable(spacers):
+                bounds[c] += abs(x)
+        return NumeratorCode(bounds)
 
     @cached_property
     def heights(self) -> tuple[Frequency, ...]:
@@ -182,13 +210,30 @@ def build_polynomial(params: RankOneParams, k: int) -> APPoly:
     )
 
 
-def _abs2_counts(params: RankOneParams, k: int) -> dict[tuple[int, ...], int]:
-    """p_k |P_k|^2 as integer pair counts keyed by numerator tuple over
-    ``params.freq_den``: the number of exponent pairs (i, j) with
-    e_i - e_j at each difference, in first-pair order."""
-    exps = _exponent_nums(params, k)
-    return mul_numerators(dict.fromkeys(exps, 1),
-                          {tuple(map(operator.neg, e)): 1 for e in exps})
+def _exponent_codes(params: RankOneParams, k: int) -> list[int]:
+    """The codes (``RankOneParams.count_code``) of the p_k exponents of
+    stage k, by linearity: j code(h_k) + code(s_{k,0}) + ... + code(s_{k,j-1})."""
+    st = params.stage(k)
+    code = params.count_code
+    shifts = code.shifts
+    h = code.encode(params._height_nums[k])
+    out, acc = [], 0
+    for j, spacer in zip(range(st.p), params._spacer_terms[k]):
+        out.append(j * h + acc)
+        acc += sum(x << shifts[c] for c, x in spacer)
+    if len(set(out)) != len(out):
+        raise ValidationError(
+            f"stage {k} exponents collide; degenerate rank-one parameters"
+        )
+    return out
+
+
+def _abs2_counts(params: RankOneParams, k: int) -> dict[int, int]:
+    """p_k |P_k|^2 as integer pair counts keyed by the code of their
+    numerators: the number of exponent pairs (i, j) with e_i - e_j at each
+    difference, in first-pair order."""
+    exps = _exponent_codes(params, k)
+    return mul_numerators(dict.fromkeys(exps, 1), dict.fromkeys([-e for e in exps], 1))
 
 
 def abs2_polynomial(params: RankOneParams, k: int) -> dict[Frequency, int]:
@@ -196,11 +241,12 @@ def abs2_polynomial(params: RankOneParams, k: int) -> dict[Frequency, int]:
     pairs (i, j) with e_i - e_j at that frequency.  |P_k|^2 is these counts
     over p_k; the count at zero is p_k.  The name is kept because
     perfbench/tracing.py wraps this function through it."""
-    return _keyed(params.basis, _abs2_counts(params, k), params.freq_den)
+    return _keyed(params.basis, params.count_code, _abs2_counts(params, k),
+                  params.freq_den)
 
 
-def _fold(counts: dict[tuple[int, ...], int], params: RankOneParams, k: int,
-          cap: int) -> dict[tuple[int, ...], int]:
+def _fold(counts: dict[int, int], params: RankOneParams, k: int,
+          cap: int) -> dict[int, int]:
     """``counts`` times p_k |P_k|^2, refused when the product could hold
     more than ``cap`` terms (len(counts) p_k^2 > cap)."""
     p = params.stage(k).p
@@ -214,18 +260,20 @@ def _product_mean(params: RankOneParams, indices: Sequence[int]) -> Fraction:
     """Exact mean of the product of |P_k|^2 over ``indices``: all factors
     but the last are multiplied out, under the support cap as in
     ``extend``, and the last is paired with them as sum_f A[f] B[-f], so
-    the full product is never formed."""
+    the full product is never formed; the code of -f is minus f's."""
     if not indices:
         return Fraction(1)
     *head, last = indices
-    a, den = {(0,) * params.basis.size: 1}, params.stage(last).p
+    if len(set(head)) != len(head):
+        # The count code's box holds one exponent difference per stage.
+        raise ValidationError("a stage repeats among the multiplied-out factors")
+    a, den = {0: 1}, params.stage(last).p
     for k in head:
         a = _fold(a, params, k, DEFAULT_SUPPORT_CAP)
         den *= params.stage(k).p
     get = a.get
     b = _abs2_counts(params, last)
-    return Fraction(sum(c * get(tuple(map(operator.neg, x)), 0)
-                        for x, c in b.items()), den)
+    return Fraction(sum(c * get(-x, 0) for x, c in b.items()), den)
 
 
 @dataclass(frozen=True)
@@ -240,13 +288,13 @@ class RieszState:
 
     Q = |P_0 ... P_n|^2, the product of the exact stage |P_k|^2, held as
     positive integer counts over one denominator ``den`` = p_0 ... p_n.
-    ``nums`` keys each count by the numerator tuple of its frequency over
-    ``params.freq_den``, in fold order.
+    ``codes`` keys each count by the code (``params.count_code``) of its
+    frequency's numerators over ``params.freq_den``, in fold order.
     """
 
     params: RankOneParams
     n: int  # index of the last folded stage; -1 for the empty product
-    nums: dict[tuple[int, ...], int] = field(repr=False)
+    codes: dict[int, int] = field(repr=False)
     den: int
 
     # perfbench/workloads.py reads ``states[-1].Q.mean().re``; ``Q`` and
@@ -264,34 +312,41 @@ class RieszState:
     @property
     def counts(self) -> dict[Frequency, int]:
         """Q's counts keyed by frequency, in fold order; the keys are
-        built on each read."""
-        return _keyed(self.params.basis, self.nums, self.params.freq_den)
+        decoded on each read."""
+        params = self.params
+        return _keyed(params.basis, params.count_code, self.codes, params.freq_den)
 
     def sigma_hat(self, lam: Frequency) -> SigmaHatValue:
-        """sigma-hat_n(lam), read at lam's numerators over ``freq_den``;
-        lam is off the support when its denominator does not divide it."""
+        """sigma-hat_n(lam), read at the code of lam's numerators over
+        ``freq_den``.  lam is off the support when its denominator does not
+        divide ``freq_den`` or its numerators leave the code's box, where
+        the code of another frequency could alias it."""
         if lam.basis != self.params.basis:
             raise BasisMismatchError("frequency over a different basis")
-        fd = self.params.freq_den
-        c = None if fd % lam.den else self.nums.get(_numerators(lam, fd))
+        fd, code = self.params.freq_den, self.params.count_code
+        c = None
+        if not fd % lam.den and code.contains(num := _numerators(lam, fd)):
+            c = self.codes.get(code.encode(num))
         if c is None:
             return SigmaHatValue(value=Fraction(0), on_support=False)
         return SigmaHatValue(value=Fraction(c, self.den), on_support=True)
 
     def sigma_hat_table(self) -> dict[Frequency, Fraction]:
-        """Every sigma-hat value on the support, in frequency order.  Over
-        one denominator, numerator order is the order of the exact
-        coefficients (``Frequency.sort_key``).  The counts take few
-        distinct values, so each value's ``Fraction`` is built once."""
-        den, nums = self.den, self.nums
-        order = sorted(nums)
-        freqs = _frequencies(self.params.basis, order, self.params.freq_den)
-        value = {c: Fraction(c, den) for c in set(nums.values())}
-        return {f: value[nums[x]] for f, x in zip(freqs, order)}
+        """Every sigma-hat value on the support, in frequency order.  Code
+        order is numerator order, which over one denominator is the order
+        of the exact coefficients (``Frequency.sort_key``); the codes are
+        sorted and decoded in one pass.  The counts take few distinct
+        values, so each value's ``Fraction`` is built once."""
+        params, den = self.params, self.den
+        perm, nums = params.count_code.decode_sorted(list(self.codes))
+        counts = list(self.codes.values())
+        value = {c: Fraction(c, den) for c in set(counts)}
+        freqs = _frequencies(params.basis, nums, params.freq_den)
+        return dict(zip(freqs, map(value.__getitem__, map(counts.__getitem__, perm))))
 
 
 def initial_state(params: RankOneParams) -> RieszState:
-    return RieszState(params=params, n=-1, nums={(0,) * params.basis.size: 1}, den=1)
+    return RieszState(params=params, n=-1, codes={0: 1}, den=1)
 
 
 def extend(state: RieszState, k: int,
@@ -304,7 +359,7 @@ def extend(state: RieszState, k: int,
     return RieszState(
         params=state.params,
         n=k,
-        nums=_fold(state.nums, state.params, k, support_cap),
+        codes=_fold(state.codes, state.params, k, support_cap),
         den=state.den * state.params.stage(k).p,
     )
 

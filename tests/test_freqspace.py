@@ -2,7 +2,9 @@
 
 import copy
 import math
+import operator
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -332,6 +334,72 @@ class TestTorusReduce:
             assert red.reconstruct(i) == f
 
 
+#: Code bounds of up to six coordinates: small ones, zeros (fields of no
+#: bits) and ones past 2^64.
+_code_bounds = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 300),
+                                  st.integers(2 ** 60, 2 ** 70)),
+                        min_size=1, max_size=6)
+
+
+@st.composite
+def _boxed_vectors(draw):
+    """A code and vectors inside its box: two drawn by hypothesis, and 70
+    drawn from a seeded generator, enough for the numpy decode."""
+    bounds = draw(_code_bounds)
+    box = st.tuples(*(st.integers(-w, w) for w in bounds))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    more = [tuple(rng.randint(-w, w) for w in bounds) for _ in range(70)]
+    return freqspace.NumeratorCode(bounds), [draw(box), draw(box), *more]
+
+
+class TestNumeratorCode:
+    """The linear, order-preserving code of integer vectors in a box."""
+
+    @settings(max_examples=80)
+    @given(_boxed_vectors())
+    def test_linear_and_negated(self, case):
+        code, (u, v, *_) = case
+        u_plus_v = tuple(map(operator.add, u, v))
+        assert code.encode(u_plus_v) == code.encode(u) + code.encode(v)
+        assert code.encode(tuple(map(operator.neg, v))) == -code.encode(v)
+        assert code.encode((0,) * len(v)) == 0
+
+    @settings(max_examples=80)
+    @given(_boxed_vectors())
+    def test_decode_inverts_encode(self, case):
+        code, vecs = case
+        assert all(map(code.contains, vecs))
+        codes = list(map(code.encode, vecs))
+        assert code.decode_many(codes) == vecs
+        assert code.decode_many(codes[:2]) == vecs[:2]
+
+    @settings(max_examples=80)
+    @given(_boxed_vectors())
+    def test_code_order_is_vector_order(self, case):
+        code, vecs = case
+        codes = list(map(code.encode, vecs))
+        assert code.decode_many(sorted(codes)) == sorted(vecs)
+        perm, got = code.decode_sorted(codes)
+        assert [codes[i] for i in perm] == sorted(codes)
+        assert got == sorted(vecs)
+        perm, got = code.decode_sorted(codes[:2])
+        assert got == sorted(vecs[:2])
+
+    def test_aliases_outside_the_box(self):
+        # Coordinate 1 has a 3-bit field, so 8 times its unit codes as the
+        # unit of coordinate 0; coordinate 2 takes no bits at all.
+        code = freqspace.NumeratorCode((5, 3, 0))
+        assert code.encode((0, 8, 0)) == code.encode((1, 0, 0))
+        assert code.encode((0, 0, 1)) == code.encode((0, 1, 0))
+        assert code.contains((1, 0, 0)) and not code.contains((0, 8, 0))
+        assert not code.contains((0, 0, 1)) and code.contains((-5, -3, 0))
+
+    @pytest.mark.parametrize("bounds", [(), (1, -1)])
+    def test_bounds_checked(self, bounds):
+        with pytest.raises(ValidationError):
+            freqspace.NumeratorCode(bounds)
+
+
 # The per-pair loops that ``mul_terms`` replaced, kept as its reference.
 
 
@@ -430,25 +498,26 @@ class TestMulTerms:
         assert any(f.den > 1 for f in want)
 
     def test_numerators_past_int64(self):
-        # Heights of 2^k: the folds of stages 66-68 add 66- to 69-bit numerators.
+        # Heights of 2^k: the folds of stages 66-68 add 66- to 69-bit
+        # numerators, and the count code's field for the unit is wider than
+        # an int64, so its reads decode one code at a time.
         params = make_independent_params([2] * 70)
         want, folds = self._check_folds(params, range(62, 69))
-        for a, b in folds[4:]:
-            assert len(a) * len(b) >= freqspace._NUMPY_PAIRS
-            assert freqspace._int64_rows([f.num for f in (*a, *b)]) is None
         assert max(abs(x) for f in want for x in f.num).bit_length() == 69
+        assert params.count_code.bounds[0].bit_length() > 64
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("top, int64", [
         (2 ** 62 - 1, True), (2 ** 62, False), (2 ** 62 + 1, False)])
     def test_int64_boundary(self, top, int64, sign):
         # The largest numerator, top in magnitude, has one sign; the sum of
-        # the two top rows is 2 * top in magnitude.
+        # the two top rows is 2 * top in magnitude, which fits an int64
+        # only in the first case.  The product's code has fields of 64 bits
+        # or more, so its result is decoded one code at a time.
         ba = {Frequency(B3, (sign * (top - j), -sign * j, j % 3)): j + 1 for j in range(6)}
         bb = {Frequency(B3, (sign * (top - 2 * j), j, sign * (top - j))): 1 - j
               for j in range(7)}
-        rows = [f.num for f in (*ba, *bb)]
-        assert (freqspace._int64_rows(rows) is not None) == int64
+        assert (2 * top < 2 ** 63) == int64
         got = mul_terms(ba, bb)
         assert list(got.items()) == list(_loop_mul(ba, bb).items())
         assert max(abs(x) for f in got for x in f.num) == 2 * top
@@ -457,9 +526,9 @@ class TestMulTerms:
     @pytest.mark.parametrize("n", [3, 40])
     def test_poly_products_bit_for_bit(self, n, entries, monkeypatch):
         # Frequencies on a small lattice of a and b, so many sums repeat;
-        # n = 40 takes the numpy pass, n = 3 the tuple sums.  Blocks of 400
-        # entries hold three rows of a 40-term product, so a sum repeats
-        # both within a block and across blocks.
+        # n = 40 decodes its products with numpy, n = 3 one code at a time.
+        # Blocks of 400 pairs hold ten rows of a 40-term product, so a sum
+        # repeats both within a block and across blocks.
         if entries:
             monkeypatch.setattr(freqspace, "_PAIR_ENTRIES", entries)
         rng = np.random.default_rng(n)
@@ -502,8 +571,9 @@ class TestMulTerms:
     def test_fold_memory_is_blocked(self):
         # One fold of 63 x 63 pairs over 1101 symbols: 4,369,869 numerator
         # entries, 33.3 MiB as one int64 array.  Its tracemalloc peak was
-        # 21.4 MiB (17.6 MiB of it the result) in blocks of _PAIR_ENTRIES,
-        # and 69.1 MiB as one unblocked pair array.
+        # 21.4 MiB (17.6 MiB of it the result) with numerator tuples in
+        # blocks of _PAIR_ENTRIES, and 69.1 MiB as one unblocked pair array;
+        # only the unit's field of the count code is wider than 0 bits.
         basis = SymbolBasis.make(("one", 1.0), *((f"z{j}", 2.0 + j) for j in range(1100)))
         zero = basis.zero()
         params = RankOneParams(basis=basis, unit=basis.symbol("one"), stages=tuple(
@@ -518,3 +588,19 @@ class TestMulTerms:
             tracemalloc.stop()
         assert len(st.counts) == 2047
         assert peak < 32 * 2 ** 20
+
+    def test_fold_chain_memory(self):
+        # The folds of cuts 6,6,6 to 29,791 terms, count code included:
+        # 10.5 MiB of tracemalloc peak with numerator tuple keys, 3.5 MiB
+        # with int codes.
+        params = make_independent_params([6, 6, 6], seed=1)
+        tracemalloc.start()
+        try:
+            st = initial_state(params)
+            for k in range(3):
+                st = extend(st, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(st.codes) == 31 ** 3
+        assert peak <= 6 * 2 ** 20

@@ -235,6 +235,28 @@ class TestPartialProducts:
         got = st.sigma_hat(lam)
         assert got.value == 0 and not got.on_support
 
+    def test_sigma_hat_refuses_aliased_codes(self):
+        # Outside the count code's box, a frequency's code can equal the
+        # code of one on the support: here both read as the unit's, whose
+        # count a naive encode-then-lookup would return.
+        params = make_independent_params([3, 4, 2, 5], seed=1)
+        huge = 1 << (params.count_code.shifts[0] - params.count_code.shifts[-1])
+        unused = SymbolBasis.make(("one", 1.0), ("z", math.e), ("s", math.sqrt(2)),
+                                  ("t", math.sqrt(3)))
+        zero, s, t = unused.zero(), unused.symbol("s"), unused.symbol("t")
+        for params, lam in [
+                (params, params.basis.symbol(params.basis.names[-1]).scale(huge)),
+                (RankOneParams(basis=unused, unit=unused.symbol("one"), stages=(
+                    Stage(p=2, spacers=(zero, s, t)),
+                    Stage(p=3, spacers=(zero, t, s, zero)))), unused.symbol("z"))]:
+            st = _fold_all(params)
+            code = params.count_code
+            unit = st.codes[code.encode(params.unit.num)]
+            assert st.codes.get(code.encode(lam.num)) == unit
+            assert not code.contains(lam.num)
+            assert st.sigma_hat(lam) == SigmaHatValue(Fraction(0), False)
+            assert st.sigma_hat(params.unit).value == Fraction(unit, st.den)
+
 
 #: Products of more terms than this make the reference fold slow.
 _MAX_REFERENCE_TERMS = 3000
@@ -421,7 +443,7 @@ class TestNumeratorCounts:
         assert _frequency_builds(lambda: kac_moment_identity([2, 4])) == 0
         # The counter sees the keys built on read.
         st = states[0]
-        assert _frequency_builds(st.sigma_hat_table) == len(st.nums) == 5733
+        assert _frequency_builds(st.sigma_hat_table) == len(st.codes) == 5733
         assert _frequency_builds(lambda: abs2_polynomial(params, 3)) == 21
 
     def test_one_denominator(self):
@@ -459,6 +481,9 @@ class TestNumeratorCounts:
         a = _abs2_by_products(params, 0)
         assert _product_mean(params, [0, 0]) == sum(c * a.get(-f, 0) for f, c in a.items())
         assert _product_mean(params, [0, 0]) > 1
+        # Folding a stage twice could leave the count code's box.
+        with pytest.raises(ValidationError):
+            _product_mean(params, [0, 0, 1])
 
 
 class TestDegreeBookkeeping:
