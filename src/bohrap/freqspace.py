@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (BasisMismatchError, InternalInconsistencyError,
                      ValidationError, json_array, json_number)
@@ -244,12 +241,6 @@ class Frequency:
         return cls(basis, tuple(vec))
 
 
-#: Fewest codes that ``NumeratorCode`` decodes with numpy: below it the
-#: fixed cost of numpy's calls, about 4 us per coordinate, is more than the
-#: Python loop.
-_NUMPY_CODES = 64
-
-
 class NumeratorCode:
     """A linear, order-preserving code of integer vectors in a box.
 
@@ -267,7 +258,7 @@ class NumeratorCode:
     with ``contains`` before it is encoded.
     """
 
-    __slots__ = ("bounds", "shifts", "_fields", "_offset", "_bits")
+    __slots__ = ("bounds", "shifts", "_fields", "_offset")
 
     def __init__(self, bounds: Iterable[int]):
         self.bounds = tuple(bounds)
@@ -281,7 +272,6 @@ class NumeratorCode:
             bits += width
         self.shifts = tuple(reversed(shifts))
         self._fields = tuple(reversed(fields))
-        self._bits = bits
         # code(W): adding it makes every field a digit in [0, 2 W_c].
         self._offset = self.encode(self.bounds)
 
@@ -301,37 +291,16 @@ class NumeratorCode:
         return self._decode(xs, True)
 
     def _decode(self, xs: Sequence[int], sort: bool):
-        """(positions or None, vectors).  For at least ``_NUMPY_CODES``
-        codes, when every field fits an int64, the codes plus ``code(W)``
-        are cut into little-endian 64-bit words, numpy sorts their rows and
-        takes one digit column per coordinate, and each vector is unpacked
-        from its row of int64s; otherwise the work is done one code at a
-        time."""
+        """(positions or None, vectors): each code plus ``code(W)`` has a
+        digit in [0, 2 W_c] in every field, read by shift and mask one
+        coordinate at a time over all codes; zip makes the vectors."""
         ys = list(map(self._offset.__add__, xs))
-        if len(ys) < _NUMPY_CODES or any(mask >> 63 for _, mask, _ in self._fields):
-            perm = sorted(range(len(ys)), key=ys.__getitem__) if sort else None
-            return perm, [tuple([((y >> s) & mask) - w for s, mask, w in self._fields])
-                          for y in (ys if perm is None else map(ys.__getitem__, perm))]
-        nwords = max(1, -(-self._bits // 64))
-        data = b"".join(map(int.to_bytes, ys, repeat(8 * nwords), repeat("little")))
-        words = np.frombuffer(data, dtype="<u8").reshape(-1, nwords)
         perm = None
         if sort:
-            # lexsort's last key, the most significant word, is its first.
-            perm = np.lexsort(words.T)
-            words = words[perm]
-            perm = perm.tolist()
-        d = len(self._fields)
-        out = np.zeros((len(ys), d), dtype=np.int64)
-        for c, (s, mask, w) in enumerate(self._fields):
-            if not mask:
-                continue
-            i, s = divmod(s, 64)
-            digit = words[:, i] >> np.uint64(s)
-            if s + mask.bit_length() > 64:
-                digit |= words[:, i + 1] << np.uint64(64 - s)
-            out[:, c] = (digit & np.uint64(mask)).astype(np.int64) - w
-        return perm, list(struct.iter_unpack(f"{d}q", out))
+            perm = sorted(range(len(ys)), key=ys.__getitem__)
+            ys = list(map(ys.__getitem__, perm))
+        return perm, list(zip(*[[((y >> s) & mask) - w for y in ys] if mask
+                                else repeat(0, len(ys)) for s, mask, w in self._fields]))
 
 
 #: Cap on the pairs of one block of sums in ``mul_numerators``: a product
@@ -378,8 +347,10 @@ def mul_numerators(a: Mapping[int, object],
                 out[x] = out[x] + ca * cb  # or ca * cb when new
 
     The code is linear, so the pair sum is one int addition, and injective,
-    so equal sums add their coefficient products in pair order.  The pairs
-    are taken in blocks of rows of ``a``, at most ``_PAIR_ENTRIES`` each.
+    so equal sums add their coefficient products in pair order.  Nothing
+    checks the box: a pair sum outside it aliases another sum's code, and
+    their products add silently.  The pairs are taken in blocks of rows of
+    ``a``, at most ``_PAIR_ENTRIES`` each.
     """
     if not a or not b:
         return {}

@@ -189,11 +189,17 @@ def _exponent_nums(params: RankOneParams, k: int) -> list[tuple[int, ...]]:
     for j in range(st.p):
         out.append(tuple(j * x + y for x, y in zip(h, acc)))
         acc = tuple(map(operator.add, acc, _numerators(st.spacers[j], den)))
-    if len(set(out)) != len(out):
+    return _distinct_exponents(out, k)
+
+
+def _distinct_exponents(exps: list, k: int) -> list:
+    """``exps``, stage k's exponents as numerator tuples or codes, refused
+    when two are equal."""
+    if len(set(exps)) != len(exps):
         raise ValidationError(
             f"stage {k} exponents collide; degenerate rank-one parameters"
         )
-    return out
+    return exps
 
 
 def stage_exponents(params: RankOneParams, k: int) -> list[Frequency]:
@@ -221,11 +227,7 @@ def _exponent_codes(params: RankOneParams, k: int) -> list[int]:
     for j, spacer in zip(range(st.p), params._spacer_terms[k]):
         out.append(j * h + acc)
         acc += sum(x << shifts[c] for c, x in spacer)
-    if len(set(out)) != len(out):
-        raise ValidationError(
-            f"stage {k} exponents collide; degenerate rank-one parameters"
-        )
-    return out
+    return _distinct_exponents(out, k)
 
 
 def _abs2_counts(params: RankOneParams, k: int) -> dict[int, int]:

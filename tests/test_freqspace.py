@@ -344,7 +344,7 @@ _code_bounds = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 300),
 @st.composite
 def _boxed_vectors(draw):
     """A code and vectors inside its box: two drawn by hypothesis, and 70
-    drawn from a seeded generator, enough for the numpy decode."""
+    drawn from a seeded generator, so the sorted reads order many codes."""
     bounds = draw(_code_bounds)
     box = st.tuples(*(st.integers(-w, w) for w in bounds))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -500,7 +500,7 @@ class TestMulTerms:
     def test_numerators_past_int64(self):
         # Heights of 2^k: the folds of stages 66-68 add 66- to 69-bit
         # numerators, and the count code's field for the unit is wider than
-        # an int64, so its reads decode one code at a time.
+        # an int64.
         params = make_independent_params([2] * 70)
         want, folds = self._check_folds(params, range(62, 69))
         assert max(abs(x) for f in want for x in f.num).bit_length() == 69
@@ -509,24 +509,32 @@ class TestMulTerms:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("top, int64", [
         (2 ** 62 - 1, True), (2 ** 62, False), (2 ** 62 + 1, False)])
-    def test_int64_boundary(self, top, int64, sign):
+    def test_int64_boundary(self, top, int64, sign, monkeypatch):
         # The largest numerator, top in magnitude, has one sign; the sum of
         # the two top rows is 2 * top in magnitude, which fits an int64
-        # only in the first case.  The product's code has fields of 64 bits
-        # or more, so its result is decoded one code at a time.
+        # only in the first case.  mul_terms codes the pair sums in a box
+        # whose first bound is that sum, on the edge of the box.
         ba = {Frequency(B3, (sign * (top - j), -sign * j, j % 3)): j + 1 for j in range(6)}
         bb = {Frequency(B3, (sign * (top - 2 * j), j, sign * (top - j))): 1 - j
               for j in range(7)}
-        assert (2 * top < 2 ** 63) == int64
+        boxes, code = [], freqspace.NumeratorCode
+
+        def recorded(bounds):
+            boxes.append(code(bounds))
+            return boxes[-1]
+
+        monkeypatch.setattr(freqspace, "NumeratorCode", recorded)
         got = mul_terms(ba, bb)
         assert list(got.items()) == list(_loop_mul(ba, bb).items())
-        assert max(abs(x) for f in got for x in f.num) == 2 * top
+        [box] = boxes
+        assert all(box.contains(f.num) for f in got)
+        assert (box.bounds[0] < 2 ** 63) == int64
+        assert max(abs(x) for f in got for x in f.num) == box.bounds[0] == 2 * top
 
     @pytest.mark.parametrize("entries", [None, 400])
     @pytest.mark.parametrize("n", [3, 40])
     def test_poly_products_bit_for_bit(self, n, entries, monkeypatch):
-        # Frequencies on a small lattice of a and b, so many sums repeat;
-        # n = 40 decodes its products with numpy, n = 3 one code at a time.
+        # Frequencies on a small lattice of a and b, so many sums repeat.
         # Blocks of 400 pairs hold ten rows of a 40-term product, so a sum
         # repeats both within a block and across blocks.
         if entries:
