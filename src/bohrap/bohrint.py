@@ -60,7 +60,7 @@ _STEP_PHASES = 1 << 18
 
 #: Most threads that run the batches of one Monte Carlo call or the units of
 #: one tensor grid: the calling thread and one helper.  Each holds a batch
-#: with its own step and ``_cis`` temporaries: two stay below the peak of
+#: with its own step and phase temporaries: two stay below the peak of
 #: one thread with 2^20-phase steps, four did not.
 _MAX_WORKERS = 2
 
@@ -275,22 +275,39 @@ def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return z.reshape(np.shape(x))
 
 
-def _drawn_cis(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Write e^{2 pi i x} for x = rng.random(out.shape) into ``out``, of
-    shape (rows, n): the draws of that one call, taken 2 _CIS_BLOCK points
-    (or one row) at a time straight into ``_cis``, so a step never holds
-    all its draws.
+@functools.cache
+def _root_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): e^{2 pi i k 2^-32} for k = k_hi 2^16 + k_lo is
+    hi[k_hi] lo[k_lo], within 2e-15 of ``np.exp``.  Built on first use:
+    at import, their 2 MiB raised the peak RSS of processes that sample
+    nothing by 3 MB."""
+    return tuple(np.exp((2j * np.pi / (1 << bits)) * np.arange(1 << 16))
+                 for bits in (16, 32))
 
-    One-row draws ran the ``kac`` benchmark about 5% slower; draws of a
-    whole step or of 4 _CIS_BLOCK points raised the tracemalloc peak of a
-    two-thread half-batch call over 60 coordinates from about 12.5 MB to
-    16.3 and 13.1 MB."""
+
+def _drawn_roots(rng: np.random.Generator, out: np.ndarray,
+                 roots: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write e^{2 pi i k 2^-32} into ``out``, of shape (rows, n), for k
+    uniform on 2^32 values, 2 _CIS_BLOCK points (or one row) at a time;
+    ``roots`` are the ``_root_tables()``.
+
+    A block of m points takes the m uint32 halves of the words of
+    ``rng.bit_generator.random_raw(ceil(m / 2))`` as its k in C order, so
+    (on a little-endian machine) blocks of even size draw the uint32s of
+    one ``random_raw`` call.  Each phase is two gathers from 2^16-entry
+    tables and a multiply; ``np.take`` in its default ``mode="raise"``
+    buffers ``out`` and gathered two to three times slower.  Draws of a
+    whole step raised the tracemalloc peak of a two-thread half-batch call
+    over 60 coordinates to 14.7 MB."""
     rows, n = out.shape
     step = max(1, 2 * _CIS_BLOCK // n)
-    x = np.empty((min(step, rows), n))
+    low = np.empty(min(step, rows) * n, dtype=complex)
     for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        _cis(rng.random(out=x[:hi - lo]), out=out[lo:hi])
+        block = out[lo:lo + step].reshape(-1)
+        m = block.size
+        half = rng.bit_generator.random_raw(-(-m // 2)).view(np.uint16)
+        np.take(roots[0], half[1:2 * m:2], out=block, mode="wrap")
+        block *= np.take(roots[1], half[0:2 * m:2], out=low[:m], mode="wrap")
 
 
 class TorusEvaluator:
@@ -301,8 +318,9 @@ class TorusEvaluator:
     shape (dim, n) in [0, 1); a grid of 53-bit points needs one level.
     Given term columns, as for independent frequencies, each polynomial is
     a0 + A . e^{2 pi i x} (``_unit`` holds A and a0, added up from the
-    columns in O(terms)) and one level is exact: a batch costs one ``_cis``
-    of the coordinates and one matmul.  Given exponent matrices, ``levels``
+    columns in O(terms)) and one level is exact: a grid costs one ``_cis``
+    of the coordinates and one matmul, a sample two table gathers per
+    phase instead of the ``_cis``.  Given exponent matrices, ``levels``
     levels keep _GUARD_BITS of phase headroom past the largest exponent,
     ``max_exponent``, and phases summed from integer limbs of the exponents
     go through the same ``_cis``.  Either way a step holds about
@@ -319,6 +337,7 @@ class TorusEvaluator:
             for row, c, cols in zip(u, coeffs, emats):
                 np.add.at(row, cols, c)
             self._unit = (u[:, :dim].copy(), u[:, dim].copy())
+            self._roots = _root_tables()  # built here, not on a batch thread
             self.levels = 1
             return
         self.max_exponent = int(max((np.abs(E).max() for E in emats if E.size),
@@ -339,7 +358,8 @@ class TorusEvaluator:
         n = levels[0].shape[1]
         if self._unit is not None:
             return self._unit_values(
-                n, lambda lo, hi, out: _cis(levels[0][lo:hi], out=out))
+                self._unit[0], n,
+                lambda lo, hi, out: _cis(levels[0][lo:hi], out=out))
         out = np.empty((len(self._coeffs), n), dtype=complex)
         for lo in range(0, n, self._width):
             cols = [x[:, lo:lo + self._width] for x in levels]
@@ -359,18 +379,30 @@ class TorusEvaluator:
         return list(out)
 
     def sample(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        """Values at n random points: the draws of ``rng.random((dim, n))``
-        once per level (in the unit form, one row step at a time through
-        ``_drawn_cis``)."""
+        """Values at n Haar-random points.
+
+        The limb form evaluates the draws of ``rng.random((dim, n))``, once
+        per level.  The unit form draws a shift u = ``rng.random(dim)``
+        first, then the points x = (k 2^-32 + u) mod 1 with k uniform on
+        2^32 values per coordinate, from ``_drawn_roots`` one row step at a
+        time: e^{2 pi i x} is a table root times e^{2 pi i u}, and the
+        shift goes into the coefficients, A e^{2 pi i u}.  Each point is
+        exactly as uniform as ``rng.random``; given u the points are
+        independent, and the sample variance leaves out only the variance
+        over u of the shifted 2^32-point lattice rule, which is 0 unless
+        an integrand has a Fourier mode whose indices are all multiples of
+        2^32, not all 0."""
         if self._unit is None:
             return self([rng.random((self.dim, n)) for _ in range(self.levels)])
-        return self._unit_values(n, lambda lo, hi, out: _drawn_cis(rng, out))
+        shifted = self._unit[0] * _cis(rng.random(self.dim))
+        return self._unit_values(
+            shifted, n, lambda lo, hi, out: _drawn_roots(rng, out, self._roots))
 
-    def _unit_values(self, n: int, fill) -> list[np.ndarray]:
+    def _unit_values(self, A: np.ndarray, n: int, fill) -> list[np.ndarray]:
         """a0 + A . e^{2 pi i x} at n points, one step of rows at a time, in
         order; ``fill(lo, hi, out)`` writes e^{2 pi i x} on rows lo:hi of x
         into ``out``, one buffer that every step reuses."""
-        A, a0 = self._unit
+        a0 = self._unit[1]
         z = np.zeros((len(A), n), dtype=complex)
         rows = max(1, _STEP_PHASES // n)
         buf = np.empty((min(rows, self.dim), n), dtype=complex)

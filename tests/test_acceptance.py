@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate, special
 
 from bohrap.appoly import APPoly
 from bohrap.bohrint import Budget, mean_abs, real_line_mean
@@ -48,25 +47,6 @@ def _random_shared_params(rng) -> RankOneParams:
         stages.append(Stage(p=p, spacers=tuple(spacers)))
     return RankOneParams(basis=basis, unit=basis.symbol("one"),
                          stages=tuple(stages))
-
-
-# Zeros of J0 bounding the pieces of Kluyver's integral.  At q = 2 the
-# truncated tail is about 1/(2 pi X^2) for the last zero X (6e-10 here); for
-# q >= 3 it is far smaller.
-_J0_ZEROS = np.concatenate(([0.0], special.jn_zeros(0, 5000)))
-
-
-def _phase_walk_mean_abs(q: int) -> float:
-    """E|e^{i theta_1} + ... + e^{i theta_q}| for independent uniform phases.
-
-    Kluyver's formula W_q(1) = q * int_0^inf J1(x) J0(x)^(q-1) dx / x,
-    integrated piecewise between consecutive zeros of J0.
-    """
-    def integrand(x):
-        return q * special.j1(x) * special.j0(x) ** (q - 1) / x
-
-    return math.fsum(integrate.quad(integrand, a, b)[0]
-                     for a, b in zip(_J0_ZEROS[:-1], _J0_ZEROS[1:]))
 
 
 def test_criterion_01_exact_probability_normalization():
@@ -125,11 +105,11 @@ def test_criterion_03_kac_moment_identity():
     assert ok
 
 
-def test_criterion_04_gaussian_first_moment():
+def test_criterion_04_gaussian_first_moment(kluyver):
     cuts = (4, 16, 64, 256)
-    assert abs(_phase_walk_mean_abs(1) - 1.0) <= 1e-9
-    assert abs(_phase_walk_mean_abs(2) - 4.0 / math.pi) <= 1e-9
-    exact = [_phase_walk_mean_abs(p) / math.sqrt(p) for p in cuts]
+    assert abs(kluyver[1] - 1.0) <= 1e-9
+    assert abs(kluyver[2] - 4.0 / math.pi) <= 1e-9
+    exact = [kluyver[p] / math.sqrt(p) for p in cuts]
     t0 = time.perf_counter()
     ests = []
     for i, p in enumerate(cuts):

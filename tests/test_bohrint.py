@@ -16,8 +16,8 @@ from bohrap import bohrint, flatness
 from bohrap.appoly import APPoly
 from bohrap.bohrint import (MC_BATCH, Budget, TorusEvaluator, _affine, _cis,
                             _coefficients, _exponent_rows, _phase_space,
-                            _signed_limbs, _tensor_values, bohr_integral,
-                            bohr_integral_multi,
+                            _root_tables, _signed_limbs, _tensor_values,
+                            bohr_integral, bohr_integral_multi,
                             interval_l1_distortion, mean_abs, real_line_mean)
 from bohrap.errors import BasisMismatchError, BudgetError, ValidationError
 from bohrap.flatness import PolyFamilySpec, build_family, ultraflat
@@ -38,6 +38,15 @@ def _abs2_float(params, k):
 def _evaluator(polys):
     """The evaluator of ``polys`` on their reduced phase space."""
     return TorusEvaluator(_coefficients(polys), *_phase_space(polys))
+
+
+def _lattice_points(rng, dim, n):
+    """The points of one unit-form ``sample(rng, n)`` over ``dim``
+    coordinates, for even n: x = (k 2^-32 + u) mod 1, with the shift u drawn
+    first and k the uint32 halves of the raw words drawn after it."""
+    u = rng.random(dim)
+    k = rng.bit_generator.random_raw(dim * n // 2).view(np.uint32)
+    return (k.reshape(dim, n) * 2.0 ** -32 + u[:, None]) % 1.0
 
 
 def _two_char_poly():
@@ -473,13 +482,14 @@ class TestMonteCarlo:
         assert e1.value == e2.value
 
     def test_phases_match_exp_sum(self):
-        # Both phase paths through ``_cis`` stay within 1e-13 of an
-        # ``np.exp`` sum.  A limb phase just below 0 wraps to 1.0 under
-        # np.mod, the last entry of the root tables.
+        # A unit-form sample and a limb phase through ``_cis`` stay within
+        # 1e-13 of an ``np.exp`` sum at their points.  A limb phase just
+        # below 0 wraps to 1.0 under np.mod, the last entry of the root
+        # tables.
         rng = np.random.default_rng(8)
         kac = TorusEvaluator([np.ones(16, dtype=complex)], 16, [np.arange(16)])
         (z,) = kac.sample(rng, 1000)
-        theta = np.random.default_rng(8).random((16, 1000))
+        theta = _lattice_points(np.random.default_rng(8), 16, 1000)
         np.testing.assert_allclose(
             z, np.exp((2j * np.pi) * theta).sum(axis=0), rtol=0, atol=1e-13)
         p = APPoly.from_terms(B, [(B.zero(), 0.5), (B.symbol("a"), 1.0),
@@ -604,17 +614,21 @@ class TestThreadedBatches:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_failure_in_one_batch_reaches_caller(self, monkeypatch, workers):
-        # P = e^{ia} takes the value _cis(x) at the first draw x of batch 3,
-        # and nowhere else among the 8 batches.
+        # P = e^{ia} lies within 1e-12 of e^{2 pi i x} at the first point x
+        # of batch 3, and at no other first point among the 8 batches.
         monkeypatch.setattr(bohrint, "_workers", lambda: workers)
         p = APPoly.character(B.symbol("a"))
         budget = Budget(method="monte-carlo", samples=8 * MC_BATCH, seed=12)
-        child = np.random.SeedSequence(budget.seed).spawn(8)[3]
-        mark = _cis(np.random.default_rng(child).random(1))[0]
+        firsts = []
+        for child in np.random.SeedSequence(budget.seed).spawn(8):
+            x = _lattice_points(np.random.default_rng(child), 1, 2)[0, 0]
+            firsts.append(np.exp(2j * np.pi * x))
+        mark = firsts[3]
+        assert sorted(np.abs(np.array(firsts) - mark))[1] > 1e-3
 
         def g(v):
             y = np.abs(v)
-            return y * np.nan if v[0] == mark else y
+            return y * np.nan if abs(v[0] - mark) < 1e-12 else y
 
         with pytest.raises(ValidationError):
             bohr_integral(g, [p], budget)
@@ -820,13 +834,14 @@ class TestOneBatchSteps:
 
     @pytest.mark.parametrize("n", [MC_BATCH, MC_BATCH // 2, 3000, 100_000])
     def test_threaded_sample_matches_one_draw(self, n):
-        # ``sample`` gives the values of the evaluator at one (dim, n) draw,
-        # and the generator ends where that draw leaves it.
+        # ``sample`` gives the values of the evaluator at the shifted
+        # lattice points of one draw, and the generator ends where that
+        # draw leaves it.
         ev = _evaluator(_independent_stages([64, 32]))
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         got = ev.sample(rng, n)
-        for vals, direct in zip(got, ev([ref.random((ev.dim, n))])):
-            assert np.array_equal(vals, direct)
+        for vals, direct in zip(got, ev([_lattice_points(ref, ev.dim, n)])):
+            np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-13)
         assert rng.random() == ref.random()
 
     def test_failed_step_reaches_caller(self, monkeypatch):
@@ -835,18 +850,18 @@ class TestOneBatchSteps:
         monkeypatch.setattr(bohrint, "_workers", lambda: 2)
         polys = _independent_stages([16] * 4)
         gs, budget = _pair_products(4), Budget(samples=MC_BATCH, seed=5)
-        drawn_cis = bohrint._drawn_cis
+        drawn_roots = bohrint._drawn_roots
 
-        def broken(rng, out):
+        def broken(rng, out, roots):
             if threading.current_thread().name == "bohrap-mc":
                 raise FloatingPointError("step failed")
-            drawn_cis(rng, out)
+            drawn_roots(rng, out, roots)
 
-        monkeypatch.setattr(bohrint, "_drawn_cis", broken)
+        monkeypatch.setattr(bohrint, "_drawn_roots", broken)
         with pytest.raises(FloatingPointError):
             bohr_integral_multi(gs, polys, budget)
         assert not _helpers_alive()
-        monkeypatch.setattr(bohrint, "_drawn_cis", drawn_cis)
+        monkeypatch.setattr(bohrint, "_drawn_roots", drawn_roots)
         got = bohr_integral_multi(gs, polys, budget)
         monkeypatch.setattr(bohrint, "_workers", lambda: 1)
         assert got == bohr_integral_multi(gs, polys, budget)
@@ -854,10 +869,9 @@ class TestOneBatchSteps:
     def test_two_thread_peak_memory(self, monkeypatch):
         # Four 16-cut stages, 60 coordinates, as in a scan step: each
         # thread holds a half batch with one step of 32 coordinates x 2^13
-        # points (4 MiB complex), drawn four rows at a time into _cis.
-        # Under tracemalloc the call peaked at 12.34-12.60 MB on two threads
-        # and 6.30 MB on one; whole-step and eight-row draws held 16.3 and
-        # 13.1 MB.
+        # points (4 MiB complex), whose lattice roots are drawn four rows
+        # at a time.  Under tracemalloc the call peaked at 11.3 MB on two
+        # threads; draws of a whole step held 14.7 MB.
         monkeypatch.setattr(bohrint, "_workers", lambda: 2)
         polys = _independent_stages([16] * 4)
         gs = _pair_products(4)
@@ -943,17 +957,20 @@ class TestIdentityCoordinates:
 
     def test_sample_draws_row_blocks_in_turn(self):
         # At 2^14 points the unit form takes the 94 coordinates in row
-        # blocks of 16.  ``sample`` draws the blocks in turn: the numbers of
-        # one (dim, n) draw, and the same values as evaluating that draw.
+        # blocks of 16.  ``sample`` draws the blocks in turn: the lattice
+        # points of one draw, with the values of evaluating them, and the
+        # generator ends where that draw leaves it.
         params = make_independent_params([64, 32], seed=9)
         polys = [build_polynomial(params, k) for k in (0, 1)]
         dim, emats = _phase_space(polys)
         ev = TorusEvaluator(_coefficients(polys), dim, emats)
         emats = _exponent_rows(dim, emats)
-        got = ev.sample(np.random.default_rng(4), MC_BATCH)
-        x = np.random.default_rng(4).random((dim, MC_BATCH))
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = ev.sample(rng, MC_BATCH)
+        x = _lattice_points(ref, dim, MC_BATCH)
+        assert rng.random() == ref.random()
         for p, E, vals, direct in zip(polys, emats, got, ev([x])):
-            assert np.array_equal(vals, direct)
+            np.testing.assert_allclose(vals, direct, rtol=0, atol=1e-13)
             c = np.array(list(p.terms.values()), dtype=complex)
             want = c @ np.exp((2j * np.pi) * (E.astype(float) @ x))
             np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
@@ -1197,6 +1214,48 @@ class TestCis:
         for lo, hi in ((0, 1), (1, 16385), (16385, 40000), (123, 9000)):
             assert np.array_equal(_cis(x[:, lo:hi]), z[:, lo:hi])
         assert np.array_equal(_cis(x[3]), z[3])
+
+
+class TestLatticeSample:
+    """Unit-form samples at shifted points of the 2^-32 root lattice."""
+
+    def test_root_products_match_exp(self):
+        # Each entry of either table, in 32 products with random entries of
+        # the other, is within 2e-15 of np.exp at k 2^-32.
+        roots_hi, roots_lo = _root_tables()
+        rng = np.random.default_rng(5)
+        m = np.arange(1 << 16)
+        for _ in range(32):
+            other = rng.integers(0, 1 << 16, m.size)
+            for hi, lo in ((m, other), (other, m)):
+                want = np.exp((2j * np.pi) * ((hi * 65536 + lo) * 2.0 ** -32))
+                np.testing.assert_allclose(roots_hi[hi] * roots_lo[lo], want,
+                                           rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mode_at_two_to_sixteen_reads_zero(self, seed):
+        # The mean of e^{65536 i a} is 0.  Phases from the 2^16-root table
+        # alone make it the same at every point of a batch (0.334 +- 0.002
+        # at seed 1); the 2^32 lattice leaves it its Haar law.
+        p = APPoly.character(B.symbol("a"))
+        est = bohr_integral(lambda v: (v ** 65536).real, [p],
+                            Budget(method="monte-carlo", seed=seed))
+        assert abs(est.value) <= 5 * est.std_error
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_z_scores_are_standard(self, monkeypatch, kluyver, p):
+        # Over 400 seeds, (estimate - W_p(1)/sqrt(p)) / std_error of a
+        # p-cut stage's L1 norm at 2^12 samples has mean near 0 and
+        # variance near 1: the std_error misses no variance.  One thread
+        # gives the same bits, without a thread start per call.
+        monkeypatch.setattr(bohrint, "_workers", lambda: 1)
+        stage = build_polynomial(make_independent_params([p], seed=1), 0)
+        exact = kluyver[p] / math.sqrt(p)
+        z = np.array([(e.value - exact) / e.std_error for e in (
+            mean_abs(stage, Budget(method="monte-carlo", samples=1 << 12, seed=s))
+            for s in range(400))])
+        assert abs(z.mean()) <= 0.25
+        assert 0.7 <= z.var() <= 1.3
 
 
 class TestRealLine:

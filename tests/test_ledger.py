@@ -8,11 +8,11 @@ asserts that its estimate is honest,
 The references do not use ``bohrap``: Fejér's Lebesgue constants and the
 Dirichlet kernel's L1 norm integrated between its zeros, integer
 autocorrelations, ``Fraction`` counts, and Kluyver's W_p(1) from
-``perfbench/refs.py``.  A row that fails today is a strict xfail that names
-the ROADMAP item that mends it, so the change that mends it must flip it.
+``perfbench/refs.py`` (the session fixture ``kluyver``).  A row that fails
+today is a strict xfail that names the ROADMAP item that mends it, so the
+change that mends it must flip it.
 """
 
-import importlib.util
 import json
 import math
 from fractions import Fraction
@@ -27,20 +27,6 @@ from bohrap import (APPoly, PolyFamilySpec, SymbolBasis, bohr_integral,
 
 ROOT = Path(__file__).resolve().parents[1]
 A = SymbolBasis.make(("a", 1.0))
-
-
-def _refs():
-    spec = importlib.util.spec_from_file_location("_perfbench_refs",
-                                                  ROOT / "perfbench" / "refs.py")
-    refs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(refs)
-    return refs
-
-
-@pytest.fixture(scope="module")
-def kluyver():
-    """W_p(1) for the stage rows, checked against W_1 = 1 and W_2 = 4/pi."""
-    return _refs().checked_kluyver([4, 16, 64])
 
 
 def _one_symbol(coeffs) -> APPoly:
